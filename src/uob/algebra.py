@@ -215,8 +215,8 @@ class BlockOperator:
         return M
 
     def norm_inf(self) -> float:
-        """Largest absolute entry across all blocks."""
-        return max(float(np.max(np.abs(d))) if d.size else 0.0 for d in self.data)
+        """Largest absolute entry across all blocks; NaN if any entry is NaN."""
+        return float(np.max([np.abs(d).max() for d in self.data]))
 
     def block_traces(self) -> list[complex]:
         return [complex(np.trace(d)) for d in self.data]
@@ -259,11 +259,3 @@ class TracialState:
     def inner(self, X: BlockOperator, Y: BlockOperator) -> complex:
         """GNS inner product <X, Y> = phi(X* Y)."""
         return self(X.adjoint() @ Y)
-
-
-def trace_eval(phi: TracialState, X: BlockOperator) -> complex:
-    return phi(X)
-
-
-def hs_inner(phi: TracialState, X: BlockOperator, Y: BlockOperator) -> complex:
-    return phi.inner(X, Y)

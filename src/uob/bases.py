@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,16 @@ class UnitaryBasis:
     @property
     def d(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """One (d, n_i, n_i) array per block: stacks[i][j] is block i of W_j.
+
+        Built once, on first use; needs at least one element.
+        """
+        if not self.elements:
+            raise ValueError("an empty basis has no block stacks")
+        return tuple(np.stack(blocks) for blocks in zip(*(W.data for W in self.elements)))
 
     def dense_elements(self) -> list[np.ndarray]:
         return [W.to_dense() for W in self.elements]

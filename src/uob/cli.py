@@ -24,7 +24,7 @@ from .bases import (
 from .errors import UobError
 from .expectation import markov_expectation, mixed_unitary_channel
 from .inclusion import InclusionSpec, check_spectral_condition
-from .io import basis_to_dict, load_basis, load_spec
+from .io import load_basis, load_spec, save_basis
 from .verify import all_passed, verify_basis
 
 EXIT_OK = 0
@@ -122,9 +122,7 @@ def cmd_basis(args) -> int:
     for r in reports:
         print(r)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(basis_to_dict(basis, args.spec), fh)
-            fh.write("\n")
+        save_basis(args.out, basis, args.spec)
         print(f"wrote {basis.d} elements to {args.out}")
     return EXIT_OK if all_passed(reports) else EXIT_FAILED
 

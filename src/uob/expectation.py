@@ -5,6 +5,11 @@ the sub-block diagonal (and preserves every trace), E2 averages matching
 blocks with exact rational weights q_ij = p_i / sum_x p_x a_xj.  When the
 preserved trace is the standard one, E is also a mixed unitary channel built
 from one diagonal unitary and one cyclic block permutation per sub column.
+
+``markov_expectation`` compiles E once into a ``SlotTable``: for each sub
+block j, every copy (super block i, start, q_ij).  The factored functions
+``pinch_E1``, ``average_E2`` and ``conditional_expectation`` stay as the
+independent reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -42,17 +47,6 @@ class ExpectationWeights:
         if all(isinstance(v, int) for v in p):
             return Fraction(p[i], denom)
         return p[i] / denom
-
-    @property
-    def column_counts(self) -> tuple[int, ...]:
-        """T_j = number of copies of sub block j inside the super-algebra."""
-        return tuple(
-            sum(self.spec.a(i, j) for i in range(self.spec.s)) for j in range(self.spec.r)
-        )
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.column_counts)
 
 
 def pinch_E1(spec: InclusionSpec, X: BlockOperator) -> BlockOperator:
@@ -109,12 +103,53 @@ def conditional_expectation_compressed(
     return unembed(spec, conditional_expectation(spec, phi, X))
 
 
+@dataclass(frozen=True)
+class SlotTable:
+    """E compiled once: ``slots[j]`` lists every copy (super block i, start, q_ij)
+    of sub block j, in the order E2 sums them.
+
+    Works on blocks of any leading batch shape: ``blocks[i]`` has shape
+    (..., n_i, n_i).
+    """
+
+    sub_dims: tuple[int, ...]
+    super_dims: tuple[int, ...]
+    slots: tuple[tuple[tuple[int, int, float], ...], ...]
+
+    @classmethod
+    def compile(cls, spec: InclusionSpec, trace_vector) -> "SlotTable":
+        p = tuple(trace_vector)
+        emb = spec.embedding
+        slots = []
+        for j in range(spec.r):
+            denom = sum(p[x] * spec.a(x, j) for x in range(spec.s))
+            slots.append(
+                tuple(
+                    (i, emb.block_start(i, j, k), p[i] / denom)
+                    for i in range(spec.s)
+                    for k in range(spec.a(i, j))
+                )
+            )
+        return cls(spec.sub_dims, spec.super_dims, tuple(slots))
+
+    def apply(self, blocks) -> list[np.ndarray]:
+        """E in embedded form: Z_j = sum over copies S of q_ij X_i[S, S], written
+        back into every copy of sub block j."""
+        out = [np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex) for n in self.super_dims]
+        for m, copies in zip(self.sub_dims, self.slots):
+            Z = sum(q * blocks[i][..., s : s + m, s : s + m] for i, s, q in copies)
+            for i, s, _ in copies:
+                out[i][..., s : s + m, s : s + m] = Z
+        return out
+
+
 def markov_expectation(spec: InclusionSpec):
     """Callable E for the Markov-trace-preserving expectation, in embedded form.
 
     Uses the exact dimension-vector trace when the spectral condition holds
     (works on disconnected direct sums too); otherwise falls back to the
-    numerically computed Markov trace.
+    numerically computed Markov trace.  ``E.slots`` holds the compiled
+    ``SlotTable``; the verify checks read it to work on whole basis stacks.
     """
     from .inclusion import _spectral_quick
 
@@ -123,13 +158,17 @@ def markov_expectation(spec: InclusionSpec):
         phi = TracialState(spec.super_algebra, spec.super_dims)
     else:
         phi = markov_trace(spec)
-    weights = ExpectationWeights(spec, phi.trace_vector)
+    table = SlotTable.compile(spec, phi.trace_vector)
+    sup = spec.super_algebra
 
     def E(X: BlockOperator) -> BlockOperator:
-        return average_E2(weights, pinch_E1(spec, X))
+        if X.algebra != sup:
+            raise AlgebraMismatch("operand does not belong to the super-algebra")
+        return sup.operator(table.apply(X.data))
 
     E.phi = phi
     E.spec = spec
+    E.slots = table
     return E
 
 
@@ -202,8 +241,10 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
     emb = spec.embedding
     N = spec.super_algebra.ambient_dim
     offsets = spec.super_algebra.block_offsets()
-    w = ExpectationWeights(spec, tuple(1 for _ in range(spec.s)))
-    T = w.total_count
+    column_counts = tuple(
+        sum(spec.a(i, j) for i in range(spec.s)) for j in range(spec.r)
+    )
+    T = sum(column_counts)
 
     # K: scalar epsilon((cum + k) / T) on sub-block (i, j, k); the running sum
     # over (i1, j1) < (i, j) of a_{i1 j1} enumerates 0..T-1 across all blocks.
@@ -241,7 +282,7 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
                     L[x, x] = 1.0
         Ls.append(L)
     return MixedUnitaryDecomposition(
-        spec, K, tuple(Ls), w.column_counts, tuple(k_phases), tuple(cycles)
+        spec, K, tuple(Ls), column_counts, tuple(k_phases), tuple(cycles)
     )
 
 

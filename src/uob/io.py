@@ -45,7 +45,7 @@ def trace_state_from_dict(doc: dict, spec: InclusionSpec) -> TracialState:
 
 def _block_to_json(block: np.ndarray) -> list:
     """Flat row-major list of [re, im] pairs."""
-    return [[float(z.real), float(z.imag)] for z in block.ravel()]
+    return np.column_stack((block.real.ravel(), block.imag.ravel())).tolist()
 
 
 def _block_from_json(entries, n: int) -> np.ndarray:
@@ -79,6 +79,10 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
         from .algebra import MultiMatrixAlgebra
 
         alg = MultiMatrixAlgebra(tuple(doc["block_dims"]))
+    if doc.get("d") != len(doc["elements"]):
+        raise DimensionMismatch(
+            f"document says d = {doc.get('d')} but holds {len(doc['elements'])} elements"
+        )
     elements = []
     for blocks in doc["elements"]:
         if len(blocks) != alg.num_blocks:
@@ -101,9 +105,23 @@ def load_spec(path) -> InclusionSpec:
 
 
 def save_basis(path, basis: UnitaryBasis, name: str = ""):
+    """Write the same bytes as json.dump, one element per json.dumps call.
+
+    json.dumps runs the C encoder, which json.dump does not; encoding element
+    by element keeps the whole document from being held as one string.
+    """
+    doc = basis_to_dict(basis, name)
     with open(path, "w") as fh:
-        json.dump(basis_to_dict(basis, name), fh)
-        fh.write("\n")
+        for k, (key, value) in enumerate(doc.items()):
+            fh.write(("{" if k == 0 else ", ") + json.dumps(key) + ": ")
+            if key != "elements":
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for e, element in enumerate(value):
+                fh.write((", " if e else "") + json.dumps(element))
+            fh.write("]")
+        fh.write("}\n")
 
 
 def load_basis(path) -> UnitaryBasis:

@@ -170,3 +170,9 @@ def test_tracial_state_rejects_nonpositive():
     alg = MultiMatrixAlgebra((2,))
     with pytest.raises(ValueError):
         TracialState(alg, (0,))
+
+
+def test_norm_inf_propagates_nan_from_any_block():
+    alg = MultiMatrixAlgebra((1, 2))
+    X = alg.operator([np.ones((1, 1)), np.full((2, 2), np.nan)])
+    assert np.isnan(X.norm_inf())

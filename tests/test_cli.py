@@ -134,3 +134,35 @@ def test_tol_env_override(tmp_path, monkeypatch, capsys):
     main(["basis", "c_in_m2", "--out", str(out)])
     capsys.readouterr()
     assert main(["verify", str(out)]) == 1
+
+
+def _write_basis_doc(path, elements, d=None):
+    doc = {
+        "d": len(elements) if d is None else d,
+        "provenance": "hand-written",
+        "spec": {"inclusion_matrix": [[1]], "sub_dims": [1]},
+        "elements": elements,
+    }
+    path.write_text(json.dumps(doc))  # NaN is written as the literal NaN
+    return str(path)
+
+
+def test_verify_nan_entry_exits_1_without_traceback(tmp_path, capsys):
+    path = _write_basis_doc(tmp_path / "nan.json", [[[[float("nan"), 0.0]]]])
+    assert main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] unitary" in captured.out
+    assert "[FAIL] orthonormality" in captured.out
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+def test_verify_empty_basis_exits_1(tmp_path, capsys):
+    path = _write_basis_doc(tmp_path / "empty.json", [])
+    assert main(["verify", path]) == 1
+    assert "[FAIL] unitary" in capsys.readouterr().out
+
+
+def test_verify_wrong_d_field_exits_1(tmp_path, capsys):
+    path = _write_basis_doc(tmp_path / "d.json", [[[[1.0, 0.0]]]], d=2)
+    assert main(["verify", path]) == 1
+    assert "holds 1 elements" in capsys.readouterr().err

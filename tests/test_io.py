@@ -80,3 +80,25 @@ def test_entries_are_plain_floats():
 def test_shipped_catalog_files_match_definitions():
     for name in catalog_names():
         assert load_catalog_file(name) == catalog_spec(name)
+
+
+def test_basis_from_dict_rejects_wrong_d():
+    doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
+    doc["elements"].pop()
+    with pytest.raises(DimensionMismatch):
+        basis_from_dict(doc)
+    del doc["d"]
+    with pytest.raises(DimensionMismatch):
+        basis_from_dict(doc)
+
+
+def test_save_basis_writes_the_bytes_of_json_dump(tmp_path):
+    spec = catalog_spec("c2_in_m2")
+    bc = build_basic_construction(spec)
+    for b in (abelian_basis(catalog_spec("c_in_m1_plus_m2")), basic_construction_basis(bc, weyl_basis(spec))):
+        path = tmp_path / "basis.json"
+        save_basis(path, b, "example")
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(basis_to_dict(b, "example"), fh)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()

@@ -1,0 +1,142 @@
+"""The compiled E and the stacked verify checks against the per-element reference.
+
+The reference path is the same E wrapped in a plain lambda: it carries no
+slot table, so every check calls it once per element, pair or test operator.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from uob.bases import UnitaryBasis
+from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
+from uob.cli import _construct
+from uob.errors import UobError
+from uob.expectation import ExpectationWeights, average_E2, markov_expectation, pinch_E1
+from uob.verify import (
+    verify_basis,
+    verify_orthonormality,
+    verify_reconstruction,
+    verify_trace_conditions,
+    verify_unitary,
+)
+
+MATCH_TOL = 1e-15
+
+
+def _constructible():
+    out = []
+    for name in catalog_names():
+        try:
+            out.append((name, _construct(catalog_spec(name), "auto")))
+        except UobError:
+            pass
+    for k, spec in enumerate(random_abelian_specs(5, seed=42, max_d=36)):
+        out.append((f"random{k}", _construct(spec, "auto")))
+    return out
+
+
+BASES = _constructible()
+
+
+def _unitary_reference(basis):
+    """Per-element loop: max over j of |W W* - I| and |W* W - I|."""
+    I = basis.elements[0].algebra.identity()
+    return max(
+        max((W @ W.adjoint() - I).norm_inf(), (W.adjoint() @ W - I).norm_inf())
+        for W in basis.elements
+    )
+
+
+def _tampered(basis):
+    """The negative controls: each must fail on both paths."""
+    els = list(basis.elements)
+    alg = els[0].algebra
+
+    def change(j, fn):
+        data = [blk.copy() for blk in els[j].data]
+        fn(data)
+        return tuple(els[:j] + [alg.operator(data)] + els[j + 1 :])
+
+    last = len(els) - 1
+
+    def set_entry(value):
+        def fn(data):
+            data[-1][0, -1] = value
+
+        return fn
+
+    def off(data):
+        data[0][0, 0] += 1e-6
+
+    return {
+        "perturb": change(last, off),
+        "drop": tuple(els[:-1]),
+        "duplicate": tuple(els + [els[last]]),
+        "scale": tuple(els[:last] + [(1 + 1e-6) * els[last]]),
+        "nan": change(last, set_entry(np.nan)),
+        "inf": change(last, set_entry(np.inf)),
+    }
+
+
+def test_constructible_set_is_not_empty():
+    assert len(BASES) >= 15
+
+
+@pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
+def test_stacked_residuals_match_reference(name, basis):
+    E = markov_expectation(basis.spec)
+    G = lambda X: E(X)  # noqa: E731
+    assert abs(verify_unitary(basis).residual - _unitary_reference(basis)) <= MATCH_TOL
+    pairs = [
+        (verify_orthonormality(basis, E), verify_orthonormality(basis, G)),
+        (verify_reconstruction(basis, E, seed=7), verify_reconstruction(basis, G, seed=7)),
+        (verify_trace_conditions(basis.spec, E)[-1], verify_trace_conditions(basis.spec, G)[-1]),
+    ]
+    for fast, ref in pairs:
+        assert fast.name == ref.name and fast.passed and ref.passed
+        assert abs(fast.residual - ref.residual) <= MATCH_TOL, (name, fast, ref)
+
+
+@pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
+def test_verdicts_agree_on_tampered_copies(name, basis):
+    E = markov_expectation(basis.spec)
+    G = lambda X: E(X)  # noqa: E731
+    for kind, elements in _tampered(basis).items():
+        bad = UnitaryBasis(basis.spec, elements, kind)
+        fast = verify_basis(bad, E, seed=1)
+        ref = verify_basis(bad, G, seed=1)
+        assert [r.passed for r in fast] == [r.passed for r in ref], (name, kind)
+        assert not all(r.passed for r in fast), (name, kind)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_compiled_E_on_a_batch_matches_pinch_then_average(name):
+    spec = catalog_spec(name)
+    E = markov_expectation(spec)
+    weights = ExpectationWeights(spec, E.phi.trace_vector)
+    rng = np.random.default_rng(11)
+    Xs = [spec.super_algebra.random(rng) for _ in range(4)]
+    batch = E.slots.apply([np.stack(blocks) for blocks in zip(*(X.data for X in Xs))])
+    for k, X in enumerate(Xs):
+        ref = average_E2(weights, pinch_E1(spec, X))
+        for got, want in zip(batch, ref.data):
+            assert np.max(np.abs(got[k] - want)) <= MATCH_TOL
+        assert (E(X) - ref).norm_inf() <= MATCH_TOL
+
+
+def test_fast_path_survives_a_wrapper_that_copies_attributes():
+    # wrappers built with functools.wraps copy E's attributes, slot table included
+    name, basis = BASES[0]
+    E = markov_expectation(basis.spec)
+    calls = []
+
+    @functools.wraps(E)
+    def wrapped(X):
+        calls.append(1)
+        return E(X)
+
+    assert verify_orthonormality(basis, wrapped).passed
+    assert verify_reconstruction(basis, wrapped).passed
+    assert calls == []

@@ -6,6 +6,7 @@ from uob.algebra import TracialState
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob.expectation import conditional_expectation, markov_expectation
+from uob.inclusion import InclusionSpec
 from uob.verify import (
     all_passed,
     verify_basis,
@@ -99,3 +100,63 @@ def test_report_string_shape():
     r = verify_unitary(b)
     assert str(r).startswith("[PASS]")
     assert r.to_dict()["name"] == "unitary"
+
+
+def _nan_basis():
+    """C inside C with its only element [[NaN]]: every structural check must fail."""
+    spec = InclusionSpec.from_matrix([[1]], [1])
+    return UnitaryBasis(spec, (spec.super_algebra.operator([[[np.nan]]]),), "nan")
+
+
+def test_nan_basis_fails_on_both_paths():
+    b = _nan_basis()
+    E = markov_expectation(b.spec)
+    for expectation in (E, lambda X: E(X)):
+        reports = {r.name: r for r in verify_basis(b, expectation)}
+        for name in ("unitary", "orthonormality", "reconstruction"):
+            assert not reports[name].passed, name
+            assert np.isnan(reports[name].residual), name
+
+
+def test_non_finite_residual_fails_the_report():
+    b = abelian_basis(catalog_spec("c_in_m2"))
+    blk = b.elements[1].data[0].copy()
+    blk[0, 0] = np.inf
+    inf = (b.elements[0], b.elements[1].algebra.operator([blk])) + b.elements[2:]
+    with np.errstate(invalid="ignore"):
+        report = verify_unitary(UnitaryBasis(b.spec, inf, "inf"))
+    assert not report.passed and not np.isfinite(report.residual)
+    assert report.witness == "element 1"
+
+
+def test_generic_loop_keeps_a_nan_behind_finite_residuals():
+    # a NaN pair after finite pairs must still decide the verdict
+    b = abelian_basis(catalog_spec("c_in_m3"))
+    last = b.elements[-1]
+    bad = last.algebra.operator([np.where(np.eye(3) > 0, np.nan, blk) for blk in last.data])
+    nan_last = UnitaryBasis(b.spec, b.elements[:-1] + (bad,), "nan")
+    E = markov_expectation(b.spec)
+    report = verify_orthonormality(nan_last, lambda X: E(X))
+    assert not report.passed and report.witness == f"pair (0, {b.d - 1})"
+
+
+def test_empty_basis_fails_without_crashing():
+    spec = catalog_spec("c_in_m2")
+    empty = UnitaryBasis(spec, (), "empty")
+    reports = verify_basis(empty)
+    assert {r.name for r in reports} >= {"unitary", "orthonormality", "reconstruction", "cardinality"}
+    for r in reports:
+        if r.name in ("unitary", "orthonormality", "reconstruction", "cardinality"):
+            assert not r.passed, r.name
+    assert not all_passed(verify_necessary_conditions(empty))
+
+
+def test_cardinality_uses_every_column():
+    # A^t n = (3, 3) is not a multiple of m = (1, 2): no d exists, although
+    # column 0 alone would give d = 3
+    spec = InclusionSpec.from_matrix([[1, 1]], [1, 2])
+    I = spec.super_algebra.identity()
+    family = UnitaryBasis(spec, (I, I, I), "three")
+    reports = {r.name: r for r in verify_basis(family)}
+    assert not reports["cardinality"].passed
+    assert reports["cardinality"].witness == "d = 3, expected None"

@@ -9,6 +9,7 @@ Fourier matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,7 +97,7 @@ class MultiMatrixAlgebra:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(int(n) for n in self.blocks)
+        blocks = tuple(operator.index(n) for n in self.blocks)
         if not blocks or any(n < 1 for n in blocks):
             raise ValueError("block dimensions must be a non-empty list of positive integers")
         object.__setattr__(self, "blocks", blocks)

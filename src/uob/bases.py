@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -12,14 +13,19 @@ from .algebra import BlockOperator, MultiMatrixAlgebra, circulant, epsilon
 from .errors import (
     CardinalityMismatch,
     DivisibilityError,
+    InvariantViolated,
     MiddleAlgebraMismatch,
+    NoKnownConstruction,
     NotAbelian,
     NotMultiple,
     ShapeMismatch,
     SpectralConditionFailed,
+    UobError,
 )
 from .expectation import markov_expectation
-from .inclusion import InclusionSpec, check_spectral_condition, embed, unembed
+from .inclusion import InclusionSpec, embed, spectral_d, unembed
+
+METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,6 @@ class UnitaryBasis:
             raise ValueError("an empty basis has no block stacks")
         return tuple(np.stack(blocks) for blocks in zip(*(W.data for W in self.elements)))
 
-    def dense_elements(self) -> list[np.ndarray]:
-        return [W.to_dense() for W in self.elements]
-
 
 def identity_basis(m: int) -> UnitaryBasis:
     """The trivial basis {I} for (M_m inside M_m, identity map)."""
@@ -59,22 +62,21 @@ def identity_basis(m: int) -> UnitaryBasis:
     return UnitaryBasis(spec, (spec.super_algebra.identity(),), "identity")
 
 
-def _require_abelian(spec: InclusionSpec):
+def _abelian_d(spec: InclusionSpec) -> int:
+    """The d of a valid abelian spec that meets the spectral condition."""
+    spec.validate()
     if any(m != 1 for m in spec.sub_dims):
         raise NotAbelian("construction requires all sub blocks of size 1")
+    d = spectral_d(spec)
+    if d is None:
+        raise SpectralConditionFailed("A^t n is not an integer multiple of m")
+    return d
 
 
 def _column_offsets(spec: InclusionSpec):
     """offsets[i][j] = sum_{x<i} n_x a_{xj}, the phase offsets of the diagonal unitary."""
-    offs = []
-    for i in range(spec.s):
-        offs.append(
-            [
-                sum(spec.super_dims[x] * spec.a(x, j) for x in range(i))
-                for j in range(spec.r)
-            ]
-        )
-    return offs
+    n, a = spec.super_dims, spec.a
+    return [[sum(n[x] * a(x, j) for x in range(i)) for j in range(spec.r)] for i in range(spec.s)]
 
 
 def abelian_basis(spec: InclusionSpec) -> UnitaryBasis:
@@ -84,12 +86,7 @@ def abelian_basis(spec: InclusionSpec) -> UnitaryBasis:
     diagonal with entry epsilon((sum_{x<i} n_x a_xj + k n_i) / d) at position
     (i, j, k).
     """
-    spec.validate()
-    _require_abelian(spec)
-    report = check_spectral_condition(spec)
-    if not report.holds:
-        raise SpectralConditionFailed("A^t n is not an integer multiple of m")
-    d = report.d
+    d = _abelian_d(spec)
     offs = _column_offsets(spec)
     emb = spec.embedding
 
@@ -113,12 +110,7 @@ def abelian_basis_entrywise(spec: InclusionSpec) -> UnitaryBasis:
     Computes each entry of W(t) directly as a single phase sum with exact
     rational phases; used to cross-check the operator-product path.
     """
-    spec.validate()
-    _require_abelian(spec)
-    report = check_spectral_condition(spec)
-    if not report.holds:
-        raise SpectralConditionFailed("A^t n is not an integer multiple of m")
-    d = report.d
+    d = _abelian_d(spec)
     offs = _column_offsets(spec)
     emb = spec.embedding
 
@@ -290,7 +282,7 @@ def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
     """Basis for B = M_m inside a multi-matrix algebra with n_i = m k_i.
 
     Realized as the tensor of the trivial basis on (M_m in M_m) with the
-    abelian basis for (C in (+)_i M_{k_i}).
+    abelian basis for (C in (+)_i M_{k_i}), k_i = n_i / m.
     """
     spec.validate()
     if spec.r != 1:
@@ -298,11 +290,7 @@ def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
     m = spec.sub_dims[0]
     if any(n % m != 0 for n in spec.super_dims):
         raise NotMultiple("every super block size must be a multiple of m")
-    ks = [n // m for n in spec.super_dims]
-    ckp_spec = InclusionSpec.from_matrix([[k] for k in ks], [1])
-    b = tensor_basis(identity_basis(m), abelian_basis(ckp_spec))
-    assert b.spec == spec
-    return UnitaryBasis(spec, b.elements, "full_matrix_sub")
+    return _split_full_matrix(spec, m, "full_matrix_sub")
 
 
 def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
@@ -317,10 +305,10 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     spec.validate()
     if spec.s != 1:
         raise ShapeMismatch("super-algebra must be a single full matrix block")
-    report = check_spectral_condition(spec)
-    if not report.holds:
+    d = spectral_d(spec)
+    if d is None:
         raise SpectralConditionFailed("A^t n is not an integer multiple of m")
-    n, d = spec.super_dims[0], report.d
+    n = spec.super_dims[0]
     frac = Fraction(d, n)
     l, k = frac.numerator, frac.denominator
     if any(m % k != 0 for m in spec.sub_dims):
@@ -330,10 +318,62 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     b_trace = weyl_basis(InclusionSpec.from_matrix([[l]], [1]))
     b_model = basic_model_basis(m_red)
     b = tensor_basis(identity_basis(k), tensor_basis(b_trace, b_model))
-    assert b.spec == spec, (b.spec, spec)
-    return UnitaryBasis(spec, b.elements, "full_matrix_super")
+    return _relabel(b, spec, "full_matrix_super")
 
 
 def adjoint_basis(b: UnitaryBasis) -> UnitaryBasis:
     """Elementwise adjoints; may turn a right basis into a left basis."""
     return UnitaryBasis(b.spec, tuple(W.adjoint() for W in b.elements), b.provenance)
+
+
+def _relabel(b: UnitaryBasis, spec: InclusionSpec, provenance: str) -> UnitaryBasis:
+    """``b`` under the name ``provenance``; a combinator must have built ``spec`` itself."""
+    if b.spec != spec:
+        raise InvariantViolated(f"construction built {b.spec}, expected {spec}")
+    return UnitaryBasis(spec, b.elements, provenance)
+
+
+def _split_full_matrix(spec: InclusionSpec, g: int, provenance: str) -> UnitaryBasis:
+    """(M_g in M_g, id) tensor the ``auto`` basis of the spec with all dimensions over g."""
+    inner = InclusionSpec.from_matrix(spec.inclusion_matrix, [m // g for m in spec.sub_dims])
+    return _relabel(tensor_basis(identity_basis(g), construct(inner)), spec, provenance)
+
+
+def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
+    """A basis for ``spec`` from the named construction in ``METHODS``.
+
+    ``auto`` tries abelian, weyl, full_matrix_sub and full_matrix_super in that
+    order and raises ``NoKnownConstruction`` when none applies.  ``tensor``
+    splits off the largest common full-matrix factor M_g and runs ``auto`` on
+    the rest; ``basic`` is the basic-construction model, for M_n containing B
+    with a_j = m_j.  A forced construction that does not apply raises its own
+    ``UobError``.  The table is built per call, so rebound module names are used.
+    """
+    builders = {
+        "abelian": abelian_basis,
+        "weyl": weyl_basis,
+        "full_matrix_sub": full_matrix_sub_basis,
+        "full_matrix_super": full_matrix_super_basis,
+    }
+    if method in builders:
+        return builders[method](spec)
+    if method == "auto":
+        last = None
+        for builder in builders.values():
+            try:
+                return builder(spec)
+            except UobError as exc:
+                last = exc
+        raise NoKnownConstruction(f"no known construction applies: {last}")
+    if method == "tensor":
+        g = math.gcd(*spec.sub_dims, *spec.super_dims)
+        if g == 1:
+            raise ShapeMismatch("no common full-matrix tensor factor to split off")
+        return _split_full_matrix(spec, g, "tensor")
+    if method == "basic":
+        from .tower import basic_model_basis
+
+        if spec.s != 1 or spec.inclusion_matrix[0] != spec.sub_dims:
+            raise ShapeMismatch("basic method needs a single super block with a_j = m_j")
+        return basic_model_basis(spec.sub_dims)
+    raise ValueError(f"unknown construction method {method!r}; choose from {METHODS}")

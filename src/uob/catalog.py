@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from importlib import resources
 
 import numpy as np
 
-from .inclusion import InclusionSpec, _spectral_quick
+from .inclusion import InclusionSpec, spectral_d
 from .io import spec_from_dict
 
 # name -> (inclusion_matrix, sub_dims); every spec except c2_in_m3 satisfies
@@ -60,24 +59,8 @@ def random_abelian_specs(count: int, seed: int, max_d: int = 36) -> list[Inclusi
         if np.any(mat.sum(axis=0) == 0) or np.any(mat.sum(axis=1) == 0):
             continue
         spec = InclusionSpec.from_matrix(mat.tolist(), [1] * r)
-        holds, d = _spectral_quick(spec)
-        if holds and d <= max_d:
+        d = spectral_d(spec)
+        if d is not None and d <= max_d:
             found.append(spec)
     return found
 
-
-def exhaustive_abelian_specs(max_d: int = 12) -> list[InclusionSpec]:
-    """All abelian specs with s, r <= 2, entries <= 3, spectral d <= max_d."""
-    out = []
-    for s, r in itertools.product((1, 2), (1, 2)):
-        for entries in itertools.product(range(4), repeat=s * r):
-            mat = [list(entries[i * r : (i + 1) * r]) for i in range(s)]
-            if any(sum(mat[i][j] for i in range(s)) == 0 for j in range(r)):
-                continue
-            if any(sum(row) == 0 for row in mat):
-                continue
-            spec = InclusionSpec.from_matrix(mat, [1] * r)
-            holds, d = _spectral_quick(spec)
-            if holds and d <= max_d:
-                out.append(spec)
-    return out

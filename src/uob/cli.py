@@ -14,13 +14,7 @@ import sys
 import numpy as np
 
 from . import catalog
-from .bases import (
-    UnitaryBasis,
-    abelian_basis,
-    full_matrix_sub_basis,
-    full_matrix_super_basis,
-    weyl_basis,
-)
+from .bases import METHODS, construct
 from .errors import UobError
 from .expectation import markov_expectation, mixed_unitary_channel
 from .inclusion import InclusionSpec, check_spectral_condition
@@ -32,8 +26,6 @@ EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONSTRUCTION = 3
 
-METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
-
 
 def _resolve_spec(token: str) -> InclusionSpec:
     if token in catalog.catalog_names():
@@ -41,55 +33,6 @@ def _resolve_spec(token: str) -> InclusionSpec:
     if os.path.exists(token):
         return load_spec(token)
     raise FileNotFoundError(f"'{token}' is neither a catalog name nor a file")
-
-
-def _basic_basis(spec: InclusionSpec) -> UnitaryBasis:
-    """Basis via the basic construction; only for M_n containing B with A = m^t."""
-    from .tower import basic_construction_basis, build_basic_construction
-
-    if spec.s != 1 or spec.inclusion_matrix[0] != spec.sub_dims:
-        raise UobError("basic method needs a single super block with a_j = m_j")
-    base = InclusionSpec.from_matrix([[m] for m in spec.sub_dims], [1])
-    b0 = abelian_basis(base)
-    bc = build_basic_construction(base)
-    return basic_construction_basis(bc, b0)
-
-
-def _tensor_basis(spec: InclusionSpec) -> UnitaryBasis:
-    """Strip the largest common full-matrix tensor factor M_g and recurse."""
-    import math
-
-    from .bases import identity_basis, tensor_basis
-
-    g = math.gcd(*spec.sub_dims, *spec.super_dims)
-    if g == 1:
-        raise UobError("no common full-matrix tensor factor to split off")
-    inner = InclusionSpec.from_matrix(spec.inclusion_matrix, [m // g for m in spec.sub_dims])
-    b = tensor_basis(identity_basis(g), _construct(inner, "auto"))
-    assert b.spec == spec
-    return b
-
-
-def _construct(spec: InclusionSpec, method: str) -> UnitaryBasis:
-    if method == "abelian":
-        return abelian_basis(spec)
-    if method == "weyl":
-        return weyl_basis(spec)
-    if method == "tensor":
-        return _tensor_basis(spec)
-    if method == "full_matrix_sub":
-        return full_matrix_sub_basis(spec)
-    if method == "full_matrix_super":
-        return full_matrix_super_basis(spec)
-    if method == "basic":
-        return _basic_basis(spec)
-    last = None
-    for builder in (abelian_basis, weyl_basis, full_matrix_sub_basis, full_matrix_super_basis):
-        try:
-            return builder(spec)
-        except UobError as exc:
-            last = exc
-    raise UobError(f"no known construction applies: {last}")
 
 
 def cmd_check(args) -> int:
@@ -114,7 +57,7 @@ def cmd_entropy(args) -> int:
 def cmd_basis(args) -> int:
     spec = _resolve_spec(args.spec)
     try:
-        basis = _construct(spec, args.method)
+        basis = construct(spec, args.method)
     except UobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONSTRUCTION if args.method == "auto" else EXIT_FAILED
@@ -144,14 +87,10 @@ def cmd_channel(args) -> int:
     for _ in range(5):
         X = spec.super_algebra.random(rng)
         worst = max(worst, float(np.max(np.abs(dec.apply(X) - E(X).to_dense()))))
-    count = 1
-    for Tj in dec.column_counts:
-        count *= Tj
-    count *= dec.total_count
     print(
         json.dumps(
             {
-                "unitary_count": count,
+                "unitary_count": dec.unitary_count,
                 "column_counts": list(dec.column_counts),
                 "k_phases": {str(lbl): str(x) for lbl, x in dec.k_phases},
                 "cycles": [[list(pos) for pos in cyc] for cyc in dec.cycles],

@@ -67,3 +67,7 @@ class PartitionOfUnityFailed(UobError):
 
 class NoKnownConstruction(UobError):
     """No construction implemented here applies to the given inclusion."""
+
+
+class InvariantViolated(UobError):
+    """A numerical identity that the mathematics guarantees failed its tolerance."""

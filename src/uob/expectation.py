@@ -15,6 +15,7 @@ independent reference the tests compare it with.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, epsilon
 from .errors import AlgebraMismatch, NonStandardTrace, NotPinched, SingularGram
-from .inclusion import InclusionSpec, embed, markov_trace, unembed
+from .inclusion import InclusionSpec, embed, markov_trace, spectral_d, unembed
 
 PINCH_TOL = 1e-9
 GRAM_COND_LIMIT = 1e12
@@ -151,10 +152,7 @@ def markov_expectation(spec: InclusionSpec):
     numerically computed Markov trace.  ``E.slots`` holds the compiled
     ``SlotTable``; the verify checks read it to work on whole basis stacks.
     """
-    from .inclusion import _spectral_quick
-
-    holds, _ = _spectral_quick(spec)
-    if holds:
+    if spectral_d(spec) is not None:
         phi = TracialState(spec.super_algebra, spec.super_dims)
     else:
         phi = markov_trace(spec)
@@ -195,11 +193,13 @@ class MixedUnitaryDecomposition:
         return sum(self.column_counts)
 
     @property
+    def unitary_count(self) -> int:
+        """Number of conjugations in the average: prod_j T_j times T."""
+        return math.prod(self.column_counts) * self.total_count
+
+    @property
     def weight(self) -> Fraction:
-        prod = 1
-        for t in self.column_counts:
-            prod *= t
-        return Fraction(1, prod * self.total_count)
+        return Fraction(1, self.unitary_count)
 
     def unitaries(self):
         """All L_0^{x_0} ... L_{r-1}^{x_{r-1}} K^y in the average."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -14,9 +15,23 @@ from .errors import (
     DimensionMismatch,
     DisconnectedDiagram,
     EmptyColumn,
+    InvariantViolated,
 )
 
 SPECTRAL_TOL = 1e-9
+
+
+def _ints(values, what: str, item=operator.index) -> tuple:
+    """Exact ints, ``item`` applied to each value; a float, a string or a
+    non-list is a DimensionMismatch, never truncated."""
+    try:
+        return tuple(item(v) for v in values)
+    except TypeError as exc:
+        raise DimensionMismatch(f"{what} must hold integers: {exc}") from None
+
+
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    return _ints(rows, "inclusion matrix", lambda row: tuple(map(operator.index, row)))
 
 
 @dataclass(frozen=True)
@@ -33,20 +48,16 @@ class InclusionSpec:
     super_dims: tuple[int, ...]
 
     def __post_init__(self):
-        mat = tuple(tuple(int(a) for a in row) for row in self.inclusion_matrix)
-        sub = tuple(int(m) for m in self.sub_dims)
-        sup = tuple(int(n) for n in self.super_dims)
-        object.__setattr__(self, "inclusion_matrix", mat)
-        object.__setattr__(self, "sub_dims", sub)
-        object.__setattr__(self, "super_dims", sup)
+        object.__setattr__(self, "inclusion_matrix", _int_rows(self.inclusion_matrix))
+        object.__setattr__(self, "sub_dims", _ints(self.sub_dims, "sub_dims"))
+        object.__setattr__(self, "super_dims", _ints(self.super_dims, "super_dims"))
 
     @classmethod
     def from_matrix(cls, inclusion_matrix, sub_dims) -> "InclusionSpec":
         """Build a spec computing super_dims = A @ sub_dims."""
-        mat = [[int(a) for a in row] for row in inclusion_matrix]
-        sub = [int(m) for m in sub_dims]
-        sup = [sum(a * m for a, m in zip(row, sub)) for row in mat]
-        return cls(tuple(map(tuple, mat)), tuple(sub), tuple(sup))
+        mat = _int_rows(inclusion_matrix)
+        sub = _ints(sub_dims, "sub_dims")
+        return cls(mat, sub, tuple(sum(a * m for a, m in zip(row, sub)) for row in mat))
 
     @property
     def s(self) -> int:
@@ -69,6 +80,8 @@ class InclusionSpec:
 
     def validate(self) -> "Embedding":
         """Check shape consistency, A @ m == n, and no empty column."""
+        if self.s == 0 or self.r == 0:
+            raise DimensionMismatch("inclusion matrix needs at least one row and one column")
         if len(self.inclusion_matrix) != self.s:
             raise DimensionMismatch("inclusion matrix row count does not match super_dims")
         for row in self.inclusion_matrix:
@@ -79,11 +92,9 @@ class InclusionSpec:
         if any(m < 1 for m in self.sub_dims) or any(n < 1 for n in self.super_dims):
             raise DimensionMismatch("dimension vectors must be positive")
         for i, row in enumerate(self.inclusion_matrix):
-            if sum(a * m for a, m in zip(row, self.sub_dims)) != self.super_dims[i]:
-                raise DimensionMismatch(
-                    f"block {i}: sum_j a_ij m_j = "
-                    f"{sum(a * m for a, m in zip(row, self.sub_dims))} != {self.super_dims[i]}"
-                )
+            ni = sum(a * m for a, m in zip(row, self.sub_dims))
+            if ni != self.super_dims[i]:
+                raise DimensionMismatch(f"block {i}: sum_j a_ij m_j = {ni} != {self.super_dims[i]}")
         for j in range(self.r):
             if all(self.inclusion_matrix[i][j] == 0 for i in range(self.s)):
                 raise EmptyColumn(f"column {j} of the inclusion matrix is zero")
@@ -152,10 +163,6 @@ class Embedding:
                     out.append((j, k, l))
         return out
 
-    @property
-    def index_list(self):
-        return [(i, j, k, l) for i in range(self.spec.s) for (j, k, l) in self.labels(i)]
-
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -183,59 +190,43 @@ class SpectralReport:
         }
 
 
-def validate_spec(spec: InclusionSpec) -> Embedding:
-    return spec.validate()
-
-
-def _int_matvec(mat, vec):
-    return [sum(a * v for a, v in zip(row, vec)) for row in mat]
+def spectral_d(spec: InclusionSpec) -> int | None:
+    """The integer d with A^t n = d m, decided in exact integer arithmetic; None if none."""
+    A, m, n = spec.inclusion_matrix, spec.sub_dims, spec.super_dims
+    d = None
+    for j in range(spec.r):
+        t = sum(A[i][j] * n[i] for i in range(spec.s))
+        if t % m[j] != 0 or (d is not None and t // m[j] != d):
+            return None
+        d = t // m[j]
+    return d
 
 
 def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
-    """Decide A^t n == d m in exact integer arithmetic; cross-check d = ||A||^2."""
+    """The spectral report: d from ``spectral_d``, cross-checked against ||A||^2.
+
+    A^t A m = d m and A A^t n = d n need no check: they follow exactly from
+    A m = n, which ``validate`` checks, and A^t n = d m.
+    """
     spec.validate()
-    A = spec.inclusion_matrix
+    d = spectral_d(spec)
     m, n = spec.sub_dims, spec.super_dims
-    At = [[A[i][j] for i in range(spec.s)] for j in range(spec.r)]
-    Atn = _int_matvec(At, n)
-
-    holds, d = True, None
-    for j in range(spec.r):
-        if Atn[j] % m[j] != 0:
-            holds = False
-            break
-        q = Atn[j] // m[j]
-        if d is None:
-            d = q
-        elif q != d:
-            holds = False
-            break
-    if not holds:
-        d = None
-
-    A_np = np.array(A, dtype=float)
-    norm_sq = float(np.linalg.norm(A_np, ord=2) ** 2)
-
+    norm_sq = float(np.linalg.norm(np.array(spec.inclusion_matrix, dtype=float), ord=2) ** 2)
     connected = spec.is_connected()
-    if holds:
-        # Exact consequences A^t A m = d m and A A^t n = d n.
-        assert _int_matvec(At, _int_matvec(A, m)) == [d * mj for mj in m]
-        assert _int_matvec(A, _int_matvec(At, n)) == [d * ni for ni in n]
+    if d is not None:
         if abs(norm_sq - d) > SPECTRAL_TOL:
-            raise AssertionError(f"numerical ||A||^2 = {norm_sq} disagrees with d = {d}")
+            raise InvariantViolated(f"numerical ||A||^2 = {norm_sq} disagrees with d = {d}")
         quadratic = sum(ni * ni for ni in n) == d * sum(mj * mj for mj in m)
         trace = TracialState(spec.super_algebra, n)
         entropy = math.log(d)
     else:
-        quadratic = False
-        trace = None
+        quadratic, trace, entropy = False, None, None
         if connected:
             try:
                 trace = markov_trace(spec)
             except DisconnectedDiagram:  # pragma: no cover
-                trace = None
-        entropy = None
-    return SpectralReport(holds, d, trace, quadratic, entropy, norm_sq, connected)
+                pass
+    return SpectralReport(d is not None, d, trace, quadratic, entropy, norm_sq, connected)
 
 
 def markov_trace(spec: InclusionSpec) -> TracialState:
@@ -248,8 +239,7 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
     spec.validate()
     if not spec.is_connected():
         raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
-    report_holds, d = _spectral_quick(spec)
-    if report_holds:
+    if spectral_d(spec) is not None:
         return TracialState(spec.super_algebra, spec.super_dims)
     A = np.array(spec.inclusion_matrix, dtype=float)
     M = A @ A.T
@@ -260,21 +250,6 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
         raise DisconnectedDiagram("Perron eigenvector is not strictly positive")
     v = v / v.min()
     return TracialState(spec.super_algebra, tuple(float(x) for x in v))
-
-
-def _spectral_quick(spec: InclusionSpec):
-    A, m, n = spec.inclusion_matrix, spec.sub_dims, spec.super_dims
-    d = None
-    for j in range(spec.r):
-        t = sum(A[i][j] * n[i] for i in range(spec.s))
-        if t % m[j] != 0:
-            return False, None
-        q = t // m[j]
-        if d is None:
-            d = q
-        elif q != d:
-            return False, None
-    return True, d
 
 
 def embed(spec: InclusionSpec, Y: BlockOperator) -> BlockOperator:

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .algebra import TracialState
+from .algebra import MultiMatrixAlgebra, TracialState
 from .bases import UnitaryBasis
 from .errors import DimensionMismatch
 from .inclusion import InclusionSpec, markov_trace
@@ -30,7 +30,7 @@ def spec_from_dict(doc: dict) -> InclusionSpec:
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"missing field in spec document: {exc}")
     spec = InclusionSpec.from_matrix(mat, sub)
-    if "super_dims" in doc and tuple(doc["super_dims"]) != spec.super_dims:
+    if "super_dims" in doc and InclusionSpec(mat, sub, doc["super_dims"]) != spec:
         raise DimensionMismatch("super_dims inconsistent with inclusion_matrix @ sub_dims")
     spec.validate()
     return spec
@@ -49,7 +49,10 @@ def _block_to_json(block: np.ndarray) -> list:
 
 
 def _block_from_json(entries, n: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in entries])
+    try:
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"block entries must be [re, im] number pairs: {exc}") from None
     if flat.size != n * n:
         raise DimensionMismatch(f"block has {flat.size} entries, expected {n * n}")
     return flat.reshape(n, n)
@@ -63,9 +66,11 @@ def basis_to_dict(basis: UnitaryBasis, name: str = "") -> dict:
     }
     if basis.spec is not None:
         out["spec"] = spec_to_dict(basis.spec)
-    else:
+    elif basis.elements:
         out["spec"] = None
         out["block_dims"] = list(basis.elements[0].algebra.blocks)
+    else:
+        raise DimensionMismatch("a basis with neither a spec nor elements has no block dims")
     if name:
         out["name"] = name
     return out
@@ -76,9 +81,10 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
     if spec is not None:
         alg = spec.super_algebra
     else:
-        from .algebra import MultiMatrixAlgebra
-
-        alg = MultiMatrixAlgebra(tuple(doc["block_dims"]))
+        try:
+            alg = MultiMatrixAlgebra(tuple(doc["block_dims"]))
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(f"block_dims: {exc}") from None
     if doc.get("d") != len(doc["elements"]):
         raise DimensionMismatch(
             f"document says d = {doc.get('d')} but holds {len(doc['elements'])} elements"

@@ -17,9 +17,9 @@ import numpy as np
 
 from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, epsilon
 from .bases import UnitaryBasis, abelian_basis
-from .errors import PartitionOfUnityFailed, SpectralConditionFailed
+from .errors import InvariantViolated, PartitionOfUnityFailed, SpectralConditionFailed
 from .expectation import _GramProjector, markov_expectation
-from .inclusion import InclusionSpec, check_spectral_condition, embed
+from .inclusion import InclusionSpec, embed, spectral_d
 
 JONES_TOL = 1e-9
 PARTITION_TOL = 1e-8
@@ -104,8 +104,8 @@ def build_basic_construction(
     Markov trace on left-multiplication operators, which is validated here
     together with the Jones relation e1 x e1 = embed(E(x)) e1.
     """
-    report = check_spectral_condition(spec)
-    if not report.holds:
+    spec.validate()
+    if spectral_d(spec) is None:
         raise SpectralConditionFailed("basic construction requires the spectral condition")
     tau = TracialState(spec.super_algebra, spec.super_dims)
     D = spec.super_algebra.vector_dim
@@ -145,9 +145,9 @@ def _validate_basic_construction(bc: BasicConstruction):
             worst_trace, abs(np.trace(L) / bc.gns_dim - bc.tau(unit))
         )
     if worst_jones > JONES_TOL:
-        raise AssertionError(f"Jones relation residual {worst_jones}")
+        raise InvariantViolated(f"Jones relation residual {worst_jones}")
     if worst_trace > 1e-10:
-        raise AssertionError(f"Markov compatibility residual {worst_trace}")
+        raise InvariantViolated(f"Markov compatibility residual {worst_trace}")
 
 
 def dual_expectation(bc: BasicConstruction, X: BlockOperator) -> BlockOperator:
@@ -201,17 +201,16 @@ def basic_construction_basis(bc: BasicConstruction, b: UnitaryBasis) -> UnitaryB
             W = W + epsilon(Fraction(j * k, d)) * t
         elements.append(W)
 
-    # When B = C the model A_1 = M_D carries the canonical transpose spec.
+    # When B = C the model A_1 = M_D carries the canonical transpose spec; its
+    # one super block is sum_i a_i n_i = sum_i n_i^2 = gns_dim, as n_i = a_i.
     out_spec = None
     if bc.spec.r == 1 and bc.spec.sub_dims == (1,):
         out_spec = bc.spec.transpose()
-        assert out_spec.super_dims == (bc.gns_dim,)
     return UnitaryBasis(out_spec, tuple(elements), "basic_construction")
 
 
 def basic_model_basis(sub_dims) -> UnitaryBasis:
     """Basis for ((+)_j M_{m_j} in M_{sum m_j^2}) via the basic construction of C in B."""
-    sub_dims = tuple(int(m) for m in sub_dims)
     spec0 = InclusionSpec.from_matrix([[m] for m in sub_dims], [1])
     b0 = abelian_basis(spec0)
     bc = build_basic_construction(spec0)

@@ -21,7 +21,7 @@ from .algebra import TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch
 from .expectation import markov_expectation
-from .inclusion import InclusionSpec, _spectral_quick
+from .inclusion import InclusionSpec, spectral_d
 
 UNITARY_TOL = 1e-9
 ORTHO_TOL = 1e-9
@@ -295,7 +295,8 @@ def verify_trace_conditions(
     that E preserves the tracial state with trace vector n on all matrix units.
     """
     A, m, n = spec.inclusion_matrix, spec.sub_dims, spec.super_dims
-    ok, d = _spectral_quick(spec)
+    d = spectral_d(spec)
+    ok = d is not None
     Atn = [sum(A[i][j] * n[i] for i in range(spec.s)) for j in range(spec.r)]
     reports = [_report("integer_eigenvector", 0.0 if ok else 1.0, 0.5, f"A^t n = {Atn}")]
 
@@ -348,7 +349,7 @@ def verify_necessary_conditions(
 
 def _cardinality_report(spec: InclusionSpec, basis: UnitaryBasis) -> VerificationReport:
     """Basis size must equal the integer d with A^t n = d m."""
-    _, d = _spectral_quick(spec)
+    d = spectral_d(spec)
     mismatch = 0.0 if d is not None and basis.d == d else 1.0
     return _report("cardinality", mismatch, 0.5, f"d = {basis.d}, expected {d}")
 

@@ -9,6 +9,7 @@ from uob.bases import (
     adjoint_basis,
     concat_basis,
     composed_expectation,
+    construct,
     direct_sum_basis,
     full_matrix_sub_basis,
     full_matrix_super_basis,
@@ -17,15 +18,17 @@ from uob.bases import (
     tensor_spec,
     weyl_basis,
 )
-from uob.catalog import catalog_spec, random_abelian_specs
+from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import (
     CardinalityMismatch,
     MiddleAlgebraMismatch,
+    NoKnownConstruction,
     NotAbelian,
     ShapeMismatch,
     SpectralConditionFailed,
 )
 from uob.inclusion import InclusionSpec, check_spectral_condition
+from uob.tower import basic_model_basis
 from uob.verify import (
     all_passed,
     verify_basis,
@@ -200,3 +203,57 @@ def test_abelian_basis_telescoping_column_sums():
                         p = emb.position(i, j, k)
                         total += n * W.data[i][p, p]
                 assert abs(total) < 1e-9
+
+
+# The r = 1 and the a_j = m_j specs of the benchmark ladder (perfbench/workloads.py).
+LADDER_SUB = [([[6]], [1]), ([[8]], [1]), ([[10]], [1]), ([[2], [3]], [3])]
+LADDER_BASIC = [([[1, 2, 3]], [1, 2, 3]), ([[3, 4]], [3, 4])]
+
+
+def _same_entries(b1, b2):
+    assert b1.spec == b2.spec and b1.d == b2.d
+    for W1, W2 in zip(b1.elements, b2.elements):
+        for x, y in zip(W1.data, W2.data):
+            assert np.array_equal(x, y)
+
+
+def _specs(pairs):
+    return [InclusionSpec.from_matrix(A, m) for A, m in pairs]
+
+
+def test_full_matrix_sub_is_the_tensor_split():
+    specs = [catalog_spec(name) for name in catalog_names()] + _specs(LADDER_SUB)
+    specs = [s for s in specs if s.r == 1 and all(n % s.sub_dims[0] == 0 for n in s.super_dims)]
+    assert len(specs) == 11
+    for spec in specs:
+        sub = construct(spec, "full_matrix_sub")
+        assert sub.provenance == "full_matrix_sub"
+        if spec.sub_dims[0] == 1:
+            # no common factor to split off; M_1 tensor the abelian basis is that basis
+            with pytest.raises(ShapeMismatch):
+                construct(spec, "tensor")
+            _same_entries(sub, abelian_basis(spec))
+        else:
+            _same_entries(sub, construct(spec, "tensor"))
+
+
+def test_basic_method_is_the_basic_model():
+    specs = [catalog_spec(name) for name in ("c2_in_m2", "c3_in_m3", "m2_in_m4")]
+    for spec in specs + _specs(LADDER_BASIC):
+        b = construct(spec, "basic")
+        assert b.provenance == "basic_construction"
+        _same_entries(b, basic_model_basis(spec.sub_dims))
+    with pytest.raises(ShapeMismatch):
+        construct(catalog_spec("c_in_m1_plus_m2"), "basic")
+
+
+def test_auto_tries_the_builders_in_order():
+    assert construct(catalog_spec("c2_in_m2")).provenance == "abelian"
+    assert construct(catalog_spec("m2_in_m4")).provenance == "full_matrix_sub"
+    assert construct(InclusionSpec.from_matrix([[1, 2, 3]], [1, 2, 3])).provenance == (
+        "full_matrix_super"
+    )
+    with pytest.raises(NoKnownConstruction):
+        construct(catalog_spec("c2_in_m3"))
+    with pytest.raises(ValueError):
+        construct(catalog_spec("c_in_m2"), "no_such_method")

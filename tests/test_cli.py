@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from uob.cli import main
-from uob.io import load_basis, save_spec
+from uob.bases import METHODS
 from uob.catalog import catalog_spec
+from uob.cli import build_parser, main
+from uob.inclusion import InclusionSpec
+from uob.io import load_basis, save_spec
 
 
 def test_check_passing_spec(capsys):
@@ -27,6 +29,22 @@ def test_check_invalid_spec_exits_1(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"inclusion_matrix": [[1]], "sub_dims": [2], "super_dims": [3]}))
     assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"inclusion_matrix": "x", "sub_dims": [1]},
+        {"inclusion_matrix": [], "sub_dims": []},
+        {"inclusion_matrix": [[2.7]], "sub_dims": [1.9]},
+    ],
+)
+def test_check_malformed_spec_exits_1_with_one_line(tmp_path, capsys, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_check_spec_from_file(tmp_path, capsys):
@@ -69,6 +87,22 @@ def test_basis_auto_writes_verified_output(tmp_path, capsys):
 
 def test_basis_no_construction_exits_3():
     assert main(["basis", "c2_in_m3"]) == 3
+
+
+def test_basis_tensor_without_inner_construction_exits_1(tmp_path, capsys):
+    # M_2 splits off, but nothing builds the inner A=[[1,2]], m=[1,1]: a forced
+    # method that does not apply is 1, and only auto gives 3
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec.from_matrix([[1, 2]], [2, 2]))
+    assert main(["basis", str(path), "--method", "tensor"]) == 1
+    assert main(["basis", str(path)]) == 3
+    assert "no known construction applies" in capsys.readouterr().err
+
+
+def test_basis_method_choices_are_the_planners():
+    for method in METHODS:
+        assert build_parser().parse_args(["basis", "c_in_m2", "--method", method]).method == method
+    assert main(["basis", "c_in_m2", "--method", "no_such_method"]) == 2
 
 
 def test_basis_explicit_method_mismatch_exits_1():
@@ -136,12 +170,13 @@ def test_tol_env_override(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(out)]) == 1
 
 
-def _write_basis_doc(path, elements, d=None):
+def _write_basis_doc(path, elements, d=None, **extra):
     doc = {
         "d": len(elements) if d is None else d,
         "provenance": "hand-written",
         "spec": {"inclusion_matrix": [[1]], "sub_dims": [1]},
         "elements": elements,
+        **extra,
     }
     path.write_text(json.dumps(doc))  # NaN is written as the literal NaN
     return str(path)
@@ -166,3 +201,18 @@ def test_verify_wrong_d_field_exits_1(tmp_path, capsys):
     path = _write_basis_doc(tmp_path / "d.json", [[[[1.0, 0.0]]]], d=2)
     assert main(["verify", path]) == 1
     assert "holds 1 elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "elements, extra",
+    [
+        ([[[[1.0, 0.0]]]], {"spec": None, "block_dims": []}),
+        ([[[[1.0, 0.0]]]], {"spec": None, "block_dims": [0]}),
+        ([[[[1.0]]]], {}),
+    ],
+)
+def test_verify_malformed_basis_exits_1_with_one_line(tmp_path, capsys, elements, extra):
+    path = _write_basis_doc(tmp_path / "b.json", elements, **extra)
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

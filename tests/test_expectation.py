@@ -100,7 +100,8 @@ def test_mixed_unitary_operators_are_unitary():
     prod = 1
     for Tj in dec.column_counts:
         prod *= Tj
-    assert count == prod * dec.total_count
+    assert count == prod * dec.total_count == dec.unitary_count
+    assert dec.weight == Fraction(1, count)
 
 
 def test_mixed_unitary_requires_equal_weights():

@@ -13,6 +13,7 @@ from uob.inclusion import (
     embed,
     markov_trace,
     minimal_central_projections,
+    spectral_d,
     unembed,
 )
 
@@ -42,6 +43,32 @@ def test_from_matrix_computes_super_dims():
 def test_validate_rejects_bad_dimension_count():
     with pytest.raises(DimensionMismatch):
         InclusionSpec(((1,),), (2,), (3,)).validate()
+
+
+def test_from_matrix_rejects_non_integer_entries():
+    with pytest.raises(DimensionMismatch):
+        InclusionSpec.from_matrix([[2.7]], [1.9])
+    with pytest.raises(DimensionMismatch):
+        InclusionSpec.from_matrix([[2]], [1.9])
+    with pytest.raises(DimensionMismatch):
+        InclusionSpec.from_matrix("x", [1])
+    with pytest.raises(DimensionMismatch):
+        InclusionSpec(((2.0,),), (1,), (2,))
+
+
+def test_validate_rejects_empty_matrix():
+    with pytest.raises(DimensionMismatch):
+        InclusionSpec.from_matrix([], []).validate()
+
+
+def test_spectral_d_is_the_report_d():
+    for name in catalog_names():
+        spec = catalog_spec(name)
+        assert spectral_d(spec) == EXPECTED_D[name] == check_spectral_condition(spec).d
+    # every column must give the same integer, not just the first
+    assert spectral_d(InclusionSpec.from_matrix([[1, 2]], [1, 1])) is None
+    assert spectral_d(InclusionSpec.from_matrix([[1, 0], [0, 2]], [1, 1])) is None
+    assert spectral_d(InclusionSpec.from_matrix([[1, 0], [0, 1]], [1, 2])) == 1
 
 
 def test_validate_rejects_empty_column():

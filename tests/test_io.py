@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from uob.bases import abelian_basis, weyl_basis
+from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_names, catalog_spec, load_catalog_file
 from uob.errors import DimensionMismatch
 from uob.io import (
@@ -102,3 +102,23 @@ def test_save_basis_writes_the_bytes_of_json_dump(tmp_path):
             json.dump(basis_to_dict(b, "example"), fh)
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_basis_to_dict_rejects_empty_spec_less_basis():
+    with pytest.raises(DimensionMismatch):
+        basis_to_dict(UnitaryBasis(None, (), "empty"))
+
+
+@pytest.mark.parametrize("block_dims", [[], [0], [2.5], "x", 3])
+def test_basis_from_dict_rejects_bad_block_dims(block_dims):
+    doc = {"d": 1, "spec": None, "block_dims": block_dims, "elements": [[[[1.0, 0.0]]]]}
+    with pytest.raises(DimensionMismatch):
+        basis_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0, None, ["1", "0"]])
+def test_basis_from_dict_rejects_entries_that_are_not_pairs(entry):
+    doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
+    doc["elements"][1][0][2] = entry
+    with pytest.raises(DimensionMismatch):
+        basis_from_dict(doc)

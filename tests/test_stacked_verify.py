@@ -9,9 +9,8 @@ import functools
 import numpy as np
 import pytest
 
-from uob.bases import UnitaryBasis
+from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
-from uob.cli import _construct
 from uob.errors import UobError
 from uob.expectation import ExpectationWeights, average_E2, markov_expectation, pinch_E1
 from uob.verify import (
@@ -29,11 +28,11 @@ def _constructible():
     out = []
     for name in catalog_names():
         try:
-            out.append((name, _construct(catalog_spec(name), "auto")))
+            out.append((name, construct(catalog_spec(name), "auto")))
         except UobError:
             pass
     for k, spec in enumerate(random_abelian_specs(5, seed=42, max_d=36)):
-        out.append((f"random{k}", _construct(spec, "auto")))
+        out.append((f"random{k}", construct(spec, "auto")))
     return out
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from uob.bases import abelian_basis, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
-from uob.errors import SpectralConditionFailed
+from uob import tower
+from uob.errors import DimensionMismatch, InvariantViolated, SpectralConditionFailed
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.tower import (
     basic_construction_basis,
@@ -79,6 +80,17 @@ def test_trivial_inclusion_has_identity_e1():
 def test_build_requires_spectral_condition():
     with pytest.raises(SpectralConditionFailed):
         build_basic_construction(catalog_spec("c2_in_m3"))
+
+
+def test_build_validates_the_spec():
+    with pytest.raises(DimensionMismatch):
+        build_basic_construction(InclusionSpec(((1,),), (2,), (3,)))
+
+
+def test_failed_jones_relation_is_a_uob_error(monkeypatch):
+    monkeypatch.setattr(tower, "JONES_TOL", -1.0)
+    with pytest.raises(InvariantViolated):
+        build_basic_construction(catalog_spec("c_in_m2"))
 
 
 def test_dual_expectation_of_e1():

@@ -1,10 +1,11 @@
 """Multi-matrix algebras, block operators, exact phases, and the circulant toolkit.
 
-All phase arithmetic is done with exact rationals (``fractions.Fraction``,
-understood mod 1) and exponentiated once at the very end, so long phase sums
-cancel without drift.  Circulant matrices are parametrized by their
-eigenvalues and built from the entrywise formula, never by conjugating with
-Fourier matrices.
+A phase k/n is kept exact as an integer numerator mod n and exponentiated by
+indexing ``roots(n)``, the table of n-th roots of unity, so long phase sums
+cancel without drift.  ``epsilon`` does the same for a single rational
+(``fractions.Fraction``, understood mod 1).  Circulant matrices are
+parametrized by their eigenvalues and built from the entrywise formula, never
+by conjugating with Fourier matrices.
 """
 
 from __future__ import annotations
@@ -45,38 +46,36 @@ def geometric_phase_sum(k: int, x) -> complex:
     return sum(epsilon(j * x) for j in range(k))
 
 
-def fourier_matrix(n: int) -> np.ndarray:
-    """The n x n finite Fourier matrix (1/sqrt(n)) [epsilon(jk/n)]."""
+def roots(n: int) -> np.ndarray:
+    """The n-th roots of unity: roots(n)[k] = epsilon(k / n), bit for bit."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    F = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            F[j, k] = epsilon(Fraction(j * k, n))
-    return F / np.sqrt(n)
+    return np.exp(2j * np.pi * (np.arange(n) / n))
+
+
+def fourier_matrix(n: int) -> np.ndarray:
+    """The n x n finite Fourier matrix (1/sqrt(n)) [epsilon(jk/n)]."""
+    k = np.arange(n)
+    return roots(n)[np.outer(k, k) % n] / np.sqrt(n)
 
 
 def circulant(eigenvalues) -> np.ndarray:
     """Circulant matrix C(b_0, ..., b_{n-1}) parametrized by its eigenvalues.
 
     Entry (j, k) is (1/n) sum_y b_y epsilon(y (k - j) / n); the diagonal is
-    constant, equal to the mean of the eigenvalues.
+    constant, equal to the mean of the eigenvalues.  A (..., n) batch of
+    eigenvalue lists gives a (..., n, n) stack of circulants.
     """
-    b = list(eigenvalues)
-    n = len(b)
-    if n == 0:
+    b = np.asarray(eigenvalues, dtype=complex)
+    if b.ndim == 0 or b.shape[-1] == 0:
         raise ValueError("eigenvalue list must be non-empty")
     # f[t] = sum_y b_y epsilon(y t / n); entry (j,k) is f[(k-j) mod n] / n.
     # This is C = F* D(b) F, so F C F* = D(b) and the eigenvector of b_y is
     # (epsilon(-jy/n))_j.
-    f = np.array(
-        [sum(b[y] * epsilon(Fraction(y * t, n)) for y in range(n)) for t in range(n)]
-    )
-    C = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            C[j, k] = f[(k - j) % n] / n
-    return C
+    n = b.shape[-1]
+    k = np.arange(n)
+    f = b @ roots(n)[np.outer(k, k) % n]
+    return f[..., (k[None, :] - k[:, None]) % n] / n
 
 
 def quasi_circulant(d1, eigenvalues, d2) -> np.ndarray:
@@ -86,8 +85,7 @@ def quasi_circulant(d1, eigenvalues, d2) -> np.ndarray:
     b = list(eigenvalues)
     if not (len(a) == len(b) == len(c)):
         raise ValueError("d1, eigenvalues, d2 must have the same length")
-    C = circulant(b)
-    return a[:, None] * C * c[None, :]
+    return a[:, None] * circulant(b) * c[None, :]
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, circulant, epsilon
+from .algebra import BlockOperator, MultiMatrixAlgebra, circulant, epsilon, roots
 from .errors import (
+    AlgebraMismatch,
     CardinalityMismatch,
+    DimensionMismatch,
     DivisibilityError,
     InvariantViolated,
     MiddleAlgebraMismatch,
@@ -20,46 +22,75 @@ from .errors import (
     NotMultiple,
     ShapeMismatch,
     SpectralConditionFailed,
+    TooLarge,
     UobError,
 )
 from .expectation import markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d, unembed
 
 METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
+# Largest basis ``construct`` builds, in complex entries d * sum_i n_i^2 over
+# all block stacks: 2^24 entries are 256 MiB.
+MAX_BASIS_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
 class UnitaryBasis:
     """An ordered family {W_0, ..., W_{d-1}} of unitaries with E(W_j* W_k) = delta_jk.
 
-    The first element is always the identity.  ``spec`` is None for bases that
-    live in a concrete basic-construction model without a canonical
+    Stored as one (d, n_i, n_i) stack per block: stacks[i][j] is block i of
+    W_j.  The first element is always the identity.  ``spec`` is None for bases
+    that live in a concrete basic-construction model without a canonical
     multi-matrix identification.
     """
 
     spec: InclusionSpec | None
-    elements: tuple[BlockOperator, ...]
+    stacks: tuple[np.ndarray, ...]
     provenance: str
+
+    def __post_init__(self):
+        stacks = tuple(np.asarray(s, dtype=complex) for s in self.stacks)
+        if any(s.ndim != 3 or s.shape != stacks[0].shape[:1] + s.shape[2:] * 2 for s in stacks):
+            raise AlgebraMismatch("block stacks must have shapes (d, n_i, n_i) with one d")
+        if self.spec is not None and tuple(s.shape[2] for s in stacks) != self.spec.super_dims:
+            raise AlgebraMismatch("block stacks do not match the spec's super-algebra")
+        object.__setattr__(self, "stacks", stacks)
+
+    @classmethod
+    def from_elements(cls, spec: InclusionSpec | None, elements, provenance: str) -> "UnitaryBasis":
+        """The basis of a list of block operators; an empty list takes its blocks from spec."""
+        elements = tuple(elements)
+        if len({W.algebra for W in elements}) > 1:
+            raise AlgebraMismatch("elements belong to different algebras")
+        if elements:
+            stacks = tuple(np.stack(blocks) for blocks in zip(*(W.data for W in elements)))
+        else:
+            dims = () if spec is None else spec.super_dims
+            stacks = tuple(np.zeros((0, n, n), dtype=complex) for n in dims)
+        return cls(spec, stacks, provenance)
 
     @property
     def d(self) -> int:
-        return len(self.elements)
+        return len(self.stacks[0]) if self.stacks else 0
 
     @cached_property
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        """One (d, n_i, n_i) array per block: stacks[i][j] is block i of W_j.
+    def algebra(self) -> MultiMatrixAlgebra:
+        if not self.stacks:
+            raise DimensionMismatch("a basis with neither a spec nor elements has no block dims")
+        return MultiMatrixAlgebra(tuple(s.shape[2] for s in self.stacks))
 
-        Built once, on first use; needs at least one element.
-        """
-        if not self.elements:
-            raise ValueError("an empty basis has no block stacks")
-        return tuple(np.stack(blocks) for blocks in zip(*(W.data for W in self.elements)))
+    @cached_property
+    def elements(self) -> tuple[BlockOperator, ...]:
+        """W_0, ..., W_{d-1} as block operators whose blocks are views into the stacks."""
+        return tuple(
+            BlockOperator(self.algebra, tuple(s[j] for s in self.stacks)) for j in range(self.d)
+        )
 
 
 def identity_basis(m: int) -> UnitaryBasis:
     """The trivial basis {I} for (M_m inside M_m, identity map)."""
     spec = InclusionSpec(((1,),), (m,), (m,))
-    return UnitaryBasis(spec, (spec.super_algebra.identity(),), "identity")
+    return UnitaryBasis(spec, (np.eye(m, dtype=complex)[None],), "identity")
 
 
 def _abelian_d(spec: InclusionSpec) -> int:
@@ -73,10 +104,10 @@ def _abelian_d(spec: InclusionSpec) -> int:
     return d
 
 
-def _column_offsets(spec: InclusionSpec):
-    """offsets[i][j] = sum_{x<i} n_x a_{xj}, the phase offsets of the diagonal unitary."""
-    n, a = spec.super_dims, spec.a
-    return [[sum(n[x] * a(x, j) for x in range(i)) for j in range(spec.r)] for i in range(spec.s)]
+def _diagonal_phases(spec: InclusionSpec, i: int, weights, step: int) -> list[int]:
+    """Phase numerators sum_{x<i} w_x a_xj + k * step at position (i, j, k) of an abelian spec."""
+    offs = [sum(weights[x] * spec.a(x, j) for x in range(i)) for j in range(spec.r)]
+    return [offs[j] + k * step for j in range(spec.r) for k in range(spec.a(i, j))]
 
 
 def abelian_basis(spec: InclusionSpec) -> UnitaryBasis:
@@ -87,21 +118,13 @@ def abelian_basis(spec: InclusionSpec) -> UnitaryBasis:
     (i, j, k).
     """
     d = _abelian_d(spec)
-    offs = _column_offsets(spec)
-    emb = spec.embedding
-
-    elements = []
-    for t in range(d):
-        data = []
-        for i, n in enumerate(spec.super_dims):
-            Vt = circulant([epsilon(Fraction(y * t, d)) for y in range(n)])
-            u = np.zeros(n, dtype=complex)
-            for j in range(spec.r):
-                for k in range(spec.a(i, j)):
-                    u[emb.position(i, j, k)] = epsilon(Fraction(t * (offs[i][j] + k * n), d))
-            data.append(Vt * u[None, :])
-        elements.append(spec.super_algebra.operator(data))
-    return UnitaryBasis(spec, tuple(elements), "abelian")
+    eps, t = roots(d), np.arange(d)[:, None]
+    stacks = []
+    for i, n in enumerate(spec.super_dims):
+        Vt = circulant(eps[t * np.arange(n) % d])
+        u = eps[t * np.array(_diagonal_phases(spec, i, spec.super_dims, n)) % d]
+        stacks.append(Vt * u[:, None, :])
+    return UnitaryBasis(spec, tuple(stacks), "abelian")
 
 
 def abelian_basis_entrywise(spec: InclusionSpec) -> UnitaryBasis:
@@ -111,14 +134,13 @@ def abelian_basis_entrywise(spec: InclusionSpec) -> UnitaryBasis:
     rational phases; used to cross-check the operator-product path.
     """
     d = _abelian_d(spec)
-    offs = _column_offsets(spec)
     emb = spec.embedding
 
     elements = []
     for t in range(d):
         data = []
         for i, n in enumerate(spec.super_dims):
-            labels = emb.labels(i)
+            labels, phases = emb.labels(i), _diagonal_phases(spec, i, spec.super_dims, n)
             W = np.empty((n, n), dtype=complex)
             for (j, k, _) in labels:
                 row = emb.position(i, j, k)
@@ -129,13 +151,13 @@ def abelian_basis_entrywise(spec: InclusionSpec) -> UnitaryBasis:
                         phase = (
                             Fraction(y * t, d)
                             + Fraction(y * (col - row), n)
-                            + Fraction(t * (k2 * n + offs[i][j2]), d)
+                            + Fraction(t * phases[col], d)
                         )
                         acc += epsilon(phase)
                     W[row, col] = acc / n
             data.append(W)
         elements.append(spec.super_algebra.operator(data))
-    return UnitaryBasis(spec, tuple(elements), "abelian")
+    return UnitaryBasis.from_elements(spec, elements, "abelian")
 
 
 def weyl_basis(spec: InclusionSpec) -> UnitaryBasis:
@@ -155,22 +177,14 @@ def weyl_basis(spec: InclusionSpec) -> UnitaryBasis:
     if any(c != q for c in colsums):
         raise ShapeMismatch("column sums of the inclusion matrix must be constant")
 
-    emb = spec.embedding
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    elements = []
-    for v in range(n):
-        Vv = np.linalg.matrix_power(shift, v)
-        for t in range(q):
-            data = []
-            for i in range(spec.s):
-                u = np.zeros(n, dtype=complex)
-                for j in range(spec.r):
-                    off = sum(spec.a(x, j) for x in range(i))
-                    for k in range(spec.a(i, j)):
-                        u[emb.position(i, j, k)] = epsilon(Fraction(t * (off + k), q))
-                data.append(Vv * u[None, :])
-            elements.append(spec.super_algebra.operator(data))
-    return UnitaryBasis(spec, tuple(elements), "weyl")
+    shifts = np.stack([np.roll(np.eye(n, dtype=complex), v, axis=0) for v in range(n)])
+    eps, t = roots(q), np.arange(q)[:, None]
+    stacks = []
+    for i in range(spec.s):
+        u = eps[t * np.array(_diagonal_phases(spec, i, [1] * spec.s, 1)) % q]
+        # element v * q + t is V^v U^t
+        stacks.append((shifts[:, None] * u[None, :, None, :]).reshape(n * q, n, n))
+    return UnitaryBasis(spec, tuple(stacks), "weyl")
 
 
 def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
@@ -189,7 +203,7 @@ def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
     for V in inner.elements:
         for W in outer.elements:
             elements.append(V @ embed(s0, W))
-    return UnitaryBasis(spec, tuple(elements), "concat")
+    return UnitaryBasis.from_elements(spec, elements, "concat")
 
 
 def composed_expectation(inner_spec: InclusionSpec, outer_spec: InclusionSpec):
@@ -211,7 +225,7 @@ def tensor_spec(s1: InclusionSpec, s2: InclusionSpec) -> InclusionSpec:
 
 
 def _tensor_block_perm(s1, s2, prod, i1, i2):
-    """Map the Kronecker basis order of block (i1, i2) to the canonical layout."""
+    """perm[c] is the Kronecker basis index at canonical position c of block (i1, i2)."""
     e1, e2, ep = s1.embedding, s2.embedding, prod.embedding
     n2 = s2.super_dims[i2]
     I = i1 * s2.s + i2
@@ -223,7 +237,7 @@ def _tensor_block_perm(s1, s2, prod, i1, i2):
             J = j1 * s2.r + j2
             K = k1 * s2.a(i2, j2) + k2
             L = l1 * s2.sub_dims[j2] + l2
-            perm[p1 * n2 + p2] = ep.position(I, J, K, L)
+            perm[ep.position(I, J, K, L)] = p1 * n2 + p2
     return perm
 
 
@@ -238,24 +252,15 @@ def tensor_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     if s1 is None or s2 is None:
         raise ShapeMismatch("tensor factors must carry inclusion specs")
     prod = tensor_spec(s1, s2)
-    perms = {
-        (i1, i2): _tensor_block_perm(s1, s2, prod, i1, i2)
-        for i1 in range(s1.s)
-        for i2 in range(s2.s)
-    }
-    elements = []
-    for W1 in b1.elements:
-        for W2 in b2.elements:
-            data = []
-            for i1 in range(s1.s):
-                for i2 in range(s2.s):
-                    Kr = np.kron(W1.data[i1], W2.data[i2])
-                    perm = perms[(i1, i2)]
-                    B = np.empty_like(Kr)
-                    B[np.ix_(perm, perm)] = Kr
-                    data.append(B)
-            elements.append(prod.super_algebra.operator(data))
-    return UnitaryBasis(prod, tuple(elements), "tensor")
+    stacks = []
+    for i1, A in enumerate(b1.stacks):
+        for i2, B in enumerate(b2.stacks):
+            # element (j, k) of the pair is W_j(1) (x) W_k(2): np.kron, stacked
+            n = A.shape[1] * B.shape[1]
+            Kr = np.einsum("jac,kbe->jkabce", A, B).reshape(b1.d * b2.d, n, n)
+            perm = _tensor_block_perm(s1, s2, prod, i1, i2)
+            stacks.append(Kr[:, perm[:, None], perm])
+    return UnitaryBasis(prod, tuple(stacks), "tensor")
 
 
 def direct_sum_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
@@ -271,11 +276,7 @@ def direct_sum_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
         [0] * s1.r + list(row) for row in s2.inclusion_matrix
     ]
     spec = InclusionSpec.from_matrix(mat, s1.sub_dims + s2.sub_dims)
-    elements = tuple(
-        spec.super_algebra.operator(list(W1.data) + list(W2.data))
-        for W1, W2 in zip(b1.elements, b2.elements)
-    )
-    return UnitaryBasis(spec, elements, "direct_sum")
+    return UnitaryBasis(spec, b1.stacks + b2.stacks, "direct_sum")
 
 
 def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
@@ -309,8 +310,7 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     if d is None:
         raise SpectralConditionFailed("A^t n is not an integer multiple of m")
     n = spec.super_dims[0]
-    frac = Fraction(d, n)
-    l, k = frac.numerator, frac.denominator
+    l, k = d // math.gcd(d, n), n // math.gcd(d, n)
     if any(m % k != 0 for m in spec.sub_dims):
         raise DivisibilityError("k does not divide every sub block size")
     m_red = tuple(m // k for m in spec.sub_dims)
@@ -323,14 +323,14 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
 
 def adjoint_basis(b: UnitaryBasis) -> UnitaryBasis:
     """Elementwise adjoints; may turn a right basis into a left basis."""
-    return UnitaryBasis(b.spec, tuple(W.adjoint() for W in b.elements), b.provenance)
+    return UnitaryBasis(b.spec, tuple(s.conj().swapaxes(1, 2) for s in b.stacks), b.provenance)
 
 
 def _relabel(b: UnitaryBasis, spec: InclusionSpec, provenance: str) -> UnitaryBasis:
     """``b`` under the name ``provenance``; a combinator must have built ``spec`` itself."""
     if b.spec != spec:
         raise InvariantViolated(f"construction built {b.spec}, expected {spec}")
-    return UnitaryBasis(spec, b.elements, provenance)
+    return UnitaryBasis(spec, b.stacks, provenance)
 
 
 def _split_full_matrix(spec: InclusionSpec, g: int, provenance: str) -> UnitaryBasis:
@@ -347,8 +347,14 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     splits off the largest common full-matrix factor M_g and runs ``auto`` on
     the rest; ``basic`` is the basic-construction model, for M_n containing B
     with a_j = m_j.  A forced construction that does not apply raises its own
-    ``UobError``.  The table is built per call, so rebound module names are used.
+    ``UobError``.  A spec whose basis would hold more than MAX_BASIS_ENTRIES
+    entries is refused with ``TooLarge`` before any builder runs.  The table is
+    built per call, so rebound module names are used.
     """
+    spec.validate()
+    size = (spectral_d(spec) or 0) * spec.super_algebra.vector_dim
+    if size > MAX_BASIS_ENTRIES:
+        raise TooLarge(f"a basis would hold {size} entries, over the cap of {MAX_BASIS_ENTRIES}")
     builders = {
         "abelian": abelian_basis,
         "weyl": weyl_basis,
@@ -362,6 +368,8 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
         for builder in builders.values():
             try:
                 return builder(spec)
+            except TooLarge:
+                raise
             except UobError as exc:
                 last = exc
         raise NoKnownConstruction(f"no known construction applies: {last}")

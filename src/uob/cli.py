@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog
 from .bases import METHODS, construct
-from .errors import UobError
+from .errors import NoKnownConstruction, UobError
 from .expectation import markov_expectation, mixed_unitary_channel
 from .inclusion import InclusionSpec, check_spectral_condition
 from .io import load_basis, load_spec, save_basis
@@ -58,7 +58,7 @@ def cmd_basis(args) -> int:
     spec = _resolve_spec(args.spec)
     try:
         basis = construct(spec, args.method)
-    except UobError as exc:
+    except NoKnownConstruction as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONSTRUCTION if args.method == "auto" else EXIT_FAILED
     reports = verify_basis(basis, seed=args.seed, recon_tol=args.tol)

@@ -71,3 +71,7 @@ class NoKnownConstruction(UobError):
 
 class InvariantViolated(UobError):
     """A numerical identity that the mathematics guarantees failed its tolerance."""
+
+
+class TooLarge(UobError):
+    """The requested object is over a documented size cap; nothing was allocated."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, epsilon
+from .algebra import BlockOperator, TracialState, roots
 from .errors import AlgebraMismatch, NonStandardTrace, NotPinched, SingularGram
 from .inclusion import InclusionSpec, embed, markov_trace, spectral_d, unembed
 
@@ -248,6 +248,7 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
 
     # K: scalar epsilon((cum + k) / T) on sub-block (i, j, k); the running sum
     # over (i1, j1) < (i, j) of a_{i1 j1} enumerates 0..T-1 across all blocks.
+    eps = roots(T)
     diag = np.zeros(N, dtype=complex)
     k_phases = []
     cum = 0
@@ -255,10 +256,9 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
         for j in range(spec.r):
             mj = spec.sub_dims[j]
             for k in range(spec.a(i, j)):
-                x = Fraction(cum + k, T)
                 start = offsets[i] + emb.block_start(i, j, k)
-                diag[start : start + mj] = epsilon(x)
-                k_phases.append(((i, j, k), x))
+                diag[start : start + mj] = eps[cum + k]
+                k_phases.append(((i, j, k), Fraction(cum + k, T)))
             cum += spec.a(i, j)
     K = np.diag(diag)
 

@@ -43,9 +43,10 @@ def trace_state_from_dict(doc: dict, spec: InclusionSpec) -> TracialState:
     return markov_trace(spec)
 
 
-def _block_to_json(block: np.ndarray) -> list:
-    """Flat row-major list of [re, im] pairs."""
-    return np.column_stack((block.real.ravel(), block.imag.ravel())).tolist()
+def _stack_to_json(stack: np.ndarray) -> list:
+    """Per element, the flat row-major list of [re, im] pairs of its block."""
+    pairs = np.stack((stack.real, stack.imag), axis=-1)
+    return pairs.reshape(len(stack), stack.shape[1] ** 2, 2).tolist()
 
 
 def _block_from_json(entries, n: int) -> np.ndarray:
@@ -62,21 +63,21 @@ def basis_to_dict(basis: UnitaryBasis, name: str = "") -> dict:
     out = {
         "d": basis.d,
         "provenance": basis.provenance,
-        "elements": [[_block_to_json(blk) for blk in W.data] for W in basis.elements],
+        "elements": [list(W) for W in zip(*map(_stack_to_json, basis.stacks))],
     }
     if basis.spec is not None:
         out["spec"] = spec_to_dict(basis.spec)
-    elif basis.elements:
-        out["spec"] = None
-        out["block_dims"] = list(basis.elements[0].algebra.blocks)
     else:
-        raise DimensionMismatch("a basis with neither a spec nor elements has no block dims")
+        out["spec"] = None
+        out["block_dims"] = list(basis.algebra.blocks)
     if name:
         out["name"] = name
     return out
 
 
 def basis_from_dict(doc: dict) -> UnitaryBasis:
+    if not isinstance(doc, dict):
+        raise DimensionMismatch("a basis document must be a JSON object")
     spec = spec_from_dict(doc["spec"]) if doc.get("spec") is not None else None
     if spec is not None:
         alg = spec.super_algebra
@@ -85,18 +86,19 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
             alg = MultiMatrixAlgebra(tuple(doc["block_dims"]))
         except (TypeError, ValueError) as exc:
             raise DimensionMismatch(f"block_dims: {exc}") from None
-    if doc.get("d") != len(doc["elements"]):
-        raise DimensionMismatch(
-            f"document says d = {doc.get('d')} but holds {len(doc['elements'])} elements"
-        )
-    elements = []
-    for blocks in doc["elements"]:
-        if len(blocks) != alg.num_blocks:
-            raise DimensionMismatch("element block count does not match algebra")
-        elements.append(
-            alg.operator([_block_from_json(b, n) for b, n in zip(blocks, alg.blocks)])
-        )
-    return UnitaryBasis(spec, tuple(elements), doc.get("provenance", "loaded"))
+    elements = doc["elements"]
+    if not isinstance(elements, list) or not all(isinstance(W, list) for W in elements):
+        raise DimensionMismatch("elements must be a list of lists of blocks")
+    d = doc.get("d")
+    if d != len(elements):
+        raise DimensionMismatch(f"document says d = {d} but holds {len(elements)} elements")
+    if any(len(W) != alg.num_blocks for W in elements):
+        raise DimensionMismatch("element block count does not match algebra")
+    stacks = tuple(
+        np.array([_block_from_json(W[i], n) for W in elements]).reshape(-1, n, n)
+        for i, n in enumerate(alg.blocks)
+    )
+    return UnitaryBasis(spec, stacks, doc.get("provenance", "loaded"))
 
 
 def save_spec(path, spec: InclusionSpec, name: str = ""):

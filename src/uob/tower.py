@@ -11,13 +11,12 @@ transpose inclusion, lines up with the canonical embedding layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, epsilon
+from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
 from .bases import UnitaryBasis, abelian_basis
-from .errors import InvariantViolated, PartitionOfUnityFailed, SpectralConditionFailed
+from .errors import InvariantViolated, PartitionOfUnityFailed, SpectralConditionFailed, TooLarge
 from .expectation import _GramProjector, markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d
 
@@ -37,11 +36,11 @@ def _gram_schmidt(vectors: np.ndarray) -> np.ndarray:
                 Q[:, a] -= (Q[:, b].conj() @ Q[:, a]) * Q[:, b]
             nrm = np.linalg.norm(Q[:, a])
             if nrm < GS_RESIDUAL_TOL:
-                raise ValueError("degenerate vector family in Gram-Schmidt")
+                raise InvariantViolated("degenerate vector family in Gram-Schmidt")
             Q[:, a] /= nrm
     resid = np.max(np.abs(Q.conj().T @ Q - np.eye(n)))
     if resid > GS_RESIDUAL_TOL:
-        raise ValueError(f"orthonormalization residual {resid} above tolerance")
+        raise InvariantViolated(f"orthonormalization residual {resid} above tolerance")
     return Q
 
 
@@ -62,16 +61,11 @@ class BasicConstruction:
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
-        blocks = []
-        for i, n in enumerate(self.spec.super_dims):
-            blocks.append(np.kron(np.eye(n, dtype=complex), x.data[i]))
-        D = self.gns_dim
-        M = np.zeros((D, D), dtype=complex)
+        M = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
         off = 0
-        for blk in blocks:
-            m = blk.shape[0]
-            M[off : off + m, off : off + m] = blk
-            off += m
+        for n, X in zip(self.spec.super_dims, x.data):
+            M[off : off + n * n, off : off + n * n] = np.kron(np.eye(n, dtype=complex), X)
+            off += n * n
         return self.gns_algebra.operator([M])
 
     def coeff(self, x: BlockOperator) -> np.ndarray:
@@ -110,7 +104,7 @@ def build_basic_construction(
     tau = TracialState(spec.super_algebra, spec.super_dims)
     D = spec.super_algebra.vector_dim
     if D > max_gns_dim:
-        raise ValueError(f"gns_dim {D} exceeds cap {max_gns_dim}")
+        raise TooLarge(f"gns_dim {D} exceeds cap {max_gns_dim}")
 
     index = [
         (i, b, a)
@@ -182,31 +176,22 @@ def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):
 
 def basic_construction_basis(bc: BasicConstruction, b: UnitaryBasis) -> UnitaryBasis:
     """Fourier-twisted basis W_j = sum_k epsilon(jk/d) U_k e1 U_k* for (A in A_1, E_1)."""
-    d = b.d
-    e1 = bc.e1_operator()
-    terms = []
-    for U in b.elements:
-        L = bc.left_rep(U)
-        terms.append(L @ e1 @ L.adjoint())
-    total = bc.gns_algebra.zero()
-    for t in terms:
-        total = total + t
-    if (total - bc.gns_algebra.identity()).norm_inf() > PARTITION_TOL:
+    e1 = bc.e1
+    terms = np.empty((b.d, bc.gns_dim, bc.gns_dim), dtype=complex)
+    for k, U in enumerate(b.elements):
+        L = bc.left_rep(U).data[0]
+        terms[k] = L @ e1 @ L.conj().T
+    if np.abs(terms.sum(axis=0) - np.eye(bc.gns_dim)).max() > PARTITION_TOL:
         raise PartitionOfUnityFailed("sum of U e1 U* deviates from the identity")
-
-    elements = []
-    for j in range(d):
-        W = bc.gns_algebra.zero()
-        for k, t in enumerate(terms):
-            W = W + epsilon(Fraction(j * k, d)) * t
-        elements.append(W)
+    j = np.arange(b.d)
+    twisted = np.tensordot(roots(b.d)[np.outer(j, j) % b.d], terms, axes=1)
 
     # When B = C the model A_1 = M_D carries the canonical transpose spec; its
     # one super block is sum_i a_i n_i = sum_i n_i^2 = gns_dim, as n_i = a_i.
     out_spec = None
     if bc.spec.r == 1 and bc.spec.sub_dims == (1,):
         out_spec = bc.spec.transpose()
-    return UnitaryBasis(out_spec, tuple(elements), "basic_construction")
+    return UnitaryBasis(out_spec, (twisted,), "basic_construction")
 
 
 def basic_model_basis(sub_dims) -> UnitaryBasis:

@@ -149,9 +149,9 @@ def _batch_size(blocks) -> int:
 
 def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> VerificationReport:
     """Every element satisfies W W* = W* W = I."""
-    if not basis.elements:
+    if not basis.d:
         return _report("unitary", np.inf, tol, "empty basis")
-    size = _batch_size(basis.elements[0].algebra.blocks)
+    size = _batch_size(basis.algebra.blocks)
     resid = np.zeros(basis.d)
     for Ws in basis.stacks:
         I = np.eye(Ws.shape[-1])
@@ -165,10 +165,10 @@ def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> Verificatio
 
 def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> VerificationReport:
     """E(W_j* W_k) = delta_jk I for the given expectation."""
-    if not basis.elements:
+    if not basis.d:
         return _report("orthonormality", np.inf, tol, "empty basis")
     d = basis.d
-    table = _slot_table(E, basis.elements[0].algebra)
+    table = _slot_table(E, basis.algebra)
     if table is not None:
         resid = 0.0
         for m, _, L, R in _weighted_columns(basis, table):
@@ -176,8 +176,7 @@ def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> Ver
             G[np.diag_indices(d * m)] -= 1
             resid = np.maximum(resid, np.abs(G).reshape(d, m, d, m).max(axis=(1, 3)))
     else:
-        I = basis.elements[0].algebra.identity()
-        zero = basis.elements[0].algebra.zero()
+        I, zero = basis.algebra.identity(), basis.algebra.zero()
         resid = [
             (E(Wj.adjoint() @ Wk) - (I if j == k else zero)).norm_inf()
             for j, Wj in enumerate(basis.elements)
@@ -196,9 +195,9 @@ def verify_reconstruction(
     the test operators are streamed in batches of at most CHUNK_ENTRIES
     entries.
     """
-    if not basis.elements:
+    if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
-    alg = basis.elements[0].algebra
+    alg = basis.algebra
     rng = np.random.default_rng(seed)
     if sampler is not None:
         samples = list(sampler(rng))

@@ -170,10 +170,10 @@ def test_acceptance_6_necessary_conditions_and_defects():
     ok = all(all_passed(verify_necessary_conditions(b)) for b in good)
 
     b = good[0]
-    duplicate = UnitaryBasis(b.spec, (b.elements[0],) + b.elements[:-1], "defect")
+    duplicate = UnitaryBasis.from_elements(b.spec, (b.elements[0],) + b.elements[:-1], "defect")
     ok = ok and not all_passed(verify_necessary_conditions(duplicate))
 
-    short = UnitaryBasis(b.spec, b.elements[:-1], "defect")
+    short = UnitaryBasis.from_elements(b.spec, b.elements[:-1], "defect")
     ok = ok and not all_passed(verify_necessary_conditions(short))
 
     from uob.algebra import TracialState

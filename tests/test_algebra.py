@@ -16,6 +16,7 @@ from uob.algebra import (
     fourier_matrix,
     geometric_phase_sum,
     quasi_circulant,
+    roots,
 )
 from uob.errors import AlgebraMismatch
 
@@ -176,3 +177,19 @@ def test_norm_inf_propagates_nan_from_any_block():
     alg = MultiMatrixAlgebra((1, 2))
     X = alg.operator([np.ones((1, 1)), np.full((2, 2), np.nan)])
     assert np.isnan(X.norm_inf())
+
+
+def test_roots_equal_the_exact_phases_bit_for_bit():
+    for n in range(1, 257):
+        r = roots(n)
+        assert all(r[k] == epsilon(Fraction(k, n)) for k in range(n)), n
+
+
+def test_circulant_of_a_batch_equals_the_row_by_row_calls():
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((2, 5, 7)) + 1j * rng.standard_normal((2, 5, 7))
+    batch = circulant(b)
+    assert batch.shape == (2, 5, 7, 7)
+    for rows, Cs in zip(b, batch):
+        for row, C in zip(rows, Cs):
+            assert np.allclose(circulant(row), C, rtol=0, atol=1e-14)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from uob.bases import (
+    MAX_BASIS_ENTRIES,
+    UnitaryBasis,
     abelian_basis,
     abelian_basis_entrywise,
     adjoint_basis,
@@ -20,12 +22,14 @@ from uob.bases import (
 )
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import (
+    AlgebraMismatch,
     CardinalityMismatch,
     MiddleAlgebraMismatch,
     NoKnownConstruction,
     NotAbelian,
     ShapeMismatch,
     SpectralConditionFailed,
+    TooLarge,
 )
 from uob.inclusion import InclusionSpec, check_spectral_condition
 from uob.tower import basic_model_basis
@@ -257,3 +261,37 @@ def test_auto_tries_the_builders_in_order():
         construct(catalog_spec("c2_in_m3"))
     with pytest.raises(ValueError):
         construct(catalog_spec("c_in_m2"), "no_such_method")
+
+
+def test_elements_are_views_into_the_stacks():
+    for b in (abelian_basis(catalog_spec("c_in_m1_plus_m2")), construct(catalog_spec("m2_in_m4"))):
+        for W in b.elements:
+            assert all(np.shares_memory(blk, s) for blk, s in zip(W.data, b.stacks))
+        again = UnitaryBasis.from_elements(b.spec, b.elements, b.provenance)
+        assert all(np.array_equal(s, t) for s, t in zip(b.stacks, again.stacks))
+
+
+def test_from_elements_of_nothing_takes_the_blocks_from_the_spec():
+    spec = catalog_spec("m2_in_m2_plus_m4")
+    b = UnitaryBasis.from_elements(spec, (), "empty")
+    assert [s.shape for s in b.stacks] == [(0, n, n) for n in spec.super_dims]
+    assert b.d == 0 and b.elements == ()
+
+
+def test_stacks_must_fit_the_spec_and_share_one_d():
+    spec = catalog_spec("c_in_m1_plus_m2")  # super blocks 1 and 2
+    with pytest.raises(AlgebraMismatch):
+        UnitaryBasis(spec, (np.ones((5, 1, 1)), np.ones((5, 3, 3))), "wrong block")
+    with pytest.raises(AlgebraMismatch):
+        UnitaryBasis(spec, (np.ones((5, 1, 1)), np.ones((4, 2, 2))), "two d")
+    with pytest.raises(AlgebraMismatch):
+        UnitaryBasis(None, (np.ones((5, 2, 3)),), "not square")
+
+
+def test_construct_refuses_a_basis_over_the_entry_cap():
+    # C in M_200: d = 40000 elements of 200 x 200, about 25.6 GB of stacks
+    spec = InclusionSpec.from_matrix([[200]], [1])
+    assert 40000 * 200**2 > MAX_BASIS_ENTRIES
+    for method in ("auto", "abelian", "tensor", "basic"):
+        with pytest.raises(TooLarge):
+            construct(spec, method)

@@ -1,6 +1,8 @@
 """CLI contract: subcommands, output formats, and exit codes."""
 
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -216,3 +218,46 @@ def test_verify_malformed_basis_exits_1_with_one_line(tmp_path, capsys, elements
     assert main(["verify", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"d": 1, "spec": None, "block_dims": [1], "elements": 5}),
+        json.dumps({"d": 1, "spec": None, "block_dims": [1], "elements": [7]}),
+        "[1, 2]",
+    ],
+    ids=["elements_not_a_list", "element_not_a_list", "document_not_an_object"],
+)
+def test_verify_malformed_structure_exits_1_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["auto", "basic"])
+def test_basis_over_the_size_cap_exits_1_with_one_line(tmp_path, capsys, method):
+    # d * sum n_i^2 = 288^3: refused before the GNS cap of the basic model is reached
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec.from_matrix([[12, 12]], [12, 12]))
+    assert main(["basis", str(path), "--method", method]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "over the cap" in err
+
+
+def test_basis_c_in_m200_is_refused_quickly_without_allocating(tmp_path, capsys):
+    # d = 40000 elements of 200 x 200 would be about 25.6 GB of stacks
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec.from_matrix([[200]], [1]))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["basis", str(path)])
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "over the cap" in capsys.readouterr().err
+    assert seconds < 5 and peak < 1 << 20

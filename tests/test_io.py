@@ -106,7 +106,7 @@ def test_save_basis_writes_the_bytes_of_json_dump(tmp_path):
 
 def test_basis_to_dict_rejects_empty_spec_less_basis():
     with pytest.raises(DimensionMismatch):
-        basis_to_dict(UnitaryBasis(None, (), "empty"))
+        basis_to_dict(UnitaryBasis.from_elements(None, (), "empty"))
 
 
 @pytest.mark.parametrize("block_dims", [[], [0], [2.5], "x", 3])
@@ -120,5 +120,19 @@ def test_basis_from_dict_rejects_bad_block_dims(block_dims):
 def test_basis_from_dict_rejects_entries_that_are_not_pairs(entry):
     doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
     doc["elements"][1][0][2] = entry
+    with pytest.raises(DimensionMismatch):
+        basis_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"d": 1, "spec": None, "block_dims": [1], "elements": 5},
+        {"d": 1, "spec": None, "block_dims": [1], "elements": [7]},
+        [1, 2],
+    ],
+    ids=["elements_not_a_list", "element_not_a_list", "document_not_an_object"],
+)
+def test_basis_from_dict_rejects_malformed_structure(doc):
     with pytest.raises(DimensionMismatch):
         basis_from_dict(doc)

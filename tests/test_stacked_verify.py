@@ -8,12 +8,15 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import UobError
 from uob.expectation import ExpectationWeights, average_E2, markov_expectation, pinch_E1
 from uob.verify import (
+    all_passed,
     verify_basis,
     verify_orthonormality,
     verify_reconstruction,
@@ -103,7 +106,7 @@ def test_verdicts_agree_on_tampered_copies(name, basis):
     E = markov_expectation(basis.spec)
     G = lambda X: E(X)  # noqa: E731
     for kind, elements in _tampered(basis).items():
-        bad = UnitaryBasis(basis.spec, elements, kind)
+        bad = UnitaryBasis.from_elements(basis.spec, elements, kind)
         fast = verify_basis(bad, E, seed=1)
         ref = verify_basis(bad, G, seed=1)
         assert [r.passed for r in fast] == [r.passed for r in ref], (name, kind)
@@ -139,3 +142,26 @@ def test_fast_path_survives_a_wrapper_that_copies_attributes():
     assert verify_orthonormality(basis, wrapped).passed
     assert verify_reconstruction(basis, wrapped).passed
     assert calls == []
+
+
+CATALOG_BASES = [(name, basis) for name, basis in BASES if not name.startswith("random")]
+
+
+@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_any_nan_inf_or_moved_entry_fails_on_both_paths(name, basis, data):
+    # An entry w moves radially, by 1e-6 along w / |w| (or by 1e-6 when w = 0).
+    # A move tangent to |w| = 1 is not a defect: on a monomial element such as
+    # the identity it is a phase rotation to first order, and the family stays
+    # a unitary orthonormal basis to 1e-12.
+    i = data.draw(st.integers(0, len(basis.stacks) - 1), label="block")
+    j, a, b = (data.draw(st.integers(0, k - 1)) for k in basis.stacks[i].shape)
+    step = data.draw(st.sampled_from([np.nan, np.inf, 1e-6, -1e-6]))
+    stacks = [s.copy() for s in basis.stacks]
+    w = stacks[i][j, a, b]
+    stacks[i][j, a, b] = step if not np.isfinite(step) else w + step * (w / abs(w) if w else 1)
+    bad = UnitaryBasis(basis.spec, tuple(stacks), "tampered")
+    E = markov_expectation(basis.spec)
+    for expectation in (E, lambda X: E(X)):
+        assert not all_passed(verify_basis(bad, expectation, seed=3)), (name, step)

@@ -6,7 +6,7 @@ import pytest
 from uob.bases import abelian_basis, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob import tower
-from uob.errors import DimensionMismatch, InvariantViolated, SpectralConditionFailed
+from uob.errors import DimensionMismatch, InvariantViolated, SpectralConditionFailed, TooLarge
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.tower import (
     basic_construction_basis,
@@ -154,3 +154,14 @@ def test_entropy_value_is_log_index():
     for name in TOWER_SPECS:
         report = check_spectral_condition(catalog_spec(name))
         assert abs(report.entropy_value - math.log(report.norm_sq)) < 1e-9
+
+
+def test_gns_dimension_over_the_cap_is_too_large():
+    # C in M_17: D = 17^2 = 289 > 256
+    with pytest.raises(TooLarge):
+        build_basic_construction(InclusionSpec.from_matrix([[17]], [1]))
+
+
+def test_degenerate_gram_schmidt_is_an_invariant_violation():
+    with pytest.raises(InvariantViolated):
+        tower._gram_schmidt(np.ones((3, 2)))

@@ -27,7 +27,7 @@ def test_good_bases_pass_everything():
 
 def test_defect_duplicate_element():
     b = abelian_basis(catalog_spec("c_in_m2"))
-    bad = UnitaryBasis(b.spec, (b.elements[0],) + b.elements[:-1], "defect")
+    bad = UnitaryBasis.from_elements(b.spec, (b.elements[0],) + b.elements[:-1], "defect")
     reports = verify_necessary_conditions(bad)
     failed = {r.name for r in reports if not r.passed}
     assert "orthonormality" in failed
@@ -35,7 +35,7 @@ def test_defect_duplicate_element():
 
 def test_defect_wrong_cardinality():
     b = abelian_basis(catalog_spec("c_in_m3"))
-    bad = UnitaryBasis(b.spec, b.elements[:-2], "defect")
+    bad = UnitaryBasis.from_elements(b.spec, b.elements[:-2], "defect")
     reports = verify_necessary_conditions(bad)
     failed = {r.name for r in reports if not r.passed}
     assert "cardinality" in failed
@@ -59,7 +59,7 @@ def test_defect_wrong_trace():
 def test_defect_nonunitary_element():
     b = abelian_basis(catalog_spec("c_in_m2"))
     scaled = tuple(W if j else 0.5 * W for j, W in enumerate(b.elements))
-    bad = UnitaryBasis(b.spec, scaled, "defect")
+    bad = UnitaryBasis.from_elements(b.spec, scaled, "defect")
     assert not verify_unitary(bad).passed
 
 
@@ -74,11 +74,11 @@ def test_orthonormality_catches_phase_perturbation():
     E = markov_expectation(b.spec)
     rot = tuple(W if j != 1 else np.exp(0.3j) * W for j, W in enumerate(b.elements))
     # a global phase keeps unitarity and orthonormality: both must still pass
-    assert verify_unitary(UnitaryBasis(b.spec, rot, "phase")).passed
-    assert verify_orthonormality(UnitaryBasis(b.spec, rot, "phase"), E).passed
+    assert verify_unitary(UnitaryBasis.from_elements(b.spec, rot, "phase")).passed
+    assert verify_orthonormality(UnitaryBasis.from_elements(b.spec, rot, "phase"), E).passed
     # but replacing an element by another basis element breaks orthonormality
     dup = tuple(W if j != 1 else b.elements[0] for j, W in enumerate(b.elements))
-    assert not verify_orthonormality(UnitaryBasis(b.spec, dup, "dup"), E).passed
+    assert not verify_orthonormality(UnitaryBasis.from_elements(b.spec, dup, "dup"), E).passed
 
 
 def test_expectation_axiom_reports_have_names():
@@ -105,7 +105,7 @@ def test_report_string_shape():
 def _nan_basis():
     """C inside C with its only element [[NaN]]: every structural check must fail."""
     spec = InclusionSpec.from_matrix([[1]], [1])
-    return UnitaryBasis(spec, (spec.super_algebra.operator([[[np.nan]]]),), "nan")
+    return UnitaryBasis.from_elements(spec, (spec.super_algebra.operator([[[np.nan]]]),), "nan")
 
 
 def test_nan_basis_fails_on_both_paths():
@@ -124,7 +124,7 @@ def test_non_finite_residual_fails_the_report():
     blk[0, 0] = np.inf
     inf = (b.elements[0], b.elements[1].algebra.operator([blk])) + b.elements[2:]
     with np.errstate(invalid="ignore"):
-        report = verify_unitary(UnitaryBasis(b.spec, inf, "inf"))
+        report = verify_unitary(UnitaryBasis.from_elements(b.spec, inf, "inf"))
     assert not report.passed and not np.isfinite(report.residual)
     assert report.witness == "element 1"
 
@@ -134,7 +134,7 @@ def test_generic_loop_keeps_a_nan_behind_finite_residuals():
     b = abelian_basis(catalog_spec("c_in_m3"))
     last = b.elements[-1]
     bad = last.algebra.operator([np.where(np.eye(3) > 0, np.nan, blk) for blk in last.data])
-    nan_last = UnitaryBasis(b.spec, b.elements[:-1] + (bad,), "nan")
+    nan_last = UnitaryBasis.from_elements(b.spec, b.elements[:-1] + (bad,), "nan")
     E = markov_expectation(b.spec)
     report = verify_orthonormality(nan_last, lambda X: E(X))
     assert not report.passed and report.witness == f"pair (0, {b.d - 1})"
@@ -142,7 +142,7 @@ def test_generic_loop_keeps_a_nan_behind_finite_residuals():
 
 def test_empty_basis_fails_without_crashing():
     spec = catalog_spec("c_in_m2")
-    empty = UnitaryBasis(spec, (), "empty")
+    empty = UnitaryBasis.from_elements(spec, (), "empty")
     reports = verify_basis(empty)
     assert {r.name for r in reports} >= {"unitary", "orthonormality", "reconstruction", "cardinality"}
     for r in reports:
@@ -156,7 +156,7 @@ def test_cardinality_uses_every_column():
     # column 0 alone would give d = 3
     spec = InclusionSpec.from_matrix([[1, 1]], [1, 2])
     I = spec.super_algebra.identity()
-    family = UnitaryBasis(spec, (I, I, I), "three")
+    family = UnitaryBasis.from_elements(spec, (I, I, I), "three")
     reports = {r.name: r for r in verify_basis(family)}
     assert not reports["cardinality"].passed
     assert reports["cardinality"].witness == "d = 3, expected None"

@@ -75,3 +75,8 @@ class InvariantViolated(UobError):
 
 class TooLarge(UobError):
     """The requested object is over a documented size cap; nothing was allocated."""
+
+
+class NoExpectation(UobError):
+    """A check needs the inclusion spec that the basis does not carry: to build E
+    when none is given, or for the trace conditions."""

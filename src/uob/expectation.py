@@ -287,31 +287,44 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
 
 
 class _GramProjector:
-    """Orthogonal projection onto the span of a fixed operator family."""
+    """Orthogonal projection onto the span of a fixed operator family.
 
-    def __init__(self, phi: TracialState, basis: list[BlockOperator]):
-        self.phi = phi
-        self.basis = list(basis)
-        n = len(self.basis)
-        G = np.empty((n, n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                G[a, b] = phi.inner(self.basis[a], self.basis[b])
+    Compiled once: the family is flattened into the rows of one (k, N) array
+    S, N = sum n_i^2, and phi's inner product becomes the per-entry weight w
+    (p_i / weight on every entry of block i), so <X, Y> = sum conj(x) w y and
+    the Gram matrix is G = (conj(S) w) S^T.  A call is two matrix-vector
+    products around the k x k inverse of G: c = G^-1 conj(S) (w x), then c S.
+    """
+
+    def __init__(self, phi: TracialState, basis):
+        self.algebra = phi.algebra
+        self._S = np.stack([_flatten(X) for X in basis])
+        sizes = [n * n for n in self.algebra.blocks]
+        self._w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
+        T = self._S * self._w
+        G = np.conj(T, out=T) @ self._S.T
         if np.linalg.cond(G) > GRAM_COND_LIMIT:
             raise SingularGram("projection basis is numerically degenerate")
-        self._G = G
+        self._Ginv = np.linalg.inv(G)
+        ends = np.cumsum(sizes)
+        self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
 
     def __call__(self, X: BlockOperator) -> BlockOperator:
-        v = np.array([self.phi.inner(S, X) for S in self.basis])
-        c = np.linalg.solve(self._G, v)
-        out = self.basis[0].algebra.zero()
-        for ci, S in zip(c, self.basis):
-            out = out + ci * S
-        return out
+        if X.algebra != self.algebra:
+            raise AlgebraMismatch("operand does not belong to the projector's algebra")
+        # conj(S) (w x) = conj(S conj(w x)), as w is real: no copy of S
+        v = (self._S @ (self._w * _flatten(X)).conj()).conj()
+        flat = (self._Ginv @ v) @ self._S
+        return self.algebra.operator([flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts])
+
+
+def _flatten(X: BlockOperator) -> np.ndarray:
+    """The blocks of X, each row-major, one after another: N = sum n_i^2 entries."""
+    return np.concatenate([b.ravel() for b in X.data])
 
 
 def projection_expectation(
     phi: TracialState, subalgebra_basis, X: BlockOperator
 ) -> BlockOperator:
     """Trace-preserving expectation as orthogonal projection in the phi-inner product."""
-    return _GramProjector(phi, list(subalgebra_basis))(X)
+    return _GramProjector(phi, subalgebra_basis)(X)

@@ -64,7 +64,9 @@ class BasicConstruction:
         M = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
         off = 0
         for n, X in zip(self.spec.super_dims, x.data):
-            M[off : off + n * n, off : off + n * n] = np.kron(np.eye(n, dtype=complex), X)
+            # I_n (x) X: X on the n diagonal positions of the block, as copies
+            r = np.arange(n)
+            M[off : off + n * n, off : off + n * n].reshape(n, n, n, n)[r, :, r, :] = X
             off += n * n
         return self.gns_algebra.operator([M])
 
@@ -147,7 +149,7 @@ def _validate_basic_construction(bc: BasicConstruction):
 def dual_expectation(bc: BasicConstruction, X: BlockOperator) -> BlockOperator:
     """tr1-preserving projection of a GNS-space operator onto left_rep(A)."""
     if bc._proj is None:
-        basis = [bc.left_rep(u) for _, u in bc.spec.super_algebra.matrix_units()]
+        basis = (bc.left_rep(u) for _, u in bc.spec.super_algebra.matrix_units())
         bc._proj = _GramProjector(bc.tr1_state, basis)
     if isinstance(X, np.ndarray):
         X = bc.gns_algebra.operator([X])

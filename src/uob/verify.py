@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import TracialState
 from .bases import UnitaryBasis
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, NoExpectation
 from .expectation import markov_expectation
 from .inclusion import InclusionSpec, spectral_d
 
@@ -337,7 +337,7 @@ def verify_necessary_conditions(
     """
     spec = basis.spec
     if spec is None:
-        raise ValueError("necessary-condition checks need an inclusion spec")
+        raise NoExpectation("necessary-condition checks need an inclusion spec")
     if E is None:
         E = markov_expectation(spec)
     reports = [verify_unitary(basis), verify_orthonormality(basis, E, tol)]
@@ -363,7 +363,7 @@ def verify_basis(
     """
     if E is None:
         if basis.spec is None:
-            raise ValueError("no expectation given and the basis carries no spec")
+            raise NoExpectation("no expectation given and the basis carries no spec")
         E = markov_expectation(basis.spec)
     with np.errstate(invalid="ignore", over="ignore"):
         reports = [

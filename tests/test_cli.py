@@ -237,6 +237,16 @@ def test_verify_malformed_structure_exits_1_with_one_line(tmp_path, capsys, text
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_spec_less_basis_exits_1_with_one_line(tmp_path, capsys):
+    # without a spec there is no expectation to verify against
+    path = tmp_path / "b.json"
+    doc = {"d": 1, "spec": None, "block_dims": [1], "elements": [[[[1.0, 0.0]]]]}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "no spec" in err
+
+
 @pytest.mark.parametrize("method", ["auto", "basic"])
 def test_basis_over_the_size_cap_exits_1_with_one_line(tmp_path, capsys, method):
     # d * sum n_i^2 = 288^3: refused before the GNS cap of the basic model is reached

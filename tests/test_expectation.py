@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uob.algebra import TracialState
+from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.catalog import catalog_names, catalog_spec
-from uob.errors import NonStandardTrace, NotPinched, SingularGram
+from uob.errors import AlgebraMismatch, NonStandardTrace, NotPinched, SingularGram
 from uob.expectation import (
     ExpectationWeights,
     average_E2,
@@ -127,3 +127,43 @@ def test_projection_expectation_rejects_degenerate_family():
     I = spec.super_algebra.identity()
     with pytest.raises(SingularGram):
         projection_expectation(phi, [I, I], I)
+    # a dependent family on several blocks with a non-uniform trace vector
+    alg = MultiMatrixAlgebra((1, 2, 3))
+    rng = np.random.default_rng(8)
+    X, Y = alg.random(rng), alg.random(rng)
+    with pytest.raises(SingularGram):
+        projection_expectation(TracialState(alg, (1, 3, 2)), [X, Y, X + 2 * Y], X)
+
+
+def _projection_reference(phi, family, X):
+    """The projection written out: solve G c = (<S_a, X>)_a, then sum c_a S_a."""
+    G = np.array([[phi.inner(S, T) for T in family] for S in family])
+    c = np.linalg.solve(G, [phi.inner(S, X) for S in family])
+    out = phi.algebra.zero()
+    for ca, S in zip(c, family):
+        out = out + ca * S
+    return out
+
+
+@pytest.mark.parametrize("trace_vector", [(1, 3, 2), (0.7, 1.9, 2.3)])
+@pytest.mark.parametrize("k", [1, 6, 14])
+def test_compiled_projection_matches_the_written_out_formula(trace_vector, k):
+    # random, non-orthogonal families on M_1 + M_2 + M_3 (N = 14) with a
+    # non-uniform trace vector; k = 14 spans the whole algebra
+    alg = MultiMatrixAlgebra((1, 2, 3))
+    phi = TracialState(alg, trace_vector)
+    rng = np.random.default_rng(k)
+    family = [alg.random(rng) for _ in range(k)]
+    for _ in range(3):
+        X = alg.random(rng)
+        got = projection_expectation(phi, family, X)
+        assert got.allclose(_projection_reference(phi, family, X), 1e-12)
+    if k == 14:
+        assert got.allclose(X, 1e-12)
+
+
+def test_compiled_projection_rejects_an_operand_of_another_algebra():
+    alg = MultiMatrixAlgebra((1, 2))
+    phi = TracialState(alg, (1, 2))
+    with pytest.raises(AlgebraMismatch):
+        projection_expectation(phi, [alg.identity()], MultiMatrixAlgebra((3,)).identity())

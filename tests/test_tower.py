@@ -6,7 +6,14 @@ import pytest
 from uob.bases import abelian_basis, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob import tower
-from uob.errors import DimensionMismatch, InvariantViolated, SpectralConditionFailed, TooLarge
+from uob.errors import (
+    DimensionMismatch,
+    InvariantViolated,
+    SingularGram,
+    SpectralConditionFailed,
+    TooLarge,
+)
+from uob.expectation import _GramProjector, markov_expectation
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.tower import (
     basic_construction_basis,
@@ -24,6 +31,17 @@ from uob.verify import (
 )
 
 TOWER_SPECS = ["c_in_m2", "c_in_m1_plus_m2", "c2_in_m2", "c2_in_m2_plus_m2", "m2_in_m4"]
+# the inclusions whose basic construction the benchmark's tower workload builds
+BENCH_TOWER = {
+    "c_in_m5": ([[5]], [1]),
+    "c_in_m2_plus_m3": ([[2], [3]], [1]),
+    "c_in_m1_m1_m2": ([[1], [1], [2]], [1]),
+    "c2_in_m2_plus_m2": ([[1, 1], [1, 1]], [1, 1]),
+    "c3_in_m3": ([[1, 1, 1]], [1, 1, 1]),
+}
+ALL_TOWER = {name: catalog_spec(name) for name in TOWER_SPECS} | {
+    name: InclusionSpec.from_matrix(A, m) for name, (A, m) in BENCH_TOWER.items()
+}
 
 
 def test_left_rep_is_a_homomorphism():
@@ -165,3 +183,58 @@ def test_gns_dimension_over_the_cap_is_too_large():
 def test_degenerate_gram_schmidt_is_an_invariant_violation():
     with pytest.raises(InvariantViolated):
         tower._gram_schmidt(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_left_rep_equals_the_kron_form(name):
+    # I_n (x) X_i written as copies equals np.kron(I_n, X_i) entry for entry
+    spec = ALL_TOWER[name]
+    bc = build_basic_construction(spec)
+    rng = np.random.default_rng(9)
+    xs = [u for _, u in spec.super_algebra.matrix_units()] + [spec.super_algebra.random(rng)]
+    for x in xs:
+        M = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
+        off = 0
+        for n, X in zip(spec.super_dims, x.data):
+            M[off : off + n * n, off : off + n * n] = np.kron(np.eye(n, dtype=complex), X)
+            off += n * n
+        assert np.array_equal(bc.left_rep(x).data[0], M)
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_dual_expectation_is_the_markov_expectation_of_the_gns_layout(name):
+    # left_rep puts block i of x on the diagonal as I_{n_i} (x) x_i, which is
+    # the embedding layout of the inclusion [n] with sub dims n
+    spec = ALL_TOWER[name]
+    n = spec.super_dims
+    bc = build_basic_construction(spec)
+    E = markov_expectation(InclusionSpec.from_matrix([list(n)], n))
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        X = bc.gns_algebra.random(rng)
+        assert dual_expectation(bc, X).allclose(E(X), 1e-14)
+
+
+def test_dual_expectation_compiles_its_projector_once(monkeypatch):
+    built = []
+
+    class Counting(_GramProjector):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tower, "_GramProjector", Counting)
+    bc = build_basic_construction(catalog_spec("c_in_m1_plus_m2"))
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        dual_expectation(bc, bc.gns_algebra.random(rng))
+    dual_expectation(bc, bc.e1)
+    assert len(built) == 1
+    assert isinstance(bc._proj, Counting)
+
+
+def test_degenerate_tower_family_is_a_singular_gram():
+    bc = build_basic_construction(catalog_spec("c_in_m2"))
+    L = bc.left_rep(bc.spec.super_algebra.identity())
+    with pytest.raises(SingularGram):
+        _GramProjector(bc.tr1_state, [L, bc.e1_operator(), L])

@@ -1,10 +1,12 @@
 """The verify suite must accept genuine bases and reject injected defects."""
 
 import numpy as np
+import pytest
 
 from uob.algebra import TracialState
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_spec
+from uob.errors import NoExpectation
 from uob.expectation import conditional_expectation, markov_expectation
 from uob.inclusion import InclusionSpec
 from uob.verify import (
@@ -160,3 +162,13 @@ def test_cardinality_uses_every_column():
     reports = {r.name: r for r in verify_basis(family)}
     assert not reports["cardinality"].passed
     assert reports["cardinality"].witness == "d = 3, expected None"
+
+
+def test_spec_less_basis_without_expectation_is_a_uob_error():
+    spec = catalog_spec("c_in_m2")
+    b = abelian_basis(spec)
+    bare = UnitaryBasis(None, b.stacks, "bare")
+    with pytest.raises(NoExpectation):
+        verify_basis(bare)
+    with pytest.raises(NoExpectation):
+        verify_necessary_conditions(bare)

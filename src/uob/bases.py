@@ -14,7 +14,6 @@ from .errors import (
     AlgebraMismatch,
     CardinalityMismatch,
     DimensionMismatch,
-    DivisibilityError,
     InvariantViolated,
     MiddleAlgebraMismatch,
     NoKnownConstruction,
@@ -311,8 +310,7 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
         raise SpectralConditionFailed("A^t n is not an integer multiple of m")
     n = spec.super_dims[0]
     l, k = d // math.gcd(d, n), n // math.gcd(d, n)
-    if any(m % k != 0 for m in spec.sub_dims):
-        raise DivisibilityError("k does not divide every sub block size")
+    # a_j n = d m_j gives a_j k = l m_j with l, k coprime, so k divides every m_j
     m_red = tuple(m // k for m in spec.sub_dims)
 
     b_trace = weyl_basis(InclusionSpec.from_matrix([[l]], [1]))

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import json
-from importlib import resources
-
 import numpy as np
 
 from .inclusion import InclusionSpec, spectral_d
-from .io import spec_from_dict
 
 # name -> (inclusion_matrix, sub_dims); every spec except c2_in_m3 satisfies
 # the integer spectral condition.
@@ -35,12 +31,6 @@ def catalog_names() -> list[str]:
 def catalog_spec(name: str) -> InclusionSpec:
     mat, sub = _CATALOG[name]
     return InclusionSpec.from_matrix(mat, sub)
-
-
-def load_catalog_file(name: str) -> InclusionSpec:
-    """Load the shipped JSON document for a catalog entry."""
-    text = resources.files("uob").joinpath("data", f"{name}.json").read_text()
-    return spec_from_dict(json.loads(text))
 
 
 def random_abelian_specs(count: int, seed: int, max_d: int = 36) -> list[InclusionSpec]:

@@ -101,9 +101,18 @@ def cmd_channel(args) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are bad input: one stderr line and exit 2, no usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    tol_default = float(os.environ.get("UOB_TOL", "1e-8"))
-    p = argparse.ArgumentParser(prog="uob", description=__doc__)
+    # a string default: argparse converts it with type=float, so a bad
+    # UOB_TOL is reported like a bad --tol
+    tol_default = os.environ.get("UOB_TOL", "1e-8")
+    p = _Parser(prog="uob", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -145,7 +154,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UobError as exc:

@@ -33,10 +33,6 @@ class ShapeMismatch(UobError):
     """Generalized Weyl construction needs equal super blocks and constant column sums."""
 
 
-class NotPinched(UobError):
-    """Input to the block-averaging step has off-block mass above tolerance."""
-
-
 class NonStandardTrace(UobError):
     """Mixed-unitary form is only available for the standard (equal-weight) trace."""
 
@@ -55,10 +51,6 @@ class CardinalityMismatch(UobError):
 
 class NotMultiple(UobError):
     """Full-matrix subalgebra M_m requires every super block size to be a multiple of m."""
-
-
-class DivisibilityError(UobError):
-    """Internal arithmetic contradiction in the full-matrix super-algebra construction."""
 
 
 class PartitionOfUnityFailed(UobError):

@@ -1,15 +1,19 @@
-"""Trace-preserving conditional expectations: pinch, weighted average, channel form.
+"""Trace-preserving conditional expectations: compiled, as a channel, as a projection.
 
-The expectation onto the sub-algebra factors as E = E2 o E1: E1 pinches to
-the sub-block diagonal (and preserves every trace), E2 averages matching
-blocks with exact rational weights q_ij = p_i / sum_x p_x a_xj.  When the
-preserved trace is the standard one, E is also a mixed unitary channel built
-from one diagonal unitary and one cyclic block permutation per sub column.
+For a faithful trace phi on A with trace vector p, the phi-preserving
+expectation onto the embedded sub-algebra B averages, for each sub block j,
+its diagonal copies with weights q_ij = p_i / sum_x p_x a_xj and writes the
+average back into every copy.  ``conditional_expectation(spec, phi)`` compiles
+that map once into a ``SlotTable`` (per sub block j, every copy (super block
+i, start, q_ij)) and returns it as a callable; ``markov_expectation(spec)`` is
+the one for the Markov trace.
 
-``markov_expectation`` compiles E once into a ``SlotTable``: for each sub
-block j, every copy (super block i, start, q_ij).  The factored functions
-``pinch_E1``, ``average_E2`` and ``conditional_expectation`` stay as the
-independent reference the tests compare it with.
+Two other forms of the same map stay as independent references: the
+phi-orthogonal projection onto the span of a family such as the embedded
+matrix units of B (``projection_expectation``, a compiled Gram projector),
+and, when the preserved trace is the standard one, a mixed unitary channel
+built from one diagonal unitary and one cyclic block permutation per sub
+column.
 """
 
 from __future__ import annotations
@@ -22,92 +26,16 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockOperator, TracialState, roots
-from .errors import AlgebraMismatch, NonStandardTrace, NotPinched, SingularGram
-from .inclusion import InclusionSpec, embed, markov_trace, spectral_d, unembed
+from .errors import AlgebraMismatch, NonStandardTrace, SingularGram
+from .inclusion import InclusionSpec, markov_trace, spectral_d
 
-PINCH_TOL = 1e-9
 GRAM_COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class ExpectationWeights:
-    """Rational averaging weights q_ij for the block-averaging step E2."""
-
-    spec: InclusionSpec
-    trace_vector: tuple
-
-    def __post_init__(self):
-        p = tuple(self.trace_vector)
-        if len(p) != self.spec.s:
-            raise AlgebraMismatch("trace vector length does not match super-algebra")
-        object.__setattr__(self, "trace_vector", p)
-
-    def q(self, i: int, j: int):
-        p = self.trace_vector
-        denom = sum(p[x] * self.spec.a(x, j) for x in range(self.spec.s))
-        if all(isinstance(v, int) for v in p):
-            return Fraction(p[i], denom)
-        return p[i] / denom
-
-
-def pinch_E1(spec: InclusionSpec, X: BlockOperator) -> BlockOperator:
-    """Pinch X to the sub-block diagonal: sum_{ijk} P_ijk X P_ijk."""
-    if X.algebra != spec.super_algebra:
-        raise AlgebraMismatch("operand does not belong to the super-algebra")
-    emb = spec.embedding
-    data = []
-    for i, n in enumerate(spec.super_dims):
-        M = np.zeros((n, n), dtype=complex)
-        for j, k, start in emb.sub_blocks(i):
-            mj = spec.sub_dims[j]
-            M[start : start + mj, start : start + mj] = X.data[i][
-                start : start + mj, start : start + mj
-            ]
-        data.append(M)
-    return spec.super_algebra.operator(data)
-
-
-def average_E2(
-    weights: ExpectationWeights, Y: BlockOperator, tol: float = PINCH_TOL
-) -> BlockOperator:
-    """q-weighted average over all copies of each sub block; lands in embed(B)."""
-    spec = weights.spec
-    if Y.algebra != spec.super_algebra:
-        raise AlgebraMismatch("operand does not belong to the super-algebra")
-    if (Y - pinch_E1(spec, Y)).norm_inf() > tol:
-        raise NotPinched("input has off-block mass above tolerance")
-    emb = spec.embedding
-    averaged = []
-    for j in range(spec.r):
-        mj = spec.sub_dims[j]
-        Z = np.zeros((mj, mj), dtype=complex)
-        for v in range(spec.s):
-            for w in range(spec.a(v, j)):
-                start = emb.block_start(v, j, w)
-                Z += float(weights.q(v, j)) * Y.data[v][start : start + mj, start : start + mj]
-        averaged.append(Z)
-    return embed(spec, spec.sub_algebra.operator(averaged))
-
-
-def conditional_expectation(
-    spec: InclusionSpec, phi: TracialState, X: BlockOperator
-) -> BlockOperator:
-    """The phi-preserving conditional expectation E = E2 o E1, in embedded form."""
-    w = ExpectationWeights(spec, phi.trace_vector)
-    return average_E2(w, pinch_E1(spec, X))
-
-
-def conditional_expectation_compressed(
-    spec: InclusionSpec, phi: TracialState, X: BlockOperator
-) -> BlockOperator:
-    """Same map, returned as an element of the sub-algebra."""
-    return unembed(spec, conditional_expectation(spec, phi, X))
 
 
 @dataclass(frozen=True)
 class SlotTable:
     """E compiled once: ``slots[j]`` lists every copy (super block i, start, q_ij)
-    of sub block j, in the order E2 sums them.
+    of sub block j, in the order ``apply`` sums them.
 
     Works on blocks of any leading batch shape: ``blocks[i]`` has shape
     (..., n_i, n_i).
@@ -144,20 +72,16 @@ class SlotTable:
         return out
 
 
-def markov_expectation(spec: InclusionSpec):
-    """Callable E for the Markov-trace-preserving expectation, in embedded form.
+def conditional_expectation(spec: InclusionSpec, phi: TracialState):
+    """Callable E for the phi-preserving expectation onto B, in embedded form.
 
-    Uses the exact dimension-vector trace when the spectral condition holds
-    (works on disconnected direct sums too); otherwise falls back to the
-    numerically computed Markov trace.  ``E.slots`` holds the compiled
-    ``SlotTable``; the verify checks read it to work on whole basis stacks.
+    ``E.slots`` holds the compiled ``SlotTable``; the verify checks read it to
+    work on whole basis stacks.  ``E.phi`` and ``E.spec`` are the arguments.
     """
-    if spectral_d(spec) is not None:
-        phi = TracialState(spec.super_algebra, spec.super_dims)
-    else:
-        phi = markov_trace(spec)
-    table = SlotTable.compile(spec, phi.trace_vector)
     sup = spec.super_algebra
+    if phi.algebra != sup:
+        raise AlgebraMismatch("trace does not belong to the super-algebra")
+    table = SlotTable.compile(spec, phi.trace_vector)
 
     def E(X: BlockOperator) -> BlockOperator:
         if X.algebra != sup:
@@ -168,6 +92,20 @@ def markov_expectation(spec: InclusionSpec):
     E.spec = spec
     E.slots = table
     return E
+
+
+def markov_expectation(spec: InclusionSpec):
+    """``conditional_expectation`` for the Markov trace.
+
+    Uses the exact dimension-vector trace when the spectral condition holds
+    (works on disconnected direct sums too); otherwise falls back to the
+    numerically computed Markov trace.
+    """
+    if spectral_d(spec) is not None:
+        phi = TracialState(spec.super_algebra, spec.super_dims)
+    else:
+        phi = markov_trace(spec)
+    return conditional_expectation(spec, phi)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ import json
 
 import numpy as np
 
-from .algebra import MultiMatrixAlgebra, TracialState
+from .algebra import MultiMatrixAlgebra
 from .bases import UnitaryBasis
 from .errors import DimensionMismatch
-from .inclusion import InclusionSpec, markov_trace
+from .inclusion import InclusionSpec
 
 
 def spec_to_dict(spec: InclusionSpec, name: str = "") -> dict:
@@ -34,13 +34,6 @@ def spec_from_dict(doc: dict) -> InclusionSpec:
         raise DimensionMismatch("super_dims inconsistent with inclusion_matrix @ sub_dims")
     spec.validate()
     return spec
-
-
-def trace_state_from_dict(doc: dict, spec: InclusionSpec) -> TracialState:
-    """The document's trace_vector as a tracial state; defaults to the Markov trace."""
-    if doc.get("trace_vector") is not None:
-        return TracialState(spec.super_algebra, tuple(doc["trace_vector"]))
-    return markov_trace(spec)
 
 
 def _stack_to_json(stack: np.ndarray) -> list:

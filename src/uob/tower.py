@@ -52,7 +52,6 @@ class BasicConstruction:
     tau: TracialState
     gns_dim: int
     e1: np.ndarray
-    _index: list = field(repr=False)
     _proj: _GramProjector | None = field(default=None, repr=False)
 
     @property
@@ -71,13 +70,12 @@ class BasicConstruction:
         return self.gns_algebra.operator([M])
 
     def coeff(self, x: BlockOperator) -> np.ndarray:
-        """GNS coordinate vector of x in the orthonormal basis."""
+        """GNS coordinate vector of x in the orthonormal basis: block i is
+        sqrt(n_i / D) x_i read column by column."""
         D = self.gns_dim
-        c = np.empty(D, dtype=complex)
-        for idx, (i, b, a) in enumerate(self._index):
-            ni = self.spec.super_dims[i]
-            c[idx] = np.sqrt(ni / D) * x.data[i][a, b]
-        return c
+        return np.concatenate(
+            [np.sqrt(n / D) * X.T.ravel() for n, X in zip(self.spec.super_dims, x.data)]
+        )
 
     def tr1(self, X: BlockOperator) -> complex:
         """Normalized ambient matrix trace on the GNS space."""
@@ -108,13 +106,7 @@ def build_basic_construction(
     if D > max_gns_dim:
         raise TooLarge(f"gns_dim {D} exceeds cap {max_gns_dim}")
 
-    index = [
-        (i, b, a)
-        for i, n in enumerate(spec.super_dims)
-        for b in range(n)
-        for a in range(n)
-    ]
-    bc = BasicConstruction(spec, tau, D, np.zeros((D, D)), index)
+    bc = BasicConstruction(spec, tau, D, np.zeros((D, D)))
 
     # e1: tau-orthonormalize the embedded matrix units of B and project.
     cols = []

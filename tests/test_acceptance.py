@@ -181,9 +181,11 @@ def test_acceptance_6_necessary_conditions_and_defects():
 
     spec = catalog_spec("m2_in_m2_plus_m4")
     wrong_phi = TracialState(spec.super_algebra, (1, 1))
-    E_bad = lambda X: conditional_expectation(spec, wrong_phi, X)
-    bad_reports = verify_necessary_conditions(full_matrix_sub_basis(spec), E=E_bad)
-    ok = ok and not all_passed(bad_reports)
+    E_bad = conditional_expectation(spec, wrong_phi)
+    # rejected on the stacked path and on the per-element path
+    for expectation in (E_bad, lambda X: E_bad(X)):
+        bad_reports = verify_necessary_conditions(full_matrix_sub_basis(spec), E=expectation)
+        ok = ok and not all_passed(bad_reports)
     _line(6, "necessary conditions pass on bases, fail on defects", ok)
 
 

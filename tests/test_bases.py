@@ -1,5 +1,8 @@
 """Basis constructions and combinators."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,7 @@ from uob.errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from uob.inclusion import InclusionSpec, check_spectral_condition
+from uob.inclusion import InclusionSpec, check_spectral_condition, spectral_d
 from uob.tower import basic_model_basis
 from uob.verify import (
     all_passed,
@@ -166,6 +169,23 @@ def test_full_matrix_super_basis():
         b = full_matrix_super_basis(spec)
         assert b.spec == spec
         _assert_verified(b, seed=9)
+
+
+def test_full_matrix_super_split_divides_every_sub_block():
+    # the builder splits off M_k, k = n / gcd(d, n); a_j n = d m_j makes k divide
+    # every m_j, checked in integers over the box r <= 3, a_j <= 4, m_j <= 5
+    count = 0
+    for r in range(1, 4):
+        for a in itertools.product(range(1, 5), repeat=r):
+            for m in itertools.product(range(1, 6), repeat=r):
+                spec = InclusionSpec.from_matrix([list(a)], list(m))
+                d = spectral_d(spec)
+                if d is None:
+                    continue
+                count += 1
+                k = spec.super_dims[0] // math.gcd(d, spec.super_dims[0])
+                assert all(mj % k == 0 for mj in m), (a, m)
+    assert count == 148
 
 
 def test_identity_and_adjoint():

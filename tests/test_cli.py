@@ -66,6 +66,31 @@ def test_malformed_json_is_bad_input(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
+def _one_line(err):
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_directory_as_spec_is_bad_input(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and _one_line(err)
+
+
+def test_spec_file_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and _one_line(err)
+
+
+def test_bad_tol_env_is_bad_input(monkeypatch, capsys):
+    monkeypatch.setenv("UOB_TOL", "abc")
+    assert main(["basis", "c_in_m2"]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "'abc'" in err and _one_line(err)
+
+
 def test_bad_subcommand_is_bad_input():
     assert main(["frobnicate"]) == 2
 

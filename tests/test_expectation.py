@@ -1,4 +1,4 @@
-"""Conditional expectations: factored form, axioms, channel form, projections."""
+"""Conditional expectations: the compiled form, axioms, channel form, projections."""
 
 from fractions import Fraction
 
@@ -7,15 +7,11 @@ import pytest
 
 from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.catalog import catalog_names, catalog_spec
-from uob.errors import AlgebraMismatch, NonStandardTrace, NotPinched, SingularGram
+from uob.errors import AlgebraMismatch, NonStandardTrace, SingularGram
 from uob.expectation import (
-    ExpectationWeights,
-    average_E2,
     conditional_expectation,
-    conditional_expectation_compressed,
     markov_expectation,
     mixed_unitary_channel,
-    pinch_E1,
     projection_expectation,
 )
 from uob.inclusion import embed, markov_trace
@@ -28,28 +24,25 @@ EQUAL_WEIGHT = [
 ]
 
 
+def _other_trace(spec):
+    """(0.7, 1.9, 2.3) cut to s entries: off the Markov trace on every catalog
+    spec with more than one super block."""
+    return TracialState(spec.super_algebra, (0.7, 1.9, 2.3)[: spec.s])
+
+
 def test_weights_sum_to_one_in_each_column():
+    # sum_i a_ij q_ij = 1: the copies of each sub block carry weights summing to 1
+    for name in catalog_names():
+        spec = catalog_spec(name)
+        for phi in (markov_trace(spec), _other_trace(spec)):
+            for copies in conditional_expectation(spec, phi).slots.slots:
+                assert abs(sum(q for _, _, q in copies) - 1) <= 1e-15, (name, phi)
+
+
+def test_conditional_expectation_rejects_a_trace_of_another_algebra():
     spec = catalog_spec("m2_in_m2_plus_m4")
-    w = ExpectationWeights(spec, spec.super_dims)
-    for j in range(spec.r):
-        assert sum(spec.a(i, j) * w.q(i, j) for i in range(spec.s)) == Fraction(1)
-
-
-def test_pinch_is_idempotent_and_trace_preserving():
-    spec = catalog_spec("m2_in_m2_plus_m4")
-    rng = np.random.default_rng(0)
-    X = spec.super_algebra.random(rng)
-    Y = pinch_E1(spec, X)
-    assert pinch_E1(spec, Y).allclose(Y, 1e-12)
-    assert np.allclose(X.block_traces(), Y.block_traces(), atol=1e-10)
-
-
-def test_average_rejects_unpinched_input():
-    spec = catalog_spec("c_in_m2")
-    w = ExpectationWeights(spec, spec.super_dims)
-    X = spec.super_algebra.operator([np.array([[0, 1], [0, 0]])])
-    with pytest.raises(NotPinched):
-        average_E2(w, X)
+    with pytest.raises(AlgebraMismatch):
+        conditional_expectation(spec, TracialState(MultiMatrixAlgebra((2, 3)), (1, 1)))
 
 
 def test_expectation_fixes_embedded_subalgebra():
@@ -67,16 +60,6 @@ def test_expectation_axioms_on_catalog():
         E = markov_expectation(spec)
         reports = verify_expectation_axioms(E, E.phi, seed=5)
         assert all_passed(reports), (name, [str(r) for r in reports if not r.passed])
-
-
-def test_compressed_form_matches_embedded_form():
-    spec = catalog_spec("m2_in_m4")
-    phi = TracialState(spec.super_algebra, spec.super_dims)
-    rng = np.random.default_rng(2)
-    X = spec.super_algebra.random(rng)
-    assert embed(spec, conditional_expectation_compressed(spec, phi, X)).allclose(
-        conditional_expectation(spec, phi, X), 1e-12
-    )
 
 
 def test_mixed_unitary_channel_matches_expectation():
@@ -110,15 +93,17 @@ def test_mixed_unitary_requires_equal_weights():
 
 
 def test_projection_expectation_agrees_with_factored_form():
-    spec = catalog_spec("c_in_m1_plus_m2")
-    phi = TracialState(spec.super_algebra, spec.super_dims)
-    basis = [embed(spec, u) for _, u in spec.sub_algebra.matrix_units()]
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        X = spec.super_algebra.random(rng)
-        assert projection_expectation(phi, basis, X).allclose(
-            conditional_expectation(spec, phi, X), 1e-9
-        )
+    # the compiled E (the fused pinch-and-average) against the phi-orthogonal
+    # projection onto the embedded matrix units of B
+    for name in catalog_names():
+        spec = catalog_spec(name)
+        basis = [embed(spec, u) for _, u in spec.sub_algebra.matrix_units()]
+        for phi in (markov_trace(spec), _other_trace(spec)):
+            E = conditional_expectation(spec, phi)
+            rng = np.random.default_rng(3)
+            for _ in range(3):
+                X = spec.super_algebra.random(rng)
+                assert projection_expectation(phi, basis, X).allclose(E(X), 1e-9), name
 
 
 def test_projection_expectation_rejects_degenerate_family():

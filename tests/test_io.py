@@ -1,11 +1,11 @@
-"""JSON round-trips for specs and bases, and the shipped catalog files."""
+"""JSON round-trips for specs and bases."""
 
 import json
 
 import pytest
 
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
-from uob.catalog import catalog_names, catalog_spec, load_catalog_file
+from uob.catalog import catalog_spec
 from uob.errors import DimensionMismatch
 from uob.io import (
     basis_from_dict,
@@ -59,27 +59,11 @@ def test_basis_round_trip_without_spec():
         assert W1.allclose(W2, 1e-15)
 
 
-def test_trace_vector_field_defaults_to_markov():
-    from uob.io import trace_state_from_dict
-
-    spec = catalog_spec("m2_in_m2_plus_m4")
-    doc = spec_to_dict(spec)
-    phi = trace_state_from_dict(doc, spec)
-    assert tuple(phi.trace_vector) == (2, 4)
-    doc["trace_vector"] = [1, 1]
-    assert tuple(trace_state_from_dict(doc, spec).trace_vector) == (1, 1)
-
-
 def test_entries_are_plain_floats():
     doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
     entry = doc["elements"][1][0][0]
     assert isinstance(entry, list) and len(entry) == 2
     assert all(isinstance(v, float) for v in entry)
-
-
-def test_shipped_catalog_files_match_definitions():
-    for name in catalog_names():
-        assert load_catalog_file(name) == catalog_spec(name)
 
 
 def test_basis_from_dict_rejects_wrong_d():

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uob.algebra import TracialState
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import UobError
-from uob.expectation import ExpectationWeights, average_E2, markov_expectation, pinch_E1
+from uob.expectation import _GramProjector, conditional_expectation, markov_expectation
+from uob.inclusion import embed
 from uob.verify import (
     all_passed,
     verify_basis,
@@ -115,17 +117,22 @@ def test_verdicts_agree_on_tampered_copies(name, basis):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_compiled_E_on_a_batch_matches_pinch_then_average(name):
+    # the reference is the phi-orthogonal projection onto the embedded matrix
+    # units of B, under the Markov trace and under a trace off it
     spec = catalog_spec(name)
-    E = markov_expectation(spec)
-    weights = ExpectationWeights(spec, E.phi.trace_vector)
-    rng = np.random.default_rng(11)
-    Xs = [spec.super_algebra.random(rng) for _ in range(4)]
-    batch = E.slots.apply([np.stack(blocks) for blocks in zip(*(X.data for X in Xs))])
-    for k, X in enumerate(Xs):
-        ref = average_E2(weights, pinch_E1(spec, X))
-        for got, want in zip(batch, ref.data):
-            assert np.max(np.abs(got[k] - want)) <= MATCH_TOL
-        assert (E(X) - ref).norm_inf() <= MATCH_TOL
+    units = [embed(spec, u) for _, u in spec.sub_algebra.matrix_units()]
+    other = TracialState(spec.super_algebra, (0.7, 1.9, 2.3)[: spec.s])
+    for phi in (markov_expectation(spec).phi, other):
+        E = conditional_expectation(spec, phi)
+        project = _GramProjector(phi, units)
+        rng = np.random.default_rng(11)
+        Xs = [spec.super_algebra.random(rng) for _ in range(4)]
+        batch = E.slots.apply([np.stack(blocks) for blocks in zip(*(X.data for X in Xs))])
+        for k, X in enumerate(Xs):
+            ref = project(X)
+            for got, want in zip(batch, ref.data):
+                assert np.max(np.abs(got[k] - want)) <= MATCH_TOL
+            assert (E(X) - ref).norm_inf() <= MATCH_TOL
 
 
 def test_fast_path_survives_a_wrapper_that_copies_attributes():

@@ -71,6 +71,20 @@ def test_left_action_on_coefficient_vectors():
     assert np.allclose(bc.left_rep(X).data[0] @ bc.coeff(Y), bc.coeff(X @ Y), atol=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(ALL_TOWER))
+def test_coefficients_of_a_matrix_unit_are_a_scaled_standard_basis_vector(name):
+    # the GNS basis runs per block i over (column b, row a): e_ab of block i
+    # sits at position (i, b, a) with weight sqrt(n_i / D)
+    bc = build_basic_construction(ALL_TOWER[name])
+    D = bc.gns_dim
+    offsets = np.cumsum([0] + [n * n for n in bc.spec.super_dims])
+    for (i, a, b), unit in bc.spec.super_algebra.matrix_units():
+        n = bc.spec.super_dims[i]
+        want = np.zeros(D, dtype=complex)
+        want[offsets[i] + b * n + a] = np.sqrt(n / D)
+        assert np.array_equal(bc.coeff(unit), want), (name, i, a, b)
+
+
 def test_e1_is_a_projection_with_trace_one_over_d():
     for name in TOWER_SPECS:
         spec = catalog_spec(name)

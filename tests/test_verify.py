@@ -50,10 +50,12 @@ def test_defect_wrong_trace():
     # an expectation preserving the wrong tracial state fails the trace check
     spec = catalog_spec("m2_in_m2_plus_m4")
     wrong = TracialState(spec.super_algebra, (1, 1))  # Markov vector would be (2, 4)
-    E_bad = lambda X: conditional_expectation(spec, wrong, X)
-    reports = verify_trace_conditions(spec, E_bad)
-    failed = {r.name for r in reports if not r.passed}
-    assert "markov_preservation" in failed
+    E_bad = conditional_expectation(spec, wrong)
+    # the compiled E takes the stacked check, a plain callable the per-element one
+    for expectation in (E_bad, lambda X: E_bad(X)):
+        reports = verify_trace_conditions(spec, expectation)
+        failed = {r.name for r in reports if not r.passed}
+        assert "markov_preservation" in failed
     good = verify_trace_conditions(spec)
     assert all_passed(good)
 

@@ -24,6 +24,13 @@ Phase = Fraction
 DEFAULT_TOL = 1e-9
 
 
+def exact_index(value) -> int:
+    """``operator.index``, but a bool is a TypeError: JSON ``true`` is no integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not an integer")
+    return operator.index(value)
+
+
 def epsilon(x) -> complex:
     """e^{2 pi i x} for a rational phase x. Unit modulus by construction."""
     x = Fraction(x) % 1
@@ -95,7 +102,7 @@ class MultiMatrixAlgebra:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(operator.index(n) for n in self.blocks)
+        blocks = tuple(exact_index(n) for n in self.blocks)
         if not blocks or any(n < 1 for n in blocks):
             raise ValueError("block dimensions must be a non-empty list of positive integers")
         object.__setattr__(self, "blocks", blocks)

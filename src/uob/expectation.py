@@ -230,29 +230,28 @@ class _GramProjector:
     Compiled once: the family is flattened into the rows of one (k, N) array
     S, N = sum n_i^2, and phi's inner product becomes the per-entry weight w
     (p_i / weight on every entry of block i), so <X, Y> = sum conj(x) w y and
-    the Gram matrix is G = (conj(S) w) S^T.  A call is two matrix-vector
-    products around the k x k inverse of G: c = G^-1 conj(S) (w x), then c S.
+    the Gram matrix is G = conj(S) diag(w) S^T.  The projector keeps
+    P = G^-1 conj(S) diag(w), a (k, N) array, so a call is two matrix-vector
+    products: the coefficients c = P x, then c S.
     """
 
     def __init__(self, phi: TracialState, basis):
         self.algebra = phi.algebra
         self._S = np.stack([_flatten(X) for X in basis])
         sizes = [n * n for n in self.algebra.blocks]
-        self._w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
-        T = self._S * self._w
+        w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
+        T = self._S * w
         G = np.conj(T, out=T) @ self._S.T
         if np.linalg.cond(G) > GRAM_COND_LIMIT:
             raise SingularGram("projection basis is numerically degenerate")
-        self._Ginv = np.linalg.inv(G)
+        self._P = np.linalg.inv(G) @ T
         ends = np.cumsum(sizes)
         self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
 
     def __call__(self, X: BlockOperator) -> BlockOperator:
         if X.algebra != self.algebra:
             raise AlgebraMismatch("operand does not belong to the projector's algebra")
-        # conj(S) (w x) = conj(S conj(w x)), as w is real: no copy of S
-        v = (self._S @ (self._w * _flatten(X)).conj()).conj()
-        flat = (self._Ginv @ v) @ self._S
+        flat = (self._P @ _flatten(X)) @ self._S
         return self.algebra.operator([flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts])
 
 

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState
+from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, exact_index
 from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -21,9 +20,9 @@ from .errors import (
 SPECTRAL_TOL = 1e-9
 
 
-def _ints(values, what: str, item=operator.index) -> tuple:
-    """Exact ints, ``item`` applied to each value; a float, a string or a
-    non-list is a DimensionMismatch, never truncated."""
+def _ints(values, what: str, item=exact_index) -> tuple:
+    """Exact ints, ``item`` applied to each value; a float, a bool, a string
+    or a non-list is a DimensionMismatch, never truncated or coerced."""
     try:
         return tuple(item(v) for v in values)
     except TypeError as exc:
@@ -31,7 +30,7 @@ def _ints(values, what: str, item=operator.index) -> tuple:
 
 
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return _ints(rows, "inclusion matrix", lambda row: tuple(map(operator.index, row)))
+    return _ints(rows, "inclusion matrix", lambda row: tuple(map(exact_index, row)))
 
 
 @dataclass(frozen=True)

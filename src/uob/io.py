@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -44,6 +45,9 @@ def _stack_to_json(stack: np.ndarray) -> list:
 
 def _block_from_json(entries, n: int) -> np.ndarray:
     try:
+        # complex(true, false) would be 1: a JSON boolean is no number
+        if bool in set(map(type, itertools.chain.from_iterable(entries))):
+            raise TypeError("a boolean is not a number")
         flat = np.array([complex(re, im) for re, im in entries])
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"block entries must be [re, im] number pairs: {exc}") from None

@@ -3,21 +3,24 @@
 Every checker takes an expectation as a plain callable E mapping a block
 operator to a block operator of the same algebra (embedded form), so the
 same code verifies both multi-matrix inclusions and concrete
-basic-construction models.  When E carries the compiled slot table of
-``markov_expectation``, the checks run as matrix products over the basis's
-per-block stacks; any other E is called once per element or pair, which is
-also the reference the stacked checks are tested against.  A residual that
-is NaN or infinite fails.
+basic-construction models.  All checks work on the basis's per-block
+(d, n_i, n_i) stacks.  When E carries the compiled slot table of
+``markov_expectation``, E itself is applied as matrix products over the
+stacks; any other E (the tower's Gram projector, a plain callable) is called
+exactly once per operand, d^2 times for orthonormality and d times per test
+operator for reconstruction, with every product around those calls formed
+as a batched matmul.  No linearity of E is assumed on that path, which is
+the reference the compiled checks are tested against.  A residual that is
+NaN or infinite fails.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import TracialState
+from .algebra import BlockOperator, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
 from .expectation import markov_expectation
@@ -163,12 +166,27 @@ def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> Verificatio
     return _worst("unitary", resid, tol, lambda j: f"element {j}")
 
 
+def _apply_each(E, alg, operands, out):
+    """out[i][c] = block i of E(operand c): one E call per operand.
+
+    ``operands`` holds one (K, n_i, n_i) stack per block, ``out`` K-long
+    stacks.  An output that is not an operator of ``alg`` is refused, so a
+    block of the wrong size never lands (or broadcasts) in a stack.
+    """
+    for c in range(len(operands[0])):
+        Y = E(BlockOperator(alg, tuple(p[c] for p in operands)))
+        if getattr(Y, "algebra", None) != alg:
+            raise AlgebraMismatch("expectation output does not belong to the basis's algebra")
+        for o, blk in zip(out, Y.data):
+            o[c] = blk
+
+
 def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> VerificationReport:
     """E(W_j* W_k) = delta_jk I for the given expectation."""
     if not basis.d:
         return _report("orthonormality", np.inf, tol, "empty basis")
-    d = basis.d
-    table = _slot_table(E, basis.algebra)
+    d, alg, stacks = basis.d, basis.algebra, basis.stacks
+    table = _slot_table(E, alg)
     if table is not None:
         resid = 0.0
         for m, _, L, R in _weighted_columns(basis, table):
@@ -176,12 +194,16 @@ def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> Ver
             G[np.diag_indices(d * m)] -= 1
             resid = np.maximum(resid, np.abs(G).reshape(d, m, d, m).max(axis=(1, 3)))
     else:
-        I, zero = basis.algebra.identity(), basis.algebra.zero()
-        resid = [
-            (E(Wj.adjoint() @ Wk) - (I if j == k else zero)).norm_inf()
-            for j, Wj in enumerate(basis.elements)
-            for k, Wk in enumerate(basis.elements)
-        ]
+        out = [np.empty_like(Ws) for Ws in stacks]
+        resid = np.empty((d, d))
+        for j in range(d):
+            # every W_j* W_k in one batched matmul per block, then E on each
+            _apply_each(E, alg, [Ws[j].conj().T @ Ws for Ws in stacks], out)
+            row = 0.0
+            for o in out:
+                o[j] -= np.eye(o.shape[-1])
+                row = np.maximum(row, _entry_max(o))
+            resid[j] = row
     return _worst("orthonormality", resid, tol, lambda t: f"pair {divmod(t, d)}")
 
 
@@ -192,8 +214,9 @@ def verify_reconstruction(
 
     ``sampler(rng)`` may supply the (label, X) test family instead, for bases
     of a proper subalgebra of the ambient block algebra.  With a compiled E
-    the test operators are streamed in batches of at most CHUNK_ENTRIES
-    entries.
+    the matrix units are read off one product per sub block (see
+    ``_unit_residuals``) and the other test operators are streamed in batches
+    of at most CHUNK_ENTRIES entries.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
@@ -210,25 +233,70 @@ def verify_reconstruction(
         if sampler is None:
             samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
             samples += [(f"random {t}", X) for t, X in enumerate(randoms)]
-        resid = []
-        for _, X in samples:
-            acc = alg.zero()
-            for W in basis.elements:
-                acc = acc + W @ E(W.adjoint() @ X)
-            resid.append((acc - X).norm_inf())
+        resid = _generic_reconstruction(basis, E, [X for _, X in samples])
     else:
+        parts = list(_weighted_columns(basis, table))
         size = _batch_size(alg.blocks)
         if sampler is not None:
-            batches = _batches([X for _, X in samples], size)
+            resid = _stacked_reconstruction(parts, _batches([X for _, X in samples], size))
         else:
-            batches = itertools.chain(_unit_batches(alg.blocks, size), _batches(randoms, size))
-        resid = _stacked_reconstruction(basis, table, batches)
+            resid = np.concatenate(
+                [_unit_residuals(basis, parts), _stacked_reconstruction(parts, _batches(randoms, size))]
+            )
     return _worst("reconstruction", resid, tol, label, seed=seed)
 
 
-def _stacked_reconstruction(basis: UnitaryBasis, table, batches) -> np.ndarray:
-    """max |sum_c W_c E(W_c* X) - X| for every X of every (K, n_i, n_i) batch."""
-    parts = list(_weighted_columns(basis, table))
+def _generic_reconstruction(basis: UnitaryBasis, E, Xs) -> np.ndarray:
+    """max |sum_c W_c E(W_c* X) - X| for every X, one E call per W_c* X.
+
+    The W_c E(W_c* X) are one batched matmul per block, summed over c in the
+    order the per-element loop adds them (numpy reorders it only on 1 x 1
+    blocks).  One (n, d n) @ (d n, n) product would be faster but reorders
+    the sum on every block, which moved tower residuals by 1.2e-15.
+    """
+    alg, stacks = basis.algebra, basis.stacks
+    adj = [Ws.conj().swapaxes(-1, -2) for Ws in stacks]
+    out = [np.empty_like(Ws) for Ws in stacks]
+    resid = np.empty(len(Xs))
+    for t, X in enumerate(Xs):
+        if X.algebra != alg:
+            raise AlgebraMismatch("test operator does not belong to the basis's algebra")
+        _apply_each(E, alg, [h @ x for h, x in zip(adj, X.data)], out)
+        r = 0.0
+        for Ws, o, x in zip(stacks, out, X.data):
+            r = np.maximum(r, np.abs((Ws @ o).sum(axis=0) - x).max())
+        resid[t] = r
+    return resid
+
+
+def _unit_residuals(basis: UnitaryBasis, parts) -> np.ndarray:
+    """max |sum_c W_c E(W_c* e) - e| for every matrix unit e, in matrix_units() order.
+
+    For the unit e at row a, column s + l of copy (i, s) of sub block j, the
+    sum is column x of R @ L (x the row of (i, a) in R) written into column
+    s + l of block i.  So every unit (i, a, s..s+m) has the residual
+    max_x' |(R @ L - I)[x', x]|.  A non-finite entry anywhere in the basis
+    makes every residual NaN, as it does in the batched products, where it
+    meets the zeros of every unit.
+    """
+    if not all(np.isfinite(Ws).all() for Ws in basis.stacks):
+        return np.full(basis.algebra.vector_dim, np.nan)
+    out = [np.empty((n, n)) for n in basis.algebra.blocks]
+    for m, copies, L, R in parts:
+        F = R @ L
+        F[np.diag_indices(len(F))] -= 1
+        col = np.abs(F).max(axis=0)
+        x = 0
+        for i, s, _ in copies:
+            n = len(out[i])
+            out[i][:, s : s + m] = col[x : x + n, None]
+            x += n
+    return np.concatenate([o.ravel() for o in out])
+
+
+def _stacked_reconstruction(parts, batches) -> np.ndarray:
+    """max |sum_c W_c E(W_c* X) - X| for every X of every (K, n_i, n_i) batch,
+    with ``parts`` the sub blocks' ``_weighted_columns``."""
     resid = []
     for X in batches:
         K = X[0].shape[0]
@@ -251,27 +319,31 @@ def _stacked_reconstruction(basis: UnitaryBasis, table, batches) -> np.ndarray:
 def verify_expectation_axioms(
     E, phi: TracialState, tol: float = ORTHO_TOL, seed: int = 0
 ) -> list[VerificationReport]:
-    """Idempotence, unitality, positivity, phi-preservation, and the bimodule law."""
+    """Idempotence, unitality, positivity, phi-preservation, and the bimodule law.
+
+    Residuals are folded with numpy, so a NaN or infinite one from any call
+    reaches its report and fails it.
+    """
     alg = phi.algebra
     rng = np.random.default_rng(seed)
     Xs = [alg.random(rng) for _ in range(N_RANDOM)]
 
     reports = []
-    worst = max((E(E(X)) - E(X)).norm_inf() for X in Xs)
+    worst = np.max([(E(E(X)) - E(X)).norm_inf() for X in Xs])
     reports.append(_report("idempotence", worst, tol, seed=seed))
 
     reports.append(_report("unitality", (E(alg.identity()) - alg.identity()).norm_inf(), tol))
 
     # E(X* X) must stay positive semidefinite, up to a small negative floor.
-    worst_neg = 0.0
-    for X in Xs:
-        Y = E(X.adjoint() @ X)
-        for blk in Y.data:
-            lo = float(np.min(np.linalg.eigvalsh((blk + blk.conj().T) / 2)))
-            worst_neg = min(worst_neg, lo)
+    lows = [
+        np.min(np.linalg.eigvalsh((blk + blk.conj().T) / 2))
+        for X in Xs
+        for blk in E(X.adjoint() @ X).data
+    ]
+    worst_neg = np.minimum(0.0, np.min(lows))
     reports.append(_report("positivity", -worst_neg, -POSITIVITY_FLOOR, seed=seed))
 
-    worst = max(abs(phi(E(X)) - phi(X)) for X in Xs)
+    worst = np.max([abs(phi(E(X)) - phi(X)) for X in Xs])
     reports.append(_report("trace_preservation", worst, TRACE_TOL, seed=seed))
 
     # E(E(X) Y E(Z)) = E(X) E(Y) E(Z): the range acts as a bimodule.
@@ -280,7 +352,7 @@ def verify_expectation_axioms(
         X, Y, Z = (alg.random(rng) for _ in range(3))
         lhs = E(E(X) @ Y @ E(Z))
         rhs = E(X) @ E(Y) @ E(Z)
-        worst = max(worst, (lhs - rhs).norm_inf())
+        worst = np.maximum(worst, (lhs - rhs).norm_inf())
     reports.append(_report("bimodule", worst, tol, seed=seed))
     return reports
 

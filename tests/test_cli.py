@@ -49,6 +49,24 @@ def test_check_malformed_spec_exits_1_with_one_line(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"inclusion_matrix": [[True, True]], "sub_dims": [1, 1]},
+        {"inclusion_matrix": [[1, 1]], "sub_dims": [1, True]},
+        {"inclusion_matrix": [[1]], "sub_dims": [1], "super_dims": [True]},
+    ],
+    ids=["inclusion_matrix", "sub_dims", "super_dims"],
+)
+def test_check_boolean_spec_field_exits_1_with_one_line(tmp_path, capsys, doc):
+    # JSON true is not the integer 1: int(True) == 1 must not let it through
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "boolean" in err
+
+
 def test_check_spec_from_file(tmp_path, capsys):
     path = tmp_path / "s.json"
     save_spec(path, catalog_spec("c_in_m3"))
@@ -243,6 +261,22 @@ def test_verify_malformed_basis_exits_1_with_one_line(tmp_path, capsys, elements
     assert main(["verify", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "elements, extra",
+    [
+        ([[[[1.0, 0.0]]]], {"spec": None, "block_dims": [True]}),
+        ([[[[True, False]]]], {}),
+    ],
+    ids=["block_dims", "entry_pair"],
+)
+def test_verify_boolean_basis_field_exits_1_with_one_line(tmp_path, capsys, elements, extra):
+    # complex(True, False) == 1: a boolean entry must not load as a number
+    path = _write_basis_doc(tmp_path / "b.json", elements, **extra)
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "boolean" in err
 
 
 @pytest.mark.parametrize(

@@ -11,13 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uob.algebra import TracialState
+from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
-from uob.errors import UobError
+from uob.errors import AlgebraMismatch, UobError
 from uob.expectation import _GramProjector, conditional_expectation, markov_expectation
 from uob.inclusion import embed
 from uob.verify import (
+    N_RANDOM,
+    RECON_TOL,
+    _batch_size,
+    _stacked_reconstruction,
+    _unit_batches,
+    _unit_label,
+    _unit_residuals,
+    _weighted_columns,
+    _worst,
     all_passed,
     verify_basis,
     verify_orthonormality,
@@ -172,3 +181,51 @@ def test_any_nan_inf_or_moved_entry_fails_on_both_paths(name, basis, data):
     E = markov_expectation(basis.spec)
     for expectation in (E, lambda X: E(X)):
         assert not all_passed(verify_basis(bad, expectation, seed=3)), (name, step)
+
+
+@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
+def test_generic_path_calls_E_once_per_operand(name, basis):
+    E = markov_expectation(basis.spec)
+    calls = []
+
+    def counted(X):  # no slot table: the generic path
+        calls.append(1)
+        return E(X)
+
+    assert verify_orthonormality(basis, counted).passed
+    assert len(calls) == basis.d**2
+    calls.clear()
+    assert verify_reconstruction(basis, counted, seed=2).passed
+    assert len(calls) == basis.d * (basis.algebra.vector_dim + N_RANDOM)
+
+
+@pytest.mark.parametrize("name", ["c_in_m2", "m2_in_m2_plus_m4"])
+def test_an_output_of_another_algebra_is_an_algebra_mismatch(name):
+    # a (1, 1) block must not broadcast into the basis's (n, n) slots
+    basis = dict(BASES)[name]
+    other = MultiMatrixAlgebra((1,) * basis.algebra.num_blocks)
+    E = lambda X: other.identity()  # noqa: E731
+    with pytest.raises(AlgebraMismatch):
+        verify_orthonormality(basis, E)
+    with pytest.raises(AlgebraMismatch):
+        verify_reconstruction(basis, E)
+
+
+def _unit_parity(basis):
+    table = markov_expectation(basis.spec).slots
+    blocks = basis.algebra.blocks
+    with np.errstate(invalid="ignore", over="ignore"):
+        parts = list(_weighted_columns(basis, table))
+        fast = _unit_residuals(basis, parts)
+        batched = _stacked_reconstruction(parts, _unit_batches(blocks, _batch_size(blocks)))
+    np.testing.assert_allclose(fast, batched, rtol=0, atol=MATCH_TOL)
+    label = lambda k: _unit_label(blocks, k)  # noqa: E731
+    a, b = _worst("r", fast, RECON_TOL, label), _worst("r", batched, RECON_TOL, label)
+    assert (a.witness, a.passed) == (b.witness, b.passed)
+
+
+@pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
+def test_unit_residuals_from_one_product_match_the_batched_units(name, basis):
+    _unit_parity(basis)
+    for kind, elements in _tampered(basis).items():
+        _unit_parity(UnitaryBasis.from_elements(basis.spec, elements, kind))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uob.bases import abelian_basis, full_matrix_super_basis, weyl_basis
+from uob.bases import abelian_basis, construct, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob import tower
 from uob.errors import (
@@ -252,3 +252,52 @@ def test_degenerate_tower_family_is_a_singular_gram():
     L = bc.left_rep(bc.spec.super_algebra.identity())
     with pytest.raises(SingularGram):
         _GramProjector(bc.tr1_state, [L, bc.e1_operator(), L])
+
+
+def _tower_basis(name):
+    spec = ALL_TOWER[name]
+    bc = build_basic_construction(spec)
+    return bc, basic_construction_basis(bc, construct(spec, "auto"))
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_generic_checks_call_the_dual_expectation_once_per_operand(name):
+    bc, b1 = _tower_basis(name)
+    calls = []
+
+    def E1(X):
+        calls.append(1)
+        return dual_expectation(bc, X)
+
+    assert verify_orthonormality(b1, E1).passed
+    assert len(calls) == b1.d**2
+    calls.clear()
+    samples = generated_algebra_sampler(bc)(np.random.default_rng(5))
+    assert verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc)).passed
+    assert len(calls) == b1.d * len(samples)
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_generic_checks_match_the_per_element_loop(name):
+    # the loop the stacked generic path replaced: one block operator per
+    # product, W_j* W_k and W E(W* X) formed and summed element by element
+    bc, b1 = _tower_basis(name)
+    E1 = lambda X: dual_expectation(bc, X)  # noqa: E731
+    I, zero = bc.gns_algebra.identity(), bc.gns_algebra.zero()
+    ortho = [
+        (E1(Wj.adjoint() @ Wk) - (I if j == k else zero)).norm_inf()
+        for j, Wj in enumerate(b1.elements)
+        for k, Wk in enumerate(b1.elements)
+    ]
+    samples = generated_algebra_sampler(bc)(np.random.default_rng(5))
+    recon = []
+    for _, X in samples:
+        acc = zero
+        for W in b1.elements:
+            acc = acc + W @ E1(W.adjoint() @ X)
+        recon.append((acc - X).norm_inf())
+    fast = verify_orthonormality(b1, E1)
+    assert abs(fast.residual - max(ortho)) <= 1e-15
+    fast = verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc))
+    assert abs(fast.residual - max(recon)) <= 1e-15
+    assert fast.witness == samples[int(np.argmax(recon))][0]

@@ -174,3 +174,27 @@ def test_spec_less_basis_without_expectation_is_a_uob_error():
         verify_basis(bare)
     with pytest.raises(NoExpectation):
         verify_necessary_conditions(bare)
+
+
+# E is called 30 times for idempotence (E(X), E(E(X)), E(X) per draw), once
+# for unitality, 10 times each for positivity and trace preservation, then 60
+# times for the bimodule law; one call in the middle of a report returns NaN.
+@pytest.mark.parametrize(
+    "call,report",
+    [(5, "idempotence"), (26, "idempotence"), (36, "positivity"),
+     (46, "trace_preservation"), (80, "bimodule")],
+)
+def test_a_nan_from_one_middle_call_fails_its_axiom_report(call, report):
+    E = markov_expectation(catalog_spec("c_in_m2"))
+    calls = []
+
+    def poisoned(X):
+        calls.append(1)
+        Y = E(X)
+        if len(calls) == call:
+            return X.algebra.operator([np.full(b.shape, np.nan) for b in Y.data])
+        return Y
+
+    reports = verify_expectation_axioms(poisoned, E.phi, seed=3)
+    assert len(calls) == 111
+    assert [r.name for r in reports if not r.passed] == [report]

@@ -159,7 +159,8 @@ class MixedUnitaryDecomposition:
                 yield Lprod @ Kpowers[y]
 
     def apply(self, X) -> np.ndarray:
-        """Average the unitary conjugations over a dense ambient matrix."""
+        """Average the unitary conjugations over a dense ambient matrix, or over
+        a stack of them with any leading batch shape (..., N, N)."""
         if isinstance(X, BlockOperator):
             X = X.to_dense()
         X = np.asarray(X, dtype=complex)

@@ -123,18 +123,18 @@ def _validate_basic_construction(bc: BasicConstruction):
     spec = bc.spec
     E = markov_expectation(spec)
     e1 = bc.e1
-    worst_jones, worst_trace = 0.0, 0.0
+    jones, trace = [], []
     for _, unit in spec.super_algebra.matrix_units():
         L = bc.left_rep(unit).data[0]
         lhs = e1 @ L @ e1
         rhs = bc.left_rep(E(unit)).data[0] @ e1
-        worst_jones = max(worst_jones, float(np.max(np.abs(lhs - rhs))))
-        worst_trace = max(
-            worst_trace, abs(np.trace(L) / bc.gns_dim - bc.tau(unit))
-        )
-    if worst_jones > JONES_TOL:
+        jones.append(np.max(np.abs(lhs - rhs)))
+        trace.append(abs(np.trace(L) / bc.gns_dim - bc.tau(unit)))
+    # np.max keeps a NaN that Python's max drops, and a NaN fails the test
+    worst_jones, worst_trace = float(np.max(jones)), float(np.max(trace))
+    if not worst_jones <= JONES_TOL:
         raise InvariantViolated(f"Jones relation residual {worst_jones}")
-    if worst_trace > 1e-10:
+    if not worst_trace <= 1e-10:
         raise InvariantViolated(f"Markov compatibility residual {worst_trace}")
 
 

@@ -1,14 +1,17 @@
 """CLI contract: subcommands, output formats, and exit codes."""
 
 import json
+import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from uob.bases import METHODS
 from uob.catalog import catalog_spec
 from uob.cli import build_parser, main
+from uob.expectation import MixedUnitaryDecomposition
 from uob.inclusion import InclusionSpec
 from uob.io import load_basis, save_spec
 
@@ -109,6 +112,43 @@ def test_bad_tol_env_is_bad_input(monkeypatch, capsys):
     assert "--tol" in err and "'abc'" in err and _one_line(err)
 
 
+def test_parser_is_built_once_per_tol_value(monkeypatch):
+    monkeypatch.delenv("UOB_TOL", raising=False)
+    parser = build_parser()
+    assert build_parser() is parser
+    monkeypatch.setenv("UOB_TOL", "1e-6")
+    other = build_parser()
+    assert other is not parser and build_parser() is other
+    assert other.parse_args(["verify", "b.json"]).tol == 1e-6
+    assert parser.parse_args(["verify", "b.json"]).tol == 1e-8
+
+
+def test_tol_flag_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert main(["basis", "c_in_m2", "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--tol", "1e-30"]) == 1
+    assert main(["verify", str(out)]) == 0
+
+
+def test_method_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    # no full-matrix factor to split off: tensor fails, auto builds a basis
+    assert main(["basis", "c_in_m1_plus_m2", "--method", "tensor"]) == 1
+    assert main(["basis", "c_in_m1_plus_m2", "--out", str(out)]) == 0
+    assert load_basis(out).provenance == "abelian"
+    assert build_parser().parse_args(["basis", "c_in_m1_plus_m2"]).method == "auto"
+
+
+def test_bad_tol_env_after_a_good_one_is_bad_input(monkeypatch, capsys):
+    monkeypatch.setenv("UOB_TOL", "1e-8")
+    assert main(["basis", "c_in_m2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("UOB_TOL", "abc")
+    assert main(["basis", "c_in_m2"]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "'abc'" in err and _one_line(err)
+
+
 def test_bad_subcommand_is_bad_input():
     assert main(["frobnicate"]) == 2
 
@@ -198,6 +238,26 @@ def test_channel(capsys):
     assert doc["k_phases"]["(1, 1, 0)"] == "3/4"
     assert doc["cycles"] == [[[0, 0], [1, 0]], [[0, 0], [1, 0]]]
     assert main(["channel", "m2_in_m2_plus_m4"]) == 1
+
+
+def test_channel_with_a_nan_operand_exits_1(monkeypatch, capsys):
+    # the third of the five random operands comes back NaN from the channel
+    real = MixedUnitaryDecomposition.apply
+    calls = []
+
+    def poisoned(self, X):
+        out = real(self, X)
+        if out.ndim == 3:
+            out[2] = np.nan
+        else:
+            calls.append(X)
+            if len(calls) == 3:
+                out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(MixedUnitaryDecomposition, "apply", poisoned)
+    assert main(["channel", "c2_in_m2_plus_m2"]) == 1
+    assert math.isnan(json.loads(capsys.readouterr().out)["agreement_residual"])
 
 
 def test_tol_flag_can_force_failure(tmp_path, capsys):

@@ -73,6 +73,18 @@ def test_mixed_unitary_channel_matches_expectation():
             assert np.max(np.abs(dec.apply(X) - E(X).to_dense())) < 1e-10, name
 
 
+@pytest.mark.parametrize("name", EQUAL_WEIGHT)
+def test_mixed_unitary_apply_on_a_stack_equals_the_single_calls(name):
+    spec = catalog_spec(name)
+    dec = mixed_unitary_channel(spec)
+    rng = np.random.default_rng(7)
+    Xs = np.stack([spec.super_algebra.random(rng).to_dense() for _ in range(5)])
+    batch = dec.apply(Xs)
+    assert batch.shape == Xs.shape
+    for X, got in zip(Xs, batch):
+        assert np.array_equal(got, dec.apply(X)), name
+
+
 def test_mixed_unitary_operators_are_unitary():
     spec = catalog_spec("c2_in_m2_plus_m2")
     dec = mixed_unitary_channel(spec)

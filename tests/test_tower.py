@@ -125,6 +125,17 @@ def test_failed_jones_relation_is_a_uob_error(monkeypatch):
         build_basic_construction(catalog_spec("c_in_m2"))
 
 
+def test_a_nan_expectation_fails_the_jones_relation(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: the fold must keep the NaN
+    def nan_expectation(spec):
+        sup = spec.super_algebra
+        return lambda X: sup.operator([np.full((n, n), np.nan) for n in sup.blocks])
+
+    monkeypatch.setattr(tower, "markov_expectation", nan_expectation)
+    with pytest.raises(InvariantViolated, match="Jones"):
+        build_basic_construction(InclusionSpec.from_matrix([[2]], [1]))
+
+
 def test_dual_expectation_of_e1():
     # E_1(e_1) = I / d, the hallmark of the dual expectation
     for name in TOWER_SPECS:

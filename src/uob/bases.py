@@ -93,8 +93,7 @@ def identity_basis(m: int) -> UnitaryBasis:
 
 
 def _abelian_d(spec: InclusionSpec) -> int:
-    """The d of a valid abelian spec that meets the spectral condition."""
-    spec.validate()
+    """The d of an abelian spec that meets the spectral condition."""
     if any(m != 1 for m in spec.sub_dims):
         raise NotAbelian("construction requires all sub blocks of size 1")
     d = spectral_d(spec)
@@ -165,7 +164,6 @@ def weyl_basis(spec: InclusionSpec) -> UnitaryBasis:
     V is the blockwise cyclic shift; U has diagonal entry
     epsilon(t (sum_{x<i} a_xj + k) / q) where q is the common column sum.
     """
-    spec.validate()
     if any(m != 1 for m in spec.sub_dims):
         raise ShapeMismatch("sub-algebra must be abelian for the Weyl construction")
     n = spec.super_dims[0]
@@ -284,7 +282,6 @@ def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
     Realized as the tensor of the trivial basis on (M_m in M_m) with the
     abelian basis for (C in (+)_i M_{k_i}), k_i = n_i / m.
     """
-    spec.validate()
     if spec.r != 1:
         raise ShapeMismatch("sub-algebra must be a single full matrix block")
     m = spec.sub_dims[0]
@@ -302,7 +299,6 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     """
     from .tower import basic_model_basis
 
-    spec.validate()
     if spec.s != 1:
         raise ShapeMismatch("super-algebra must be a single full matrix block")
     d = spectral_d(spec)
@@ -349,7 +345,6 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     entries is refused with ``TooLarge`` before any builder runs.  The table is
     built per call, so rebound module names are used.
     """
-    spec.validate()
     size = (spectral_d(spec) or 0) * spec.super_algebra.vector_dim
     if size > MAX_BASIS_ENTRIES:
         raise TooLarge(f"a basis would hold {size} entries, over the cap of {MAX_BASIS_ENTRIES}")

@@ -172,7 +172,6 @@ class MixedUnitaryDecomposition:
 
 def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
     """Mixed-unitary form of E for the standard trace (all Markov weights equal)."""
-    spec.validate()
     p = markov_trace(spec).trace_vector
     if any(abs(v - p[0]) > 1e-12 for v in p):
         raise NonStandardTrace("mixed-unitary form requires equal trace weights")

@@ -40,6 +40,8 @@ class InclusionSpec:
     inclusion_matrix is s x r with non-negative integer entries a_{ij}; block
     j of the sub-algebra appears a_{ij} times inside block i of the
     super-algebra.  Dimension counting forces A @ sub_dims == super_dims.
+    Construction converts the fields to exact ints and runs ``validate``, so
+    every spec that exists is valid.
     """
 
     inclusion_matrix: tuple[tuple[int, ...], ...]
@@ -50,6 +52,7 @@ class InclusionSpec:
         object.__setattr__(self, "inclusion_matrix", _int_rows(self.inclusion_matrix))
         object.__setattr__(self, "sub_dims", _ints(self.sub_dims, "sub_dims"))
         object.__setattr__(self, "super_dims", _ints(self.super_dims, "super_dims"))
+        self.validate()
 
     @classmethod
     def from_matrix(cls, inclusion_matrix, sub_dims) -> "InclusionSpec":
@@ -77,7 +80,7 @@ class InclusionSpec:
     def a(self, i: int, j: int) -> int:
         return self.inclusion_matrix[i][j]
 
-    def validate(self) -> "Embedding":
+    def validate(self) -> None:
         """Check shape consistency, A @ m == n, and no empty column."""
         if self.s == 0 or self.r == 0:
             raise DimensionMismatch("inclusion matrix needs at least one row and one column")
@@ -97,7 +100,6 @@ class InclusionSpec:
         for j in range(self.r):
             if all(self.inclusion_matrix[i][j] == 0 for i in range(self.s)):
                 raise EmptyColumn(f"column {j} of the inclusion matrix is zero")
-        return self.embedding
 
     @cached_property
     def embedding(self) -> "Embedding":
@@ -205,9 +207,8 @@ def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
     """The spectral report: d from ``spectral_d``, cross-checked against ||A||^2.
 
     A^t A m = d m and A A^t n = d n need no check: they follow exactly from
-    A m = n, which ``validate`` checks, and A^t n = d m.
+    A m = n, which every spec satisfies, and A^t n = d m.
     """
-    spec.validate()
     d = spectral_d(spec)
     m, n = spec.sub_dims, spec.super_dims
     norm_sq = float(np.linalg.norm(np.array(spec.inclusion_matrix, dtype=float), ord=2) ** 2)
@@ -219,12 +220,9 @@ def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
         trace = TracialState(spec.super_algebra, n)
         entropy = math.log(d)
     else:
-        quadratic, trace, entropy = False, None, None
-        if connected:
-            try:
-                trace = markov_trace(spec)
-            except DisconnectedDiagram:  # pragma: no cover
-                pass
+        quadratic, entropy = False, None
+        # on a connected diagram the Perron vector is strictly positive
+        trace = markov_trace(spec) if connected else None
     return SpectralReport(d is not None, d, trace, quadratic, entropy, norm_sq, connected)
 
 
@@ -235,7 +233,6 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
     dimension vector n; otherwise it is computed numerically.  Disconnected
     diagrams are rejected because uniqueness fails.
     """
-    spec.validate()
     if not spec.is_connected():
         raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
     if spectral_d(spec) is not None:
@@ -282,7 +279,6 @@ def unembed(spec: InclusionSpec, X: BlockOperator) -> BlockOperator:
 
 def minimal_central_projections(spec: InclusionSpec):
     """(P_i, Q_j): block identities of A and embedded block identities of B."""
-    spec.validate()
     sup = spec.super_algebra
     Ps = []
     for i, n in enumerate(spec.super_dims):

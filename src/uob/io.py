@@ -10,7 +10,7 @@ import numpy as np
 from .algebra import MultiMatrixAlgebra
 from .bases import UnitaryBasis
 from .errors import DimensionMismatch
-from .inclusion import InclusionSpec
+from .inclusion import InclusionSpec, _int_rows, _ints
 
 
 def spec_to_dict(spec: InclusionSpec, name: str = "") -> dict:
@@ -30,11 +30,11 @@ def spec_from_dict(doc: dict) -> InclusionSpec:
         sub = doc["sub_dims"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"missing field in spec document: {exc}")
-    spec = InclusionSpec.from_matrix(mat, sub)
-    if "super_dims" in doc and InclusionSpec(mat, sub, doc["super_dims"]) != spec:
+    mat, sub = _int_rows(mat), _ints(sub, "sub_dims")
+    sup = tuple(sum(a * m for a, m in zip(row, sub)) for row in mat)
+    if "super_dims" in doc and _ints(doc["super_dims"], "super_dims") != sup:
         raise DimensionMismatch("super_dims inconsistent with inclusion_matrix @ sub_dims")
-    spec.validate()
-    return spec
+    return InclusionSpec(mat, sub, sup)
 
 
 def _stack_to_json(stack: np.ndarray) -> list:

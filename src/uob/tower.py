@@ -10,7 +10,8 @@ transpose inclusion, lines up with the canonical embedding layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,41 +23,46 @@ from .inclusion import InclusionSpec, embed, spectral_d
 
 JONES_TOL = 1e-9
 PARTITION_TOL = 1e-8
-GS_RESIDUAL_TOL = 1e-12
-DEFAULT_GNS_CAP = 256
+# largest GNS dimension D = sum n_i^2 that build_basic_construction accepts
+MAX_GNS_DIM = 256
 
 
-def _gram_schmidt(vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one reorthogonalization pass; columns in, columns out."""
-    Q = np.array(vectors, dtype=complex)
-    n = Q.shape[1]
-    for _ in range(2):
-        for a in range(n):
-            for b in range(a):
-                Q[:, a] -= (Q[:, b].conj() @ Q[:, a]) * Q[:, b]
-            nrm = np.linalg.norm(Q[:, a])
-            if nrm < GS_RESIDUAL_TOL:
-                raise InvariantViolated("degenerate vector family in Gram-Schmidt")
-            Q[:, a] /= nrm
-    resid = np.max(np.abs(Q.conj().T @ Q - np.eye(n)))
-    if resid > GS_RESIDUAL_TOL:
-        raise InvariantViolated(f"orthonormalization residual {resid} above tolerance")
-    return Q
-
-
-@dataclass
+@dataclass(frozen=True)
 class BasicConstruction:
-    """A_1 = <A, e_1> acting on L^2(A, tau) for the Markov trace tau."""
+    """A_1 = <A, e_1> acting on L^2(A, tau) for the Markov trace tau.
+
+    Everything is a function of ``spec``; ``build_basic_construction`` is the
+    way in, as it checks the spectral condition and the Jones relation.
+    """
 
     spec: InclusionSpec
-    tau: TracialState
-    gns_dim: int
-    e1: np.ndarray
-    _proj: _GramProjector | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
+    def tau(self) -> TracialState:
+        return TracialState(self.spec.super_algebra, self.spec.super_dims)
+
+    @cached_property
+    def gns_dim(self) -> int:
+        return self.spec.super_algebra.vector_dim
+
+    @cached_property
     def gns_algebra(self) -> MultiMatrixAlgebra:
         return MultiMatrixAlgebra((self.gns_dim,))
+
+    @cached_property
+    def e1(self) -> np.ndarray:
+        """Projection onto the copy of B: the GNS vectors of B's embedded matrix
+        units have disjoint supports, so normalizing them makes them orthonormal."""
+        spec = self.spec
+        cols = np.array([self.coeff(embed(spec, u)) for _, u in spec.sub_algebra.matrix_units()]).T
+        Q = cols / np.linalg.norm(cols, axis=0)
+        return Q @ Q.conj().T
+
+    @cached_property
+    def _proj(self) -> _GramProjector:
+        """The Gram projector onto left_rep(A), compiled at the first dual_expectation."""
+        basis = (self.left_rep(u) for _, u in self.spec.super_algebra.matrix_units())
+        return _GramProjector(self.tr1_state, basis)
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
@@ -89,32 +95,19 @@ class BasicConstruction:
         return TracialState(self.gns_algebra, (1,))
 
 
-def build_basic_construction(
-    spec: InclusionSpec, max_gns_dim: int = DEFAULT_GNS_CAP
-) -> BasicConstruction:
+def build_basic_construction(spec: InclusionSpec) -> BasicConstruction:
     """Build <A, e_1> on L^2(A, tau); requires the spectral condition.
 
     Under it the normalized ambient trace on the GNS space restricts to the
     Markov trace on left-multiplication operators, which is validated here
     together with the Jones relation e1 x e1 = embed(E(x)) e1.
     """
-    spec.validate()
     if spectral_d(spec) is None:
         raise SpectralConditionFailed("basic construction requires the spectral condition")
-    tau = TracialState(spec.super_algebra, spec.super_dims)
     D = spec.super_algebra.vector_dim
-    if D > max_gns_dim:
-        raise TooLarge(f"gns_dim {D} exceeds cap {max_gns_dim}")
-
-    bc = BasicConstruction(spec, tau, D, np.zeros((D, D)))
-
-    # e1: tau-orthonormalize the embedded matrix units of B and project.
-    cols = []
-    for _, unit in spec.sub_algebra.matrix_units():
-        cols.append(bc.coeff(embed(spec, unit)))
-    Q = _gram_schmidt(np.array(cols).T)
-    bc.e1 = Q @ Q.conj().T
-
+    if D > MAX_GNS_DIM:
+        raise TooLarge(f"gns_dim {D} exceeds cap {MAX_GNS_DIM}")
+    bc = BasicConstruction(spec)
     _validate_basic_construction(bc)
     return bc
 
@@ -140,9 +133,6 @@ def _validate_basic_construction(bc: BasicConstruction):
 
 def dual_expectation(bc: BasicConstruction, X: BlockOperator) -> BlockOperator:
     """tr1-preserving projection of a GNS-space operator onto left_rep(A)."""
-    if bc._proj is None:
-        basis = (bc.left_rep(u) for _, u in bc.spec.super_algebra.matrix_units())
-        bc._proj = _GramProjector(bc.tr1_state, basis)
     if isinstance(X, np.ndarray):
         X = bc.gns_algebra.operator([X])
     return bc._proj(X)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from uob.bases import construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import DimensionMismatch, DisconnectedDiagram, EmptyColumn
+from uob.expectation import conditional_expectation
 from uob.inclusion import (
     InclusionSpec,
     check_spectral_condition,
@@ -16,6 +18,8 @@ from uob.inclusion import (
     spectral_d,
     unembed,
 )
+from uob.algebra import MultiMatrixAlgebra, TracialState
+from uob.verify import all_passed, verify_basis
 
 # hand integer arithmetic for the shipped catalog: name -> expected d (None = fails)
 EXPECTED_D = {
@@ -43,6 +47,55 @@ def test_from_matrix_computes_super_dims():
 def test_validate_rejects_bad_dimension_count():
     with pytest.raises(DimensionMismatch):
         InclusionSpec(((1,),), (2,), (3,)).validate()
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ((((1, 1),), (1,), (1,)), DimensionMismatch),  # a row of the wrong length
+        ((((2, -1),), (1, 1), (1,)), DimensionMismatch),  # a negative entry
+        ((((1,),), (0,), (0,)), DimensionMismatch),  # a non-positive dimension
+        ((((1,),), (2,), (3,)), DimensionMismatch),  # A m != n
+        ((((1, 0), (2, 0)), (1, 1), (1, 2)), EmptyColumn),  # a zero column
+        (((), (), ()), DimensionMismatch),  # an empty matrix
+    ],
+)
+def test_an_invalid_spec_cannot_be_constructed(fields, error):
+    with pytest.raises(error):
+        InclusionSpec(*fields)
+
+
+def test_no_expectation_of_an_invalid_spec():
+    # a spec with A m != n would give a non-unital E, with E(I) = diag(1, 1, 0)
+    phi = TracialState(MultiMatrixAlgebra((3,)), (1,))
+    with pytest.raises(DimensionMismatch):
+        conditional_expectation(InclusionSpec(((1,),), (2,), (3,)), phi)
+
+
+def test_every_spec_is_validated_once_by_its_constructor(monkeypatch):
+    built, validated = [], []
+    post_init, validate = InclusionSpec.__post_init__, InclusionSpec.validate
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_validate(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(InclusionSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(InclusionSpec, "validate", counting_validate)
+    counts = {}
+    for name in ("c_in_m5", "c2_in_m4", "m2_in_m2_plus_m4", "c3_in_m3"):
+        spec = catalog_spec(name)
+        del built[:], validated[:]
+        assert all_passed(verify_basis(construct(spec, "auto"), seed=7))
+        counts[name] = (len(built), len(validated))
+    # an abelian basis builds no spec of its own, so nothing is validated again;
+    # a full_matrix_sub basis validates the specs it builds, each once
+    assert counts["c_in_m5"] == counts["c2_in_m4"] == (0, 0)
+    assert all(b == v for b, v in counts.values()) and counts["m2_in_m2_plus_m4"][0] > 0
 
 
 def test_from_matrix_rejects_non_integer_entries():

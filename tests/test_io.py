@@ -7,6 +7,7 @@ import pytest
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob.errors import DimensionMismatch
+from uob.inclusion import InclusionSpec
 from uob.io import (
     basis_from_dict,
     basis_to_dict,
@@ -34,6 +35,21 @@ def test_spec_from_dict_checks_consistency():
         spec_from_dict(doc)
     with pytest.raises(DimensionMismatch):
         spec_from_dict({"inclusion_matrix": [[1]]})
+
+
+def test_load_spec_builds_one_spec(tmp_path, monkeypatch):
+    built = []
+    post_init = InclusionSpec.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    spec, path = catalog_spec("m2_in_m2_plus_m4"), tmp_path / "spec.json"
+    save_spec(path, spec)  # the file holds super_dims
+    monkeypatch.setattr(InclusionSpec, "__post_init__", counting_post_init)
+    loaded = load_spec(path)
+    assert built == [loaded] and loaded == spec
 
 
 def test_basis_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Concrete basic construction, dual expectation, and twisted bases."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -205,9 +207,29 @@ def test_gns_dimension_over_the_cap_is_too_large():
         build_basic_construction(InclusionSpec.from_matrix([[17]], [1]))
 
 
-def test_degenerate_gram_schmidt_is_an_invariant_violation():
-    with pytest.raises(InvariantViolated):
-        tower._gram_schmidt(np.ones((3, 2)))
+def test_gns_cap_is_the_module_constant(monkeypatch):
+    monkeypatch.setattr(tower, "MAX_GNS_DIM", 4)
+    assert build_basic_construction(catalog_spec("c_in_m2")).gns_dim == 4
+    with pytest.raises(TooLarge, match="^gns_dim 5 exceeds cap 4$"):
+        build_basic_construction(catalog_spec("c_in_m1_plus_m2"))
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_e1_is_the_projection_onto_the_embedded_sub_algebra(name):
+    # the closed form Q Q* against the least-squares projector C C^+
+    spec = ALL_TOWER[name]
+    bc = build_basic_construction(spec)
+    C = np.array([bc.coeff(embed(spec, u)) for _, u in spec.sub_algebra.matrix_units()]).T
+    assert np.abs(bc.e1 - C @ np.linalg.pinv(C)).max() < 1e-14
+
+
+def test_basic_construction_is_frozen():
+    bc = build_basic_construction(catalog_spec("c_in_m2"))
+    with pytest.raises(FrozenInstanceError):
+        bc.e1 = np.zeros((bc.gns_dim, bc.gns_dim))
+    with pytest.raises(FrozenInstanceError):
+        bc.spec = catalog_spec("c_in_m3")
+    assert bc == tower.BasicConstruction(catalog_spec("c_in_m2"))
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)

@@ -56,7 +56,9 @@ class BasicConstruction:
         spec = self.spec
         cols = np.array([self.coeff(embed(spec, u)) for _, u in spec.sub_algebra.matrix_units()]).T
         Q = cols / np.linalg.norm(cols, axis=0)
-        return Q @ Q.conj().T
+        e1 = Q @ Q.conj().T
+        e1.flags.writeable = False  # cached and shared: no caller may change it
+        return e1
 
     @cached_property
     def _proj(self) -> _GramProjector:

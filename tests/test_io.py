@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
-from uob.catalog import catalog_spec
-from uob.errors import DimensionMismatch
+from uob import cli
+from uob.bases import METHODS, UnitaryBasis, abelian_basis, construct, weyl_basis
+from uob.catalog import catalog_names, catalog_spec
+from uob.errors import DimensionMismatch, InvariantViolated, UobError
 from uob.inclusion import InclusionSpec
 from uob.io import (
     basis_from_dict,
@@ -35,6 +37,15 @@ def test_spec_from_dict_checks_consistency():
         spec_from_dict(doc)
     with pytest.raises(DimensionMismatch):
         spec_from_dict({"inclusion_matrix": [[1]]})
+
+
+@pytest.mark.parametrize("with_super_dims", [False, True])
+def test_a_row_longer_than_sub_dims_is_a_column_count_error(with_super_dims):
+    doc = {"inclusion_matrix": [[1, 1]], "sub_dims": [1]}
+    if with_super_dims:
+        doc["super_dims"] = [2]
+    with pytest.raises(DimensionMismatch, match="column count does not match sub_dims"):
+        spec_from_dict(doc)
 
 
 def test_load_spec_builds_one_spec(tmp_path, monkeypatch):
@@ -102,6 +113,62 @@ def test_save_basis_writes_the_bytes_of_json_dump(tmp_path):
             json.dump(basis_to_dict(b, "example"), fh)
             fh.write("\n")
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def _constructible_bases():
+    for name in catalog_names():
+        for method in METHODS:
+            try:
+                basis = construct(catalog_spec(name), method)
+            except UobError:
+                continue
+            yield pytest.param(f"{name}-{method}", basis, id=f"{name}-{method}")
+
+
+@pytest.mark.parametrize("label,basis", _constructible_bases())
+def test_save_basis_writes_json_dump_bytes_for_every_catalog_basis(tmp_path, label, basis):
+    # full_matrix_sub, full_matrix_super and tensor build stacks that are not C-contiguous
+    path, ref = tmp_path / "basis.json", tmp_path / "ref.json"
+    save_basis(path, basis, label)
+    with open(ref, "w") as fh:
+        json.dump(basis_to_dict(basis, label), fh)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_save_basis_round_trips_every_float_bit_for_bit(tmp_path):
+    # values whose exponent orjson spells otherwise than repr, and the extremes
+    values = [1e-5, 2.5e-7, 1e16, -0.0, 5e-324, 1.7976931348623157e308, -1e-5, 0.1]
+    stack = np.array(values).view(complex).reshape(1, 2, 2)
+    path = tmp_path / "basis.json"
+    save_basis(path, UnitaryBasis(None, (stack,), "hand"))
+    loaded = load_basis(path)
+    assert loaded.stacks[0].view(np.int64).tolist() == stack.view(np.int64).tolist()
+
+
+def _c_in_m2_basis_with(entry) -> UnitaryBasis:
+    """The abelian basis of C in M_2 with one off-diagonal entry replaced."""
+    b = abelian_basis(catalog_spec("c_in_m2"))
+    stack = b.stacks[0].copy()
+    stack[1, 0, 1] = entry
+    return UnitaryBasis(b.spec, (stack,), "tampered")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_basis_refuses_a_non_finite_entry_and_writes_no_file(tmp_path, bad):
+    path = tmp_path / "basis.json"
+    with pytest.raises(InvariantViolated):
+        save_basis(path, _c_in_m2_basis_with(complex(0.5, bad)))
+    assert not path.exists()
+
+
+def test_basis_out_with_a_nan_basis_exits_1_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "construct", lambda spec, method: _c_in_m2_basis_with(np.nan))
+    out = tmp_path / "basis.json"
+    assert cli.main(["basis", "c_in_m2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_basis_to_dict_rejects_empty_spec_less_basis():

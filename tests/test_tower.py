@@ -232,6 +232,13 @@ def test_basic_construction_is_frozen():
     assert bc == tower.BasicConstruction(catalog_spec("c_in_m2"))
 
 
+def test_e1_is_read_only():
+    bc = build_basic_construction(catalog_spec("c_in_m2"))
+    with pytest.raises(ValueError):
+        bc.e1[:] = 0
+    assert bc.tr1(bc.e1_operator()) == pytest.approx(1 / 4, abs=1e-15)
+
+
 @pytest.mark.parametrize("name", ALL_TOWER)
 def test_left_rep_equals_the_kron_form(name):
     # I_n (x) X_i written as copies equals np.kron(I_n, X_i) entry for entry

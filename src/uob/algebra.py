@@ -1,11 +1,12 @@
-"""Multi-matrix algebras, block operators, exact phases, and the circulant toolkit.
+"""Multi-matrix algebras, block operators, exact phases, and circulants.
 
 A phase k/n is kept exact as an integer numerator mod n and exponentiated by
 indexing ``roots(n)``, the table of n-th roots of unity, so long phase sums
 cancel without drift.  ``epsilon`` does the same for a single rational
 (``fractions.Fraction``, understood mod 1).  Circulant matrices are
 parametrized by their eigenvalues and built from the entrywise formula, never
-by conjugating with Fourier matrices.
+by conjugating with Fourier matrices; ``fourier_matrix`` is the independent
+reference that the circulant tests conjugate with.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AlgebraMismatch
-
-# Phases are rationals mod 1; any Fraction-convertible value is accepted.
-Phase = Fraction
 
 DEFAULT_TOL = 1e-9
 
@@ -35,22 +33,6 @@ def epsilon(x) -> complex:
     """e^{2 pi i x} for a rational phase x. Unit modulus by construction."""
     x = Fraction(x) % 1
     return complex(np.exp(2j * np.pi * (x.numerator / x.denominator)))
-
-
-def geometric_phase_sum(k: int, x) -> complex:
-    """Sum_{j=0}^{k-1} epsilon(j x).
-
-    Equals k when x is an integer and 0 when k*x is an integer but x is not;
-    both special cases are decided exactly at the rational level.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    x = Fraction(x)
-    if x.denominator == 1:
-        return complex(k)
-    if (k * x).denominator == 1:
-        return 0j
-    return sum(epsilon(j * x) for j in range(k))
 
 
 def roots(n: int) -> np.ndarray:
@@ -83,16 +65,6 @@ def circulant(eigenvalues) -> np.ndarray:
     k = np.arange(n)
     f = b @ roots(n)[np.outer(k, k) % n]
     return f[..., (k[None, :] - k[:, None]) % n] / n
-
-
-def quasi_circulant(d1, eigenvalues, d2) -> np.ndarray:
-    """D(d1) C(eigenvalues) D(d2): diagonal times circulant times diagonal."""
-    a = np.asarray(list(d1), dtype=complex)
-    c = np.asarray(list(d2), dtype=complex)
-    b = list(eigenvalues)
-    if not (len(a) == len(b) == len(c)):
-        raise ValueError("d1, eigenvalues, d2 must have the same length")
-    return a[:, None] * circulant(b) * c[None, :]
 
 
 @dataclass(frozen=True)
@@ -136,27 +108,10 @@ class MultiMatrixAlgebra:
     def zero(self) -> "BlockOperator":
         return self.operator([np.zeros((n, n)) for n in self.blocks])
 
-    def from_dense(self, M: np.ndarray) -> "BlockOperator":
-        """Read the diagonal blocks of an ambient-dim square matrix."""
-        M = np.asarray(M, dtype=complex)
-        if M.shape != (self.ambient_dim, self.ambient_dim):
-            raise AlgebraMismatch(f"expected {self.ambient_dim}x{self.ambient_dim} matrix")
-        out, offs = [], self.block_offsets()
-        for n, o in zip(self.blocks, offs):
-            out.append(M[o : o + n, o : o + n])
-        return self.operator(out)
-
     def random(self, rng: np.random.Generator) -> "BlockOperator":
         return self.operator(
             [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in self.blocks]
         )
-
-    def random_unitary(self, rng: np.random.Generator) -> "BlockOperator":
-        data = []
-        for n in self.blocks:
-            q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            data.append(q * (np.diag(r) / np.abs(np.diag(r))))
-        return self.operator(data)
 
     def matrix_units(self):
         """Yield ((i, a, b), E) over all matrix units of every block."""

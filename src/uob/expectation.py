@@ -10,10 +10,10 @@ the one for the Markov trace.
 
 Two other forms of the same map stay as independent references: the
 phi-orthogonal projection onto the span of a family such as the embedded
-matrix units of B (``projection_expectation``, a compiled Gram projector),
-and, when the preserved trace is the standard one, a mixed unitary channel
-built from one diagonal unitary and one cyclic block permutation per sub
-column.
+matrix units of B (``_GramProjector(phi, family)``, compiled once and then
+called on each operand; the tower's dual expectation is one), and, when the
+preserved trace is the standard one, a mixed unitary channel built from one
+diagonal unitary and one cyclic block permutation per sub column.
 """
 
 from __future__ import annotations
@@ -258,10 +258,3 @@ class _GramProjector:
 def _flatten(X: BlockOperator) -> np.ndarray:
     """The blocks of X, each row-major, one after another: N = sum n_i^2 entries."""
     return np.concatenate([b.ravel() for b in X.data])
-
-
-def projection_expectation(
-    phi: TracialState, subalgebra_basis, X: BlockOperator
-) -> BlockOperator:
-    """Trace-preserving expectation as orthogonal projection in the phi-inner product."""
-    return _GramProjector(phi, subalgebra_basis)(X)

@@ -275,23 +275,3 @@ def unembed(spec: InclusionSpec, X: BlockOperator) -> BlockOperator:
                 mj = spec.sub_dims[j]
                 data[j] = X.data[i][start : start + mj, start : start + mj]
     return spec.sub_algebra.operator(data)
-
-
-def minimal_central_projections(spec: InclusionSpec):
-    """(P_i, Q_j): block identities of A and embedded block identities of B."""
-    sup = spec.super_algebra
-    Ps = []
-    for i, n in enumerate(spec.super_dims):
-        data = [
-            np.eye(n2, dtype=complex) if i2 == i else np.zeros((n2, n2), dtype=complex)
-            for i2, n2 in enumerate(spec.super_dims)
-        ]
-        Ps.append(sup.operator(data))
-    Qs = []
-    for j, m in enumerate(spec.sub_dims):
-        data = [
-            np.eye(m2, dtype=complex) if j2 == j else np.zeros((m2, m2), dtype=complex)
-            for j2, m2 in enumerate(spec.sub_dims)
-        ]
-        Qs.append(embed(spec, spec.sub_algebra.operator(data)))
-    return Ps, Qs

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from .algebra import MultiMatrixAlgebra
+from .algebra import MultiMatrixAlgebra, exact_index
 from .bases import UnitaryBasis
 from .errors import DimensionMismatch, InvariantViolated
 from .inclusion import InclusionSpec, _ints
@@ -87,7 +87,10 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(W, list) for W in elements):
         raise DimensionMismatch("elements must be a list of lists of blocks")
-    d = doc.get("d")
+    try:
+        d = exact_index(doc.get("d"))
+    except TypeError as exc:
+        raise DimensionMismatch(f"d must be an integer: {exc}") from None
     if d != len(elements):
         raise DimensionMismatch(f"document says d = {d} but holds {len(elements)} elements")
     if any(len(W) != alg.num_blocks for W in elements):

@@ -85,15 +85,12 @@ class BasicConstruction:
             [np.sqrt(n / D) * X.T.ravel() for n, X in zip(self.spec.super_dims, x.data)]
         )
 
-    def tr1(self, X: BlockOperator) -> complex:
-        """Normalized ambient matrix trace on the GNS space."""
-        return complex(np.trace(X.data[0])) / self.gns_dim
-
     def e1_operator(self) -> BlockOperator:
         return self.gns_algebra.operator([self.e1])
 
     @property
     def tr1_state(self) -> TracialState:
+        """The normalized ambient matrix trace on the GNS space."""
         return TracialState(self.gns_algebra, (1,))
 
 

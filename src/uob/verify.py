@@ -6,16 +6,19 @@ same code verifies both multi-matrix inclusions and concrete
 basic-construction models.  All checks work on the basis's per-block
 (d, n_i, n_i) stacks.  When E carries the compiled slot table of
 ``markov_expectation``, E itself is applied as matrix products over the
-stacks; any other E (the tower's Gram projector, a plain callable) is called
-exactly once per operand, d^2 times for orthonormality and d times per test
-operator for reconstruction, with every product around those calls formed
-as a batched matmul.  No linearity of E is assumed on that path, which is
-the reference the compiled checks are tested against.  A residual that is
-NaN or infinite fails.
+stacks; any other E (the tower's Gram projector, a plain callable) goes
+through ``_apply_each``, which calls it exactly once per operand: d^2 times
+for orthonormality, d times per test operator for reconstruction and once
+per matrix unit for trace preservation, with every product around those
+calls formed as a batched matmul.  No linearity of E is assumed on that
+path, which is the reference the compiled checks are tested against.  A
+reconstruction check given its own test family (a ``sampler``) always takes
+it.  A residual that is NaN or infinite fails.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,19 +169,24 @@ def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> Verificatio
     return _worst("unitary", resid, tol, lambda j: f"element {j}")
 
 
-def _apply_each(E, alg, operands, out):
-    """out[i][c] = block i of E(operand c): one E call per operand.
+def _apply_each(E, alg, operands, out=None) -> list[np.ndarray]:
+    """E on a batch, one E call per operand: returns ``out`` with out[i][c] =
+    block i of E(operand c).
 
-    ``operands`` holds one (K, n_i, n_i) stack per block, ``out`` K-long
-    stacks.  An output that is not an operator of ``alg`` is refused, so a
-    block of the wrong size never lands (or broadcasts) in a stack.
+    ``operands`` holds one (K, n_i, n_i) stack per block.  ``out`` is filled
+    in place, so a loop can reuse one set of K-long stacks; it is allocated
+    when not given.  An output that is not an operator of ``alg`` is refused,
+    so a block of the wrong size never lands (or broadcasts) in a stack.
     """
+    if out is None:
+        out = [np.empty_like(p) for p in operands]
     for c in range(len(operands[0])):
         Y = E(BlockOperator(alg, tuple(p[c] for p in operands)))
         if getattr(Y, "algebra", None) != alg:
             raise AlgebraMismatch("expectation output does not belong to the basis's algebra")
         for o, blk in zip(out, Y.data):
             o[c] = blk
+    return out
 
 
 def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> VerificationReport:
@@ -213,37 +221,28 @@ def verify_reconstruction(
     """X = sum_j W_j E(W_j* X) on all matrix units and random operators.
 
     ``sampler(rng)`` may supply the (label, X) test family instead, for bases
-    of a proper subalgebra of the ambient block algebra.  With a compiled E
-    the matrix units are read off one product per sub block (see
-    ``_unit_residuals``) and the other test operators are streamed in batches
-    of at most CHUNK_ENTRIES entries.
+    of a proper subalgebra of the ambient block algebra; it is checked with
+    one E call per W_c* X.  Otherwise, with a compiled E, the matrix units are
+    read off one product per sub block (see ``_unit_residuals``) and the
+    random operators are streamed in batches of at most CHUNK_ENTRIES entries.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
     alg = basis.algebra
     rng = np.random.default_rng(seed)
+    table = _slot_table(E, alg)
     if sampler is not None:
         samples = list(sampler(rng))
-        label = lambda k: samples[k][0]  # noqa: E731
-    else:
-        randoms = [alg.random(rng) for _ in range(N_RANDOM)]
-        label = lambda k: _unit_label(alg.blocks, k)  # noqa: E731
-    table = _slot_table(E, alg)
-    if table is None:
-        if sampler is None:
-            samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
-            samples += [(f"random {t}", X) for t, X in enumerate(randoms)]
-        resid = _generic_reconstruction(basis, E, [X for _, X in samples])
+    elif table is None:
+        samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
+        samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
     else:
         parts = list(_weighted_columns(basis, table))
-        size = _batch_size(alg.blocks)
-        if sampler is not None:
-            resid = _stacked_reconstruction(parts, _batches([X for _, X in samples], size))
-        else:
-            resid = np.concatenate(
-                [_unit_residuals(basis, parts), _stacked_reconstruction(parts, _batches(randoms, size))]
-            )
-    return _worst("reconstruction", resid, tol, label, seed=seed)
+        randoms = _batches([alg.random(rng) for _ in range(N_RANDOM)], _batch_size(alg.blocks))
+        resid = np.concatenate([_unit_residuals(basis, parts), _stacked_reconstruction(parts, randoms)])
+        return _worst("reconstruction", resid, tol, lambda k: _unit_label(alg.blocks, k), seed=seed)
+    resid = _generic_reconstruction(basis, E, [X for _, X in samples])
+    return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)
 
 
 def _generic_reconstruction(basis: UnitaryBasis, E, Xs) -> np.ndarray:
@@ -363,7 +362,9 @@ def verify_trace_conditions(
     """Exact integer trace conditions plus trace preservation of E.
 
     Checks A^t n = d m and sum n_i^2 = d sum m_j^2 in integer arithmetic, and
-    that E preserves the tracial state with trace vector n on all matrix units.
+    that E preserves the tracial state with trace vector n on all matrix units,
+    batch by batch: through the slot table of a compiled E, otherwise with one
+    E call per matrix unit.
     """
     A, m, n = spec.inclusion_matrix, spec.sub_dims, spec.super_dims
     d = spectral_d(spec)
@@ -379,15 +380,13 @@ def verify_trace_conditions(
     alg = spec.super_algebra
     phi = TracialState(alg, n)
     table = _slot_table(E, alg)
-    if table is None:
-        resid = [abs(phi(E(unit)) - phi(unit)) for _, unit in alg.matrix_units()]
-    else:
-        resid = np.concatenate(
-            [
-                np.abs(_phi_batch(phi, table.apply(X)) - _phi_batch(phi, X))
-                for X in _unit_batches(alg.blocks, _batch_size(alg.blocks))
-            ]
-        )
+    apply = table.apply if table is not None else functools.partial(_apply_each, E, alg)
+    resid = np.concatenate(
+        [
+            np.abs(_phi_batch(phi, apply(X)) - _phi_batch(phi, X))
+            for X in _unit_batches(alg.blocks, _batch_size(alg.blocks))
+        ]
+    )
     reports.append(_report("markov_preservation", np.max(resid), tol))
     return reports
 

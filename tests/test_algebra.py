@@ -14,8 +14,6 @@ from uob.algebra import (
     circulant,
     epsilon,
     fourier_matrix,
-    geometric_phase_sum,
-    quasi_circulant,
     roots,
 )
 from uob.errors import AlgebraMismatch
@@ -37,18 +35,6 @@ def test_epsilon_special_values():
     assert epsilon(0) == 1
     assert abs(epsilon(Fraction(1, 2)) + 1) < 1e-15
     assert abs(epsilon(Fraction(1, 4)) - 1j) < 1e-15
-
-
-@given(st.integers(1, 30), fractions)
-def test_geometric_phase_sum_matches_naive(k, x):
-    naive = sum(epsilon(j * x) for j in range(k))
-    assert abs(geometric_phase_sum(k, x) - naive) < 1e-10
-
-
-def test_geometric_phase_sum_exact_cases():
-    # full period sums vanish identically, integer phases count terms
-    assert geometric_phase_sum(5, Fraction(1, 5)) == 0
-    assert geometric_phase_sum(7, 3) == 7
 
 
 def test_fourier_matrix_unitary():
@@ -99,18 +85,6 @@ def test_circulant_of_unit_eigenvalues_is_unitary():
         assert np.allclose(C @ C.conj().T, np.eye(n), atol=1e-10)
 
 
-def test_geometric_phase_sum_full_period_cancellation():
-    for d in range(2, 65):
-        for t in range(1, d):
-            assert geometric_phase_sum(d, Fraction(t, d)) == 0
-
-
-def test_quasi_circulant_factors():
-    d1, b, d2 = [1, 2, 3], [1, 1j, -1], [1, -1, 1]
-    Q = quasi_circulant(d1, b, d2)
-    assert np.allclose(Q, np.diag(d1) @ circulant(b) @ np.diag(d2), atol=1e-12)
-
-
 def test_algebra_dims():
     alg = MultiMatrixAlgebra((2, 3))
     assert alg.ambient_dim == 5
@@ -127,7 +101,9 @@ def test_block_operator_arithmetic():
     assert (X @ Y).adjoint().allclose(Y.adjoint() @ X.adjoint(), 1e-12)
     dense = (X @ Y).to_dense()
     assert np.allclose(dense, X.to_dense() @ Y.to_dense(), atol=1e-12)
-    assert alg.from_dense(dense).allclose(X @ Y, 1e-12)
+    # the diagonal blocks of the dense form read back as the blocks of X @ Y
+    for n, o, blk in zip(alg.blocks, alg.block_offsets(), (X @ Y).data):
+        assert np.allclose(dense[o : o + n, o : o + n], blk, atol=1e-12)
 
 
 def test_block_operator_shape_check():
@@ -140,12 +116,6 @@ def test_mismatched_algebras_refuse_to_combine():
     a1, a2 = MultiMatrixAlgebra((2,)), MultiMatrixAlgebra((3,))
     with pytest.raises(AlgebraMismatch):
         a1.identity() + a2.identity()
-
-
-def test_random_unitary_is_unitary():
-    alg = MultiMatrixAlgebra((3, 2))
-    U = alg.random_unitary(np.random.default_rng(1))
-    assert (U @ U.adjoint()).allclose(alg.identity(), 1e-10)
 
 
 def test_matrix_units_span_and_multiply():

@@ -9,10 +9,10 @@ from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, NonStandardTrace, SingularGram
 from uob.expectation import (
+    _GramProjector,
     conditional_expectation,
     markov_expectation,
     mixed_unitary_channel,
-    projection_expectation,
 )
 from uob.inclusion import embed, markov_trace
 from uob.verify import all_passed, verify_expectation_axioms
@@ -115,7 +115,7 @@ def test_projection_expectation_agrees_with_factored_form():
             rng = np.random.default_rng(3)
             for _ in range(3):
                 X = spec.super_algebra.random(rng)
-                assert projection_expectation(phi, basis, X).allclose(E(X), 1e-9), name
+                assert _GramProjector(phi, basis)(X).allclose(E(X), 1e-9), name
 
 
 def test_projection_expectation_rejects_degenerate_family():
@@ -123,13 +123,13 @@ def test_projection_expectation_rejects_degenerate_family():
     phi = TracialState(spec.super_algebra, spec.super_dims)
     I = spec.super_algebra.identity()
     with pytest.raises(SingularGram):
-        projection_expectation(phi, [I, I], I)
+        _GramProjector(phi, [I, I])(I)
     # a dependent family on several blocks with a non-uniform trace vector
     alg = MultiMatrixAlgebra((1, 2, 3))
     rng = np.random.default_rng(8)
     X, Y = alg.random(rng), alg.random(rng)
     with pytest.raises(SingularGram):
-        projection_expectation(TracialState(alg, (1, 3, 2)), [X, Y, X + 2 * Y], X)
+        _GramProjector(TracialState(alg, (1, 3, 2)), [X, Y, X + 2 * Y])(X)
 
 
 def _projection_reference(phi, family, X):
@@ -153,7 +153,7 @@ def test_compiled_projection_matches_the_written_out_formula(trace_vector, k):
     family = [alg.random(rng) for _ in range(k)]
     for _ in range(3):
         X = alg.random(rng)
-        got = projection_expectation(phi, family, X)
+        got = _GramProjector(phi, family)(X)
         assert got.allclose(_projection_reference(phi, family, X), 1e-12)
     if k == 14:
         assert got.allclose(X, 1e-12)
@@ -163,4 +163,4 @@ def test_compiled_projection_rejects_an_operand_of_another_algebra():
     alg = MultiMatrixAlgebra((1, 2))
     phi = TracialState(alg, (1, 2))
     with pytest.raises(AlgebraMismatch):
-        projection_expectation(phi, [alg.identity()], MultiMatrixAlgebra((3,)).identity())
+        _GramProjector(phi, [alg.identity()])(MultiMatrixAlgebra((3,)).identity())

@@ -14,7 +14,6 @@ from uob.inclusion import (
     check_spectral_condition,
     embed,
     markov_trace,
-    minimal_central_projections,
     spectral_d,
     unembed,
 )
@@ -191,22 +190,6 @@ def test_embed_is_a_homomorphism():
     assert embed(spec, Y @ Z).allclose(embed(spec, Y) @ embed(spec, Z), 1e-10)
     assert embed(spec, spec.sub_algebra.identity()).allclose(spec.super_algebra.identity())
     assert unembed(spec, embed(spec, Y)).allclose(Y, 1e-12)
-
-
-def test_minimal_central_projections_commute_and_partition():
-    spec = catalog_spec("c2_in_m2_plus_m2")
-    Ps, Qs = minimal_central_projections(spec)
-    I = spec.super_algebra.identity()
-    total_p = Ps[0]
-    for P in Ps[1:]:
-        total_p = total_p + P
-    total_q = Qs[0]
-    for Q in Qs[1:]:
-        total_q = total_q + Q
-    assert total_p.allclose(I) and total_q.allclose(I)
-    for P in Ps:
-        for Q in Qs:
-            assert (P @ Q).allclose(Q @ P, 1e-12)
 
 
 def test_transpose_spec():

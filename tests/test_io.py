@@ -197,8 +197,16 @@ def test_basis_from_dict_rejects_entries_that_are_not_pairs(entry):
         {"d": 1, "spec": None, "block_dims": [1], "elements": 5},
         {"d": 1, "spec": None, "block_dims": [1], "elements": [7]},
         [1, 2],
+        {"d": True, "spec": None, "block_dims": [1], "elements": [[[[1.0, 0.0]]]]},
+        {"d": 1.0, "spec": None, "block_dims": [1], "elements": [[[[1.0, 0.0]]]]},
     ],
-    ids=["elements_not_a_list", "element_not_a_list", "document_not_an_object"],
+    ids=[
+        "elements_not_a_list",
+        "element_not_a_list",
+        "document_not_an_object",
+        "d_a_boolean",
+        "d_a_float",
+    ],
 )
 def test_basis_from_dict_rejects_malformed_structure(doc):
     with pytest.raises(DimensionMismatch):

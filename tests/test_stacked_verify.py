@@ -197,6 +197,9 @@ def test_generic_path_calls_E_once_per_operand(name, basis):
     calls.clear()
     assert verify_reconstruction(basis, counted, seed=2).passed
     assert len(calls) == basis.d * (basis.algebra.vector_dim + N_RANDOM)
+    calls.clear()
+    assert all_passed(verify_trace_conditions(basis.spec, counted))
+    assert len(calls) == basis.algebra.vector_dim  # one per matrix unit, sum n_i^2
 
 
 @pytest.mark.parametrize("name", ["c_in_m2", "m2_in_m2_plus_m4"])

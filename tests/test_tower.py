@@ -94,7 +94,7 @@ def test_e1_is_a_projection_with_trace_one_over_d():
         bc = build_basic_construction(spec)
         assert np.allclose(bc.e1 @ bc.e1, bc.e1, atol=1e-10)
         assert np.allclose(bc.e1, bc.e1.conj().T, atol=1e-10)
-        assert abs(bc.tr1(bc.e1_operator()) - 1 / d) < 1e-10
+        assert abs(bc.tr1_state(bc.e1_operator()) - 1 / d) < 1e-10
 
 
 def test_e1_fixes_embedded_subalgebra_vectors():
@@ -236,7 +236,7 @@ def test_e1_is_read_only():
     bc = build_basic_construction(catalog_spec("c_in_m2"))
     with pytest.raises(ValueError):
         bc.e1[:] = 0
-    assert bc.tr1(bc.e1_operator()) == pytest.approx(1 / 4, abs=1e-15)
+    assert bc.tr1_state(bc.e1_operator()) == pytest.approx(1 / 4, abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)

@@ -132,24 +132,23 @@ def abelian_basis_entrywise(spec: InclusionSpec) -> UnitaryBasis:
     rational phases; used to cross-check the operator-product path.
     """
     d = _abelian_d(spec)
-    emb = spec.embedding
+    # every sub block is 1 x 1, so the copy starts of block i are its positions
+    rows = [[s for x, _, _, s in spec.copies if x == i] for i in range(spec.s)]
+    phases = [_diagonal_phases(spec, i, spec.super_dims, n) for i, n in enumerate(spec.super_dims)]
 
     elements = []
     for t in range(d):
         data = []
         for i, n in enumerate(spec.super_dims):
-            labels, phases = emb.labels(i), _diagonal_phases(spec, i, spec.super_dims, n)
             W = np.empty((n, n), dtype=complex)
-            for (j, k, _) in labels:
-                row = emb.position(i, j, k)
-                for (j2, k2, _) in labels:
-                    col = emb.position(i, j2, k2)
+            for row in rows[i]:
+                for col in rows[i]:
                     acc = 0j
                     for y in range(n):
                         phase = (
                             Fraction(y * t, d)
                             + Fraction(y * (col - row), n)
-                            + Fraction(t * phases[col], d)
+                            + Fraction(t * phases[i][col], d)
                         )
                         acc += epsilon(phase)
                     W[row, col] = acc / n
@@ -221,21 +220,19 @@ def tensor_spec(s1: InclusionSpec, s2: InclusionSpec) -> InclusionSpec:
     return InclusionSpec.from_matrix(mat.tolist(), sub.tolist())
 
 
-def _tensor_block_perm(s1, s2, prod, i1, i2):
-    """perm[c] is the Kronecker basis index at canonical position c of block (i1, i2)."""
-    e1, e2, ep = s1.embedding, s2.embedding, prod.embedding
-    n2 = s2.super_dims[i2]
-    I = i1 * s2.s + i2
-    perm = np.empty(s1.super_dims[i1] * n2, dtype=int)
-    for (j1, k1, l1) in e1.labels(i1):
-        p1 = e1.position(i1, j1, k1, l1)
-        for (j2, k2, l2) in e2.labels(i2):
-            p2 = e2.position(i2, j2, k2, l2)
-            J = j1 * s2.r + j2
-            K = k1 * s2.a(i2, j2) + k2
-            L = l1 * s2.sub_dims[j2] + l2
-            perm[ep.position(I, J, K, L)] = p1 * n2 + p2
-    return perm
+def _tensor_block_perms(s1, s2, prod):
+    """perms[I][c] is the Kronecker basis index at canonical position c of the
+    product's block I = i1 * s2.s + i2."""
+    starts = {(i, j, k): start for i, j, k, start in prod.copies}
+    perms = [np.empty(n, dtype=int) for n in prod.super_dims]
+    for i1, j1, k1, a in s1.copies:
+        rows = (a + np.arange(s1.sub_dims[j1]))[:, None]
+        for i2, j2, k2, b in s2.copies:
+            I = i1 * s2.s + i2
+            c = starts[I, j1 * s2.r + j2, k1 * s2.a(i2, j2) + k2]
+            block = rows * s2.super_dims[i2] + b + np.arange(s2.sub_dims[j2])
+            perms[I][c : c + block.size] = block.ravel()
+    return perms
 
 
 def tensor_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
@@ -249,13 +246,14 @@ def tensor_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     if s1 is None or s2 is None:
         raise ShapeMismatch("tensor factors must carry inclusion specs")
     prod = tensor_spec(s1, s2)
+    perms = _tensor_block_perms(s1, s2, prod)
     stacks = []
     for i1, A in enumerate(b1.stacks):
         for i2, B in enumerate(b2.stacks):
             # element (j, k) of the pair is W_j(1) (x) W_k(2): np.kron, stacked
             n = A.shape[1] * B.shape[1]
             Kr = np.einsum("jac,kbe->jkabce", A, B).reshape(b1.d * b2.d, n, n)
-            perm = _tensor_block_perm(s1, s2, prod, i1, i2)
+            perm = perms[i1 * s2.s + i2]
             stacks.append(Kr[:, perm[:, None], perm])
     return UnitaryBasis(prod, tuple(stacks), "tensor")
 

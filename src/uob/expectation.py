@@ -5,15 +5,16 @@ expectation onto the embedded sub-algebra B averages, for each sub block j,
 its diagonal copies with weights q_ij = p_i / sum_x p_x a_xj and writes the
 average back into every copy.  ``conditional_expectation(spec, phi)`` compiles
 that map once into a ``SlotTable`` (per sub block j, every copy (super block
-i, start, q_ij)) and returns it as a callable; ``markov_expectation(spec)`` is
-the one for the Markov trace.
+i, start, q_ij), read off ``spec.copies``) and returns it as a callable;
+``markov_expectation(spec)`` is the one for the Markov trace.
 
 Two other forms of the same map stay as independent references: the
 phi-orthogonal projection onto the span of a family such as the embedded
 matrix units of B (``_GramProjector(phi, family)``, compiled once and then
 called on each operand; the tower's dual expectation is one), and, when the
 preserved trace is the standard one, a mixed unitary channel built from one
-diagonal unitary and one cyclic block permutation per sub column.
+diagonal unitary (a phase per copy) and one cyclic permutation of the copies
+per sub column, refused over MAX_CHANNEL_ENTRIES before it is built.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockOperator, TracialState, roots
-from .errors import AlgebraMismatch, NonStandardTrace, SingularGram
+from .errors import AlgebraMismatch, NonStandardTrace, SingularGram, TooLarge
 from .inclusion import InclusionSpec, markov_trace, spectral_d
 
 GRAM_COND_LIMIT = 1e12
+# Largest mixed-unitary channel built, in complex entries (see
+# ``mixed_unitary_channel``): 2^24, the budget of MAX_BASIS_ENTRIES.
+MAX_CHANNEL_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -48,18 +52,11 @@ class SlotTable:
     @classmethod
     def compile(cls, spec: InclusionSpec, trace_vector) -> "SlotTable":
         p = tuple(trace_vector)
-        emb = spec.embedding
-        slots = []
-        for j in range(spec.r):
-            denom = sum(p[x] * spec.a(x, j) for x in range(spec.s))
-            slots.append(
-                tuple(
-                    (i, emb.block_start(i, j, k), p[i] / denom)
-                    for i in range(spec.s)
-                    for k in range(spec.a(i, j))
-                )
-            )
-        return cls(spec.sub_dims, spec.super_dims, tuple(slots))
+        denoms = [sum(p[x] * spec.a(x, j) for x in range(spec.s)) for j in range(spec.r)]
+        slots = [[] for _ in range(spec.r)]
+        for i, j, _, start in spec.copies:
+            slots[j].append((i, start, p[i] / denoms[j]))
+        return cls(spec.sub_dims, spec.super_dims, tuple(map(tuple, slots)))
 
     def apply(self, blocks) -> list[np.ndarray]:
         """E in embedded form: Z_j = sum over copies S of q_ij X_i[S, S], written
@@ -176,51 +173,34 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
     if any(abs(v - p[0]) > 1e-12 for v in p):
         raise NonStandardTrace("mixed-unitary form requires equal trace weights")
 
-    emb = spec.embedding
-    N = spec.super_algebra.ambient_dim
+    copies = spec.copies
+    column_counts = tuple(map(sum, zip(*spec.inclusion_matrix)))
+    T, N = len(copies), spec.super_algebra.ambient_dim
+    # a conjugation per unitary, and every dense N x N array: K, the identity,
+    # each L_j, the 2T powers ``unitaries`` keeps, and the twenty stacked
+    # operands, results, E's results and sums of the ``uob channel`` check
+    entries = (math.prod(column_counts) * T + 2 + spec.r + 2 * T + 20) * N * N
+    if entries > MAX_CHANNEL_ENTRIES:
+        raise TooLarge(
+            f"the channel would take {entries} entries, over the cap of {MAX_CHANNEL_ENTRIES}"
+        )
+
+    # K: epsilon(t / T) on the t-th copy; L_j: cyclic permutation of the copies
+    # of sub block j, fixing l
     offsets = spec.super_algebra.block_offsets()
-    column_counts = tuple(
-        sum(spec.a(i, j) for i in range(spec.s)) for j in range(spec.r)
-    )
-    T = sum(column_counts)
-
-    # K: scalar epsilon((cum + k) / T) on sub-block (i, j, k); the running sum
-    # over (i1, j1) < (i, j) of a_{i1 j1} enumerates 0..T-1 across all blocks.
-    eps = roots(T)
-    diag = np.zeros(N, dtype=complex)
-    k_phases = []
-    cum = 0
-    for i in range(spec.s):
-        for j in range(spec.r):
-            mj = spec.sub_dims[j]
-            for k in range(spec.a(i, j)):
-                start = offsets[i] + emb.block_start(i, j, k)
-                diag[start : start + mj] = eps[cum + k]
-                k_phases.append(((i, j, k), Fraction(cum + k, T)))
-            cum += spec.a(i, j)
-    K = np.diag(diag)
-
-    # L_j: cyclic permutation of the (i, k) copies of sub block j, fixing l.
+    K = np.diag(np.repeat(roots(T), [spec.sub_dims[j] for _, j, _, _ in copies]))
+    k_phases = tuple(((i, j, k), Fraction(t, T)) for t, (i, j, k, _) in enumerate(copies))
+    eye = np.eye(N, dtype=complex)
     Ls, cycles = [], []
-    for j in range(spec.r):
-        group = [(i, k) for i in range(spec.s) for k in range(spec.a(i, j))]
-        cycles.append(tuple(group))
-        L = np.eye(N, dtype=complex)
-        if len(group) > 1:
-            L = np.zeros((N, N), dtype=complex)
-            mj = spec.sub_dims[j]
-            starts = [offsets[i] + emb.block_start(i, j, k) for (i, k) in group]
-            occupied = set()
-            for src, tgt in zip(starts, starts[1:] + starts[:1]):
-                for l in range(mj):
-                    L[tgt + l, src + l] = 1.0
-                    occupied.add(src + l)
-            for x in range(N):
-                if x not in occupied:
-                    L[x, x] = 1.0
-        Ls.append(L)
+    for j, m in enumerate(spec.sub_dims):
+        mine = [(i, k, offsets[i] + s) for i, jj, k, s in copies if jj == j]
+        cycles.append(tuple((i, k) for i, k, _ in mine))
+        at = np.array([s for _, _, s in mine])[:, None] + np.arange(m)
+        perm = np.arange(N)
+        perm[at] = np.roll(at, 1, axis=0)
+        Ls.append(eye[perm])
     return MixedUnitaryDecomposition(
-        spec, K, tuple(Ls), column_counts, tuple(k_phases), tuple(cycles)
+        spec, K, tuple(Ls), column_counts, k_phases, tuple(cycles)
     )
 
 

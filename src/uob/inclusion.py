@@ -1,4 +1,9 @@
-"""Inclusion specifications, the spectral condition, Markov traces, embeddings."""
+"""Inclusion specifications, the spectral condition, Markov traces, embeddings.
+
+The embedding layout is one table, ``InclusionSpec.copies``: every copy
+(i, j, k, start) of sub block j in super block i, whose basis vectors u_{ijkl}
+sit at start + l.  Every reader of the layout iterates that table.
+"""
 
 from __future__ import annotations
 
@@ -102,8 +107,17 @@ class InclusionSpec:
                 raise EmptyColumn(f"column {j} of the inclusion matrix is zero")
 
     @cached_property
-    def embedding(self) -> "Embedding":
-        return Embedding(self)
+    def copies(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Every copy (i, j, k, start) of sub block j in super block i, 0 <= k < a_ij,
+        in layout order: by i, then by start = sum_{v<j} a_iv m_v + k m_j."""
+        out = []
+        for i, row in enumerate(self.inclusion_matrix):
+            start = 0
+            for j, (a, m) in enumerate(zip(row, self.sub_dims)):
+                for k in range(a):
+                    out.append((i, j, k, start))
+                    start += m
+        return tuple(out)
 
     def is_connected(self) -> bool:
         """Connectivity of the Bratteli diagram viewed as a bipartite graph."""
@@ -128,41 +142,6 @@ class InclusionSpec:
             tuple(self.inclusion_matrix[i][j] for i in range(self.s)) for j in range(self.r)
         )
         return InclusionSpec.from_matrix(mat, self.super_dims)
-
-
-class Embedding:
-    """Indexed orthonormal basis u_{ijkl} with its lexicographic global ordering.
-
-    Within super block i the labels (j, k, l) with 0 <= j < r, 0 <= k < a_ij,
-    0 <= l < m_j are ordered lexicographically; the position of u_{ijkl} is
-    sum_{v<j} a_iv m_v + k m_j + l.
-    """
-
-    def __init__(self, spec: InclusionSpec):
-        self.spec = spec
-
-    def position(self, i: int, j: int, k: int, l: int = 0) -> int:
-        spec = self.spec
-        off = sum(spec.a(i, v) * spec.sub_dims[v] for v in range(j))
-        return off + k * spec.sub_dims[j] + l
-
-    def block_start(self, i: int, j: int, k: int) -> int:
-        return self.position(i, j, k, 0)
-
-    def sub_blocks(self, i: int):
-        """Yield (j, k, start) for every sub-block inside super block i."""
-        for j in range(self.spec.r):
-            for k in range(self.spec.a(i, j)):
-                yield j, k, self.block_start(i, j, k)
-
-    def labels(self, i: int):
-        """All labels (j, k, l) of super block i in lexicographic order."""
-        out = []
-        for j in range(self.spec.r):
-            for k in range(self.spec.a(i, j)):
-                for l in range(self.spec.sub_dims[j]):
-                    out.append((j, k, l))
-        return out
 
 
 @dataclass(frozen=True)
@@ -249,17 +228,13 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
 
 
 def embed(spec: InclusionSpec, Y: BlockOperator) -> BlockOperator:
-    """Block-diagonal image of a sub-algebra element under the embedding layout."""
+    """Block-diagonal image of a sub-algebra element: Y_j on every copy of block j."""
     if Y.algebra != spec.sub_algebra:
         raise AlgebraMismatch("operand does not belong to the sub-algebra")
-    emb = spec.embedding
-    data = []
-    for i, n in enumerate(spec.super_dims):
-        M = np.zeros((n, n), dtype=complex)
-        for j, k, start in emb.sub_blocks(i):
-            mj = spec.sub_dims[j]
-            M[start : start + mj, start : start + mj] = Y.data[j]
-        data.append(M)
+    data = [np.zeros((n, n), dtype=complex) for n in spec.super_dims]
+    for i, j, _, s in spec.copies:
+        m = spec.sub_dims[j]
+        data[i][s : s + m, s : s + m] = Y.data[j]
     return spec.super_algebra.operator(data)
 
 
@@ -267,11 +242,9 @@ def unembed(spec: InclusionSpec, X: BlockOperator) -> BlockOperator:
     """Read a sub-algebra element back from its embedded image (first copy per column)."""
     if X.algebra != spec.super_algebra:
         raise AlgebraMismatch("operand does not belong to the super-algebra")
-    emb = spec.embedding
     data = [None] * spec.r
-    for i in range(spec.s):
-        for j, k, start in emb.sub_blocks(i):
-            if data[j] is None:
-                mj = spec.sub_dims[j]
-                data[j] = X.data[i][start : start + mj, start : start + mj]
+    for i, j, _, s in spec.copies:
+        if data[j] is None:
+            m = spec.sub_dims[j]
+            data[j] = X.data[i][s : s + m, s : s + m]
     return spec.sub_algebra.operator(data)

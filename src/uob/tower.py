@@ -17,7 +17,13 @@ import numpy as np
 
 from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
 from .bases import UnitaryBasis, abelian_basis
-from .errors import InvariantViolated, PartitionOfUnityFailed, SpectralConditionFailed, TooLarge
+from .errors import (
+    AlgebraMismatch,
+    InvariantViolated,
+    PartitionOfUnityFailed,
+    SpectralConditionFailed,
+    TooLarge,
+)
 from .expectation import _GramProjector, markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d
 
@@ -68,6 +74,8 @@ class BasicConstruction:
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
+        if x.algebra != self.spec.super_algebra:
+            raise AlgebraMismatch("operand does not belong to the super-algebra")
         M = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
         off = 0
         for n, X in zip(self.spec.super_dims, x.data):
@@ -80,6 +88,8 @@ class BasicConstruction:
     def coeff(self, x: BlockOperator) -> np.ndarray:
         """GNS coordinate vector of x in the orthonormal basis: block i is
         sqrt(n_i / D) x_i read column by column."""
+        if x.algebra != self.spec.super_algebra:
+            raise AlgebraMismatch("operand does not belong to the super-algebra")
         D = self.gns_dim
         return np.concatenate(
             [np.sqrt(n / D) * X.T.ravel() for n, X in zip(self.spec.super_dims, x.data)]

@@ -215,17 +215,15 @@ def test_abelian_basis_telescoping_column_sums():
         spec = catalog_spec(name)
         b = abelian_basis(spec)
         E = markov_expectation(spec)
-        emb = spec.embedding
         zero = spec.super_algebra.zero()
         for t in range(1, b.d):
             W = b.elements[t]
             assert E(W).allclose(zero, 1e-9)
             for j in range(spec.r):
                 total = 0j
-                for i, n in enumerate(spec.super_dims):
-                    for k in range(spec.a(i, j)):
-                        p = emb.position(i, j, k)
-                        total += n * W.data[i][p, p]
+                for i, jj, _, p in spec.copies:
+                    if jj == j:
+                        total += spec.super_dims[i] * W.data[i][p, p]
                 assert abs(total) < 1e-9
 
 

@@ -240,6 +240,29 @@ def test_channel(capsys):
     assert main(["channel", "m2_in_m2_plus_m4"]) == 1
 
 
+@pytest.mark.parametrize(
+    "A, m",
+    [
+        ([[12] * 6], [1] * 6),  # N = 72 but 214,990,848 conjugations
+        ([[1]], [20000]),  # one conjugation, but N x N arrays of 6.4 GB each
+    ],
+)
+def test_channel_over_the_size_cap_exits_1_with_one_line(tmp_path, capsys, A, m):
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec.from_matrix(A, m))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["channel", str(path)])
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and seconds < 5 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "over the cap" in err
+
+
 def test_channel_with_a_nan_operand_exits_1(monkeypatch, capsys):
     # the third of the five random operands comes back NaN from the channel
     real = MixedUnitaryDecomposition.apply

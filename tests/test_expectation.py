@@ -14,7 +14,7 @@ from uob.expectation import (
     markov_expectation,
     mixed_unitary_channel,
 )
-from uob.inclusion import embed, markov_trace
+from uob.inclusion import InclusionSpec, embed, markov_trace
 from uob.verify import all_passed, verify_expectation_axioms
 
 EQUAL_WEIGHT = [
@@ -63,14 +63,25 @@ def test_expectation_axioms_on_catalog():
 
 
 def test_mixed_unitary_channel_matches_expectation():
-    for name in EQUAL_WEIGHT:
-        spec = catalog_spec(name)
+    # the catalog has no equal-weight spec with several sub blocks and m_j > 1
+    specs = [catalog_spec(name) for name in EQUAL_WEIGHT] + [
+        InclusionSpec.from_matrix([[2, 1], [2, 1]], [3, 3]),
+        InclusionSpec.from_matrix([[2, 0, 1], [1, 2, 0]], [1, 3, 1]),
+    ]
+    for spec in specs:
         dec = mixed_unitary_channel(spec)
         E = markov_expectation(spec)
         rng = np.random.default_rng(7)
         for _ in range(3):
             X = spec.super_algebra.random(rng)
-            assert np.max(np.abs(dec.apply(X) - E(X).to_dense())) < 1e-10, name
+            assert np.max(np.abs(dec.apply(X) - E(X).to_dense())) < 1e-10, spec
+        # K and the L_j list the copies in layout order
+        T = len(spec.copies)
+        assert dec.k_phases == tuple(
+            ((i, j, k), Fraction(t, T)) for t, (i, j, k, _) in enumerate(spec.copies)
+        )
+        for j, cycle in enumerate(dec.cycles):
+            assert cycle == tuple((i, k) for i, jj, k, _ in spec.copies if jj == j)
 
 
 @pytest.mark.parametrize("name", EQUAL_WEIGHT)

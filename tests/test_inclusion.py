@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uob.bases import construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
@@ -175,12 +177,32 @@ def test_markov_trace_rejects_disconnected():
         markov_trace(spec)
 
 
-def test_embedding_positions_are_a_partition():
-    spec = catalog_spec("m2_in_m2_plus_m4")
-    emb = spec.embedding
+def _no_zero_line(A):
+    """No zero row (an empty super block) and no zero column."""
+    return all(map(any, A)) and all(map(any, zip(*A)))
+
+
+@st.composite
+def _specs(draw):
+    """Valid specs from the box s, r <= 3, entries 0..2, m_j <= 3."""
+    s, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 2), min_size=r, max_size=r)
+    A = draw(st.lists(row, min_size=s, max_size=s).filter(_no_zero_line))
+    return InclusionSpec.from_matrix(A, draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+
+
+@given(_specs())
+def test_copies_tile_each_super_block_in_layout_order(spec):
+    A, m = spec.inclusion_matrix, spec.sub_dims
+    assert list(spec.copies) == sorted(spec.copies, key=lambda c: (c[0], c[3]))
+    assert {c[:3] for c in spec.copies} == {
+        (i, j, k) for i in range(spec.s) for j in range(spec.r) for k in range(A[i][j])
+    }
+    for i, j, k, start in spec.copies:
+        assert start == sum(A[i][v] * m[v] for v in range(j)) + k * m[j]
     for i, n in enumerate(spec.super_dims):
-        positions = [emb.position(i, j, k, l) for (j, k, l) in emb.labels(i)]
-        assert sorted(positions) == list(range(n))
+        cells = [p for x, j, _, s in spec.copies if x == i for p in range(s, s + m[j])]
+        assert sorted(cells) == list(range(n))
 
 
 def test_embed_is_a_homomorphism():

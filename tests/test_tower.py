@@ -8,7 +8,9 @@ import pytest
 from uob.bases import abelian_basis, construct, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob import tower
+from uob.algebra import MultiMatrixAlgebra
 from uob.errors import (
+    AlgebraMismatch,
     DimensionMismatch,
     InvariantViolated,
     SingularGram,
@@ -285,6 +287,16 @@ def test_dual_expectation_compiles_its_projector_once(monkeypatch):
     dual_expectation(bc, bc.e1)
     assert len(built) == 1
     assert isinstance(bc._proj, Counting)
+
+
+@pytest.mark.parametrize("blocks", [(1, 2, 7), (1,)])
+@pytest.mark.parametrize("method", ["left_rep", "coeff"])
+def test_left_rep_and_coeff_refuse_an_operand_of_another_algebra(method, blocks):
+    # the spec's super-algebra is M_1 + M_2; zipping its blocks with the
+    # operand's would drop the extra block, or leave block 1 out
+    bc = build_basic_construction(catalog_spec("c_in_m1_plus_m2"))
+    with pytest.raises(AlgebraMismatch):
+        getattr(bc, method)(MultiMatrixAlgebra(blocks).identity())
 
 
 def test_degenerate_tower_family_is_a_singular_gram():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -106,6 +107,29 @@ def cmd_channel(args) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_FAILED
 
 
+def _tolerance(text: str) -> float:
+    """A finite, non-negative float: a NaN, infinite or negative --tol would
+    pass or fail every residual."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}: need a finite number >= 0")
+    return tol
+
+
+def _seed(text: str) -> int:
+    """A non-negative integer, as numpy's random generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}: need an integer >= 0")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad arguments are bad input: one stderr line and exit 2, no usage block."""
 
@@ -120,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser(tol_default: str) -> argparse.ArgumentParser:
-    # a string default: argparse converts it with type=float at parse time,
-    # so a bad UOB_TOL is reported like a bad --tol
+    # a string default: argparse converts it with type=_tolerance at parse
+    # time, so a bad UOB_TOL is reported like a bad --tol
     p = _Parser(prog="uob", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=tol_default)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--tol", type=_tolerance, default=tol_default)
+        sp.add_argument("--seed", type=_seed, default=0)
 
     sp = sub.add_parser("check", help="test the integer spectral condition")
     sp.add_argument("spec", help="catalog name or spec JSON path")

@@ -11,7 +11,7 @@ transpose inclusion, lines up with the canonical embedding layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .expectation import _GramProjector, markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d
+from .verify import CHUNK_ENTRIES, _apply_each, _entry_max, _phi_batch, _slot_table, _unit_batches
 
 JONES_TOL = 1e-9
 PARTITION_TOL = 1e-8
@@ -69,21 +70,34 @@ class BasicConstruction:
     @cached_property
     def _proj(self) -> _GramProjector:
         """The Gram projector onto left_rep(A), compiled at the first dual_expectation."""
-        basis = (self.left_rep(u) for _, u in self.spec.super_algebra.matrix_units())
-        return _GramProjector(self.tr1_state, basis)
+        units = _unit_batches(self.spec.super_dims, self._chunk)
+        family = (self.gns_algebra.operator([L]) for X in units for L in self.left_reps(X))
+        return _GramProjector(self.tr1_state, family)
+
+    @cached_property
+    def _chunk(self) -> int:
+        """Operands per ``left_reps`` batch: a (K, D, D) stack holds at most
+        CHUNK_ENTRIES entries, or one operator when D^2 is larger."""
+        return max(1, CHUNK_ENTRIES // self.gns_dim**2)
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
-        if x.algebra != self.spec.super_algebra:
+        return self.gns_algebra.operator([self.left_reps([X[None] for X in x.data])[0]])
+
+    def left_reps(self, blocks) -> np.ndarray:
+        """``left_rep`` of every operand of a batch: ``blocks[i]`` is a
+        (K, n_i, n_i) stack of block i, the result a (K, D, D) stack."""
+        if [X.shape[1:] for X in blocks] != [(n, n) for n in self.spec.super_dims]:
             raise AlgebraMismatch("operand does not belong to the super-algebra")
-        M = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
+        K = len(blocks[0])
+        M = np.zeros((K, self.gns_dim, self.gns_dim), dtype=complex)
         off = 0
-        for n, X in zip(self.spec.super_dims, x.data):
+        for n, X in zip(self.spec.super_dims, blocks):
             # I_n (x) X: X on the n diagonal positions of the block, as copies
             r = np.arange(n)
-            M[off : off + n * n, off : off + n * n].reshape(n, n, n, n)[r, :, r, :] = X
+            M[:, off : off + n * n, off : off + n * n].reshape(K, n, n, n, n)[:, r, :, r, :] = X
             off += n * n
-        return self.gns_algebra.operator([M])
+        return M
 
     def coeff(self, x: BlockOperator) -> np.ndarray:
         """GNS coordinate vector of x in the orthonormal basis: block i is
@@ -117,27 +131,34 @@ def build_basic_construction(spec: InclusionSpec) -> BasicConstruction:
     if D > MAX_GNS_DIM:
         raise TooLarge(f"gns_dim {D} exceeds cap {MAX_GNS_DIM}")
     bc = BasicConstruction(spec)
-    _validate_basic_construction(bc)
-    return bc
-
-
-def _validate_basic_construction(bc: BasicConstruction):
-    spec = bc.spec
-    E = markov_expectation(spec)
-    e1 = bc.e1
-    jones, trace = [], []
-    for _, unit in spec.super_algebra.matrix_units():
-        L = bc.left_rep(unit).data[0]
-        lhs = e1 @ L @ e1
-        rhs = bc.left_rep(E(unit)).data[0] @ e1
-        jones.append(np.max(np.abs(lhs - rhs)))
-        trace.append(abs(np.trace(L) / bc.gns_dim - bc.tau(unit)))
     # np.max keeps a NaN that Python's max drops, and a NaN fails the test
-    worst_jones, worst_trace = float(np.max(jones)), float(np.max(trace))
+    worst_jones, worst_trace = (float(np.max(r)) for r in _validation_residuals(bc))
     if not worst_jones <= JONES_TOL:
         raise InvariantViolated(f"Jones relation residual {worst_jones}")
     if not worst_trace <= 1e-10:
         raise InvariantViolated(f"Markov compatibility residual {worst_trace}")
+    return bc
+
+
+def _validation_residuals(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray]:
+    """max |e1 L(u) e1 - L(E(u)) e1| and |tr(L(u)) / D - tau(u)| for every
+    matrix unit u of A, in matrix_units() order.
+
+    A chunk of units goes through each batched product.  E is called through
+    its slot table when it carries one, otherwise once per unit.
+    """
+    alg = bc.spec.super_algebra
+    E = markov_expectation(bc.spec)
+    table = _slot_table(E, alg)
+    apply = table.apply if table is not None else partial(_apply_each, E, alg)
+    e1 = bc.e1
+    jones, trace = [], []
+    for X in _unit_batches(alg.blocks, bc._chunk):
+        L = bc.left_reps(X)
+        rhs = bc.left_reps(apply(X)) @ e1
+        jones.append(_entry_max(e1 @ L @ e1 - rhs))
+        trace.append(np.abs(np.trace(L, axis1=-2, axis2=-1) / bc.gns_dim - _phi_batch(bc.tau, X)))
+    return np.concatenate(jones), np.concatenate(trace)
 
 
 def dual_expectation(bc: BasicConstruction, X: BlockOperator) -> BlockOperator:
@@ -169,11 +190,11 @@ def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):
 
 def basic_construction_basis(bc: BasicConstruction, b: UnitaryBasis) -> UnitaryBasis:
     """Fourier-twisted basis W_j = sum_k epsilon(jk/d) U_k e1 U_k* for (A in A_1, E_1)."""
-    e1 = bc.e1
+    e1, size = bc.e1, bc._chunk
     terms = np.empty((b.d, bc.gns_dim, bc.gns_dim), dtype=complex)
-    for k, U in enumerate(b.elements):
-        L = bc.left_rep(U).data[0]
-        terms[k] = L @ e1 @ L.conj().T
+    for lo in range(0, b.d, size):
+        L = bc.left_reps([Ws[lo : lo + size] for Ws in b.stacks])
+        terms[lo : lo + size] = L @ e1 @ L.conj().swapaxes(-1, -2)
     if np.abs(terms.sum(axis=0) - np.eye(bc.gns_dim)).max() > PARTITION_TOL:
         raise PartitionOfUnityFailed("sum of U e1 U* deviates from the identity")
     j = np.arange(b.d)

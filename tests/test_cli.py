@@ -149,6 +149,57 @@ def test_bad_tol_env_after_a_good_one_is_bad_input(monkeypatch, capsys):
     assert "--tol" in err and "'abc'" in err and _one_line(err)
 
 
+SEEDED = {
+    "basis": ["basis", "c_in_m2"],
+    "verify": ["verify", "b.json"],  # refused before the file is read
+    "channel": ["channel", "c2_in_m2_plus_m2"],
+}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+@pytest.mark.parametrize("seed", ["-1", "-5", "abc", "1.5"])
+def test_bad_seed_is_bad_input_with_one_line(command, seed, capsys):
+    # numpy refuses a negative seed with a ValueError traceback
+    assert main(SEEDED[command] + ["--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and repr(seed) in err and _one_line(err)
+
+
+@pytest.mark.parametrize("command", ["basis", "channel"])
+def test_a_non_negative_seed_is_accepted(command, capsys):
+    assert main(SEEDED[command] + ["--seed", "0"]) == 0
+    assert main(SEEDED[command] + ["--seed", "12345678901234567890"]) == 0
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-8", "1e999"])
+def test_non_finite_or_negative_tol_is_bad_input(tol, capsys):
+    # inf would pass every finite residual; nan and negatives are no tolerance.
+    # --tol=VALUE, as argparse takes "--tol -inf" for a missing value
+    assert main(["basis", "c_in_m2", f"--tol={tol}"]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and repr(tol) in err and _one_line(err)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-8"])
+def test_non_finite_or_negative_tol_env_is_bad_input(tol, monkeypatch, capsys):
+    monkeypatch.setenv("UOB_TOL", tol)
+    assert main(["channel", "c2_in_m2_plus_m2"]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and repr(tol) in err and _one_line(err)
+
+
+def test_zero_and_tiny_tol_are_accepted(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "b.json"
+    assert main(["basis", "c_in_m2", "--out", str(out)]) == 0
+    for tol in ("0", "1e-30"):
+        assert build_parser().parse_args(["verify", str(out), "--tol", tol]).tol == float(tol)
+        assert main(["verify", str(out), "--tol", tol]) == 1
+    monkeypatch.setenv("UOB_TOL", "0")
+    assert build_parser().parse_args(["verify", str(out)]).tol == 0.0
+    assert main(["verify", str(out)]) == 1
+    capsys.readouterr()
+
+
 def test_bad_subcommand_is_bad_input():
     assert main(["frobnicate"]) == 2
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from uob.bases import construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
@@ -21,6 +20,8 @@ from uob.inclusion import (
 )
 from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.verify import all_passed, verify_basis
+
+from spec_box import specs
 
 # hand integer arithmetic for the shipped catalog: name -> expected d (None = fails)
 EXPECTED_D = {
@@ -177,21 +178,7 @@ def test_markov_trace_rejects_disconnected():
         markov_trace(spec)
 
 
-def _no_zero_line(A):
-    """No zero row (an empty super block) and no zero column."""
-    return all(map(any, A)) and all(map(any, zip(*A)))
-
-
-@st.composite
-def _specs(draw):
-    """Valid specs from the box s, r <= 3, entries 0..2, m_j <= 3."""
-    s, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    row = st.lists(st.integers(0, 2), min_size=r, max_size=r)
-    A = draw(st.lists(row, min_size=s, max_size=s).filter(_no_zero_line))
-    return InclusionSpec.from_matrix(A, draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
-
-
-@given(_specs())
+@given(specs())
 def test_copies_tile_each_super_block_in_layout_order(spec):
     A, m = spec.inclusion_matrix, spec.sub_dims
     assert list(spec.copies) == sorted(spec.copies, key=lambda c: (c[0], c[3]))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
-from uob.errors import AlgebraMismatch, UobError
+from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
 from uob.expectation import _GramProjector, conditional_expectation, markov_expectation
 from uob.inclusion import embed
 from uob.verify import (
@@ -34,6 +34,8 @@ from uob.verify import (
     verify_trace_conditions,
     verify_unitary,
 )
+
+from spec_box import specs
 
 MATCH_TOL = 1e-15
 
@@ -232,3 +234,28 @@ def test_unit_residuals_from_one_product_match_the_batched_units(name, basis):
     _unit_parity(basis)
     for kind, elements in _tampered(basis).items():
         _unit_parity(UnitaryBasis.from_elements(basis.spec, elements, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=specs(), data=st.data())
+def test_a_compiled_E_moves_the_trace_on_diagonal_units_only(spec, data):
+    # verify_trace_conditions runs a compiled E on the diagonal units alone,
+    # because every off-diagonal unit's residual is exactly 0.0
+    alg = spec.super_algebra
+    weights = st.floats(0.01, 100, allow_nan=False, allow_infinity=False)
+    phis = [TracialState(alg, data.draw(st.lists(weights, min_size=spec.s, max_size=spec.s)))]
+    try:
+        phis.append(markov_expectation(spec).phi)
+    except DisconnectedDiagram:  # no unique Markov trace
+        pass
+    checked = TracialState(alg, spec.super_dims)  # the trace the check preserves
+    for phi in phis:
+        E = conditional_expectation(spec, phi)
+        for (_, a, b), e in alg.matrix_units():
+            if a != b:
+                Y = E(e)
+                assert checked(Y) - checked(e) == 0.0 and phi(Y) - phi(e) == 0.0
+        fast = verify_trace_conditions(spec, E)[-1]
+        ref = verify_trace_conditions(spec, lambda X: E(X))[-1]  # all units
+        assert np.float64(fast.residual).tobytes() == np.float64(ref.residual).tobytes()
+        assert fast.passed == ref.passed

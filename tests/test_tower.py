@@ -1,5 +1,6 @@
 """Concrete basic construction, dual expectation, and twisted bases."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from uob.bases import abelian_basis, construct, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob import tower
-from uob.algebra import MultiMatrixAlgebra
+from uob.algebra import MultiMatrixAlgebra, roots
 from uob.errors import (
     AlgebraMismatch,
     DimensionMismatch,
@@ -46,6 +47,9 @@ BENCH_TOWER = {
 ALL_TOWER = {name: catalog_spec(name) for name in TOWER_SPECS} | {
     name: InclusionSpec.from_matrix(A, m) for name, (A, m) in BENCH_TOWER.items()
 }
+# and the basic construction that --method basic builds for [[3, 4]] / [3, 4]
+# (the benchmark ladder's D = 25 job): C in M_3 + M_4
+STACKED = ALL_TOWER | {"c_in_m3_plus_m4": InclusionSpec.from_matrix([[3], [4]], [1])}
 
 
 def test_left_rep_is_a_homomorphism():
@@ -353,3 +357,104 @@ def test_generic_checks_match_the_per_element_loop(name):
     fast = verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc))
     assert abs(fast.residual - max(recon)) <= 1e-15
     assert fast.witness == samples[int(np.argmax(recon))][0]
+
+
+def _stack(ops):
+    return [np.stack(blocks) for blocks in zip(*(X.data for X in ops))]
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_left_rep_equals_the_per_operand_one(name):
+    bc = build_basic_construction(STACKED[name])
+    A = bc.spec.super_algebra
+    rng = np.random.default_rng(12)
+    ops = [u for _, u in A.matrix_units()] + [A.random(rng) for _ in range(3)]
+    got = bc.left_reps(_stack(ops))
+    assert got.shape == (len(ops), bc.gns_dim, bc.gns_dim)
+    for L, X in zip(got, ops):
+        assert np.array_equal(L, bc.left_rep(X).data[0])
+
+
+def _per_element_twist(bc, b0):
+    """The twisted basis stack as the loop the chunked, batched products replaced."""
+    terms = np.empty((b0.d, bc.gns_dim, bc.gns_dim), dtype=complex)
+    for k, U in enumerate(b0.elements):
+        L = bc.left_rep(U).data[0]
+        terms[k] = L @ bc.e1 @ L.conj().T
+    j = np.arange(b0.d)
+    return np.tensordot(roots(b0.d)[np.outer(j, j) % b0.d], terms, axes=1)
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_basic_construction_basis_equals_the_per_element_loop(name):
+    spec = STACKED[name]
+    bc = build_basic_construction(spec)
+    b0 = construct(spec, "auto")
+    assert np.array_equal(basic_construction_basis(bc, b0).stacks[0], _per_element_twist(bc, b0))
+
+
+def _per_unit_residuals(bc):
+    """The Jones and Markov-compatibility residuals, one matrix unit at a time."""
+    E = markov_expectation(bc.spec)
+    jones, trace = [], []
+    for _, unit in bc.spec.super_algebra.matrix_units():
+        L = bc.left_rep(unit).data[0]
+        rhs = bc.left_rep(E(unit)).data[0] @ bc.e1
+        jones.append(np.max(np.abs(bc.e1 @ L @ bc.e1 - rhs)))
+        trace.append(abs(np.trace(L) / bc.gns_dim - bc.tau(unit)))
+    return np.array(jones), np.array(trace)
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_batched_validation_matches_the_per_unit_loop(name):
+    bc = build_basic_construction(STACKED[name])
+    for got, want in zip(tower._validation_residuals(bc), _per_unit_residuals(bc)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_a_compiled_expectation_is_applied_to_whole_chunks(monkeypatch):
+    # the slot table takes each chunk of units in one call; E itself is not called
+    calls = []
+
+    def counted(spec):
+        E = markov_expectation(spec)
+
+        def wrapped(X):
+            calls.append(1)
+            return E(X)
+
+        wrapped.slots = E.slots
+        return wrapped
+
+    monkeypatch.setattr(tower, "markov_expectation", counted)
+    build_basic_construction(InclusionSpec.from_matrix([[3], [4]], [1]))
+    assert calls == []
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunked_products_keep_the_peak_of_the_per_element_loops():
+    # C in M_10, D = 100: stacking every unit or element at once would hold
+    # D^3 entries per array; the chunks keep the peak at the loops' own, which
+    # the twisted basis and its terms dominate (2 d D^2 entries)
+    spec = InclusionSpec.from_matrix([[10]], [1])
+    b0 = abelian_basis(spec)
+    build_basic_construction(spec)  # warm the caches outside the traced runs
+
+    def batched():
+        basic_construction_basis(build_basic_construction(spec), b0)
+
+    def per_element():
+        bc = tower.BasicConstruction(spec)
+        _per_unit_residuals(bc)
+        _per_element_twist(bc, b0)
+
+    assert _traced_peak(batched) <= 1.1 * _traced_peak(per_element)

@@ -6,7 +6,9 @@ cancel without drift.  ``epsilon`` does the same for a single rational
 (``fractions.Fraction``, understood mod 1).  Circulant matrices are
 parametrized by their eigenvalues and built from the entrywise formula, never
 by conjugating with Fourier matrices; ``fourier_matrix`` is the independent
-reference that the circulant tests conjugate with.
+reference that the circulant tests conjugate with.  Batched work runs on
+lists of (K, n_i, n_i) block stacks: the matrix units come that way
+(``unit_batches``), and a tracial state evaluates a batch (``batch``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ import numpy as np
 from .errors import AlgebraMismatch
 
 DEFAULT_TOL = 1e-9
+# complex entries (64 KiB) per batch of operators; larger batches were no
+# faster and raised the peak resident memory
+CHUNK_ENTRIES = 1 << 12
 
 
 def exact_index(value) -> int:
@@ -113,18 +118,34 @@ class MultiMatrixAlgebra:
             [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in self.blocks]
         )
 
+    @property
+    def batch_size(self) -> int:
+        """Operators per batch: at most CHUNK_ENTRIES entries, and at least one."""
+        return max(1, CHUNK_ENTRIES // self.vector_dim)
+
+    def unit_batches(self, size: int, diagonal: bool = False):
+        """Every matrix unit (i, a, b), by block then row-major, as (K, n_i, n_i)
+        block stacks with K <= size; only the units (i, a, a) when ``diagonal``."""
+        for i, n in enumerate(self.blocks):
+            flat = np.arange(n) * (n + 1) if diagonal else np.arange(n * n)
+            for lo in range(0, len(flat), size):
+                t = flat[lo : lo + size]
+                X = [np.zeros((len(t), n2, n2), dtype=complex) for n2 in self.blocks]
+                X[i].reshape(len(t), n * n)[np.arange(len(t)), t] = 1
+                yield X
+
+    def unit_index(self, k: int) -> tuple[int, int, int]:
+        """The matrix unit (i, a, b) at position k of the ``unit_batches`` order."""
+        for i, n in enumerate(self.blocks):
+            if 0 <= k < n * n:
+                return (i, *divmod(k, n))
+            k -= n * n
+        raise IndexError("matrix unit index out of range")
+
     def matrix_units(self):
         """Yield ((i, a, b), E) over all matrix units of every block."""
-        for i, n in enumerate(self.blocks):
-            for a in range(n):
-                for b in range(n):
-                    M = np.zeros((n, n), dtype=complex)
-                    M[a, b] = 1.0
-                    data = [
-                        M if i2 == i else np.zeros((n2, n2), dtype=complex)
-                        for i2, n2 in enumerate(self.blocks)
-                    ]
-                    yield (i, a, b), self.operator(data)
+        for k, X in enumerate(self.unit_batches(1)):
+            yield self.unit_index(k), self.operator([x[0] for x in X])
 
 
 @dataclass(frozen=True)
@@ -179,9 +200,6 @@ class BlockOperator:
         """Largest absolute entry across all blocks; NaN if any entry is NaN."""
         return float(np.max([np.abs(d).max() for d in self.data]))
 
-    def block_traces(self) -> list[complex]:
-        return [complex(np.trace(d)) for d in self.data]
-
     def allclose(self, other: "BlockOperator", tol: float = DEFAULT_TOL) -> bool:
         self._check(other)
         return (self - other).norm_inf() <= tol
@@ -214,8 +232,12 @@ class TracialState:
     def __call__(self, X: BlockOperator) -> complex:
         if X.algebra != self.algebra:
             raise AlgebraMismatch("operator does not belong to the state's algebra")
-        total = sum(p * t for p, t in zip(self.trace_vector, X.block_traces()))
-        return complex(total) / float(self.weight)
+        return complex(self.batch([d[None] for d in X.data])[0])
+
+    def batch(self, blocks) -> np.ndarray:
+        """phi on every operator of a batch: ``blocks[i]`` is a (K, n_i, n_i) stack."""
+        total = sum(p * np.trace(b, axis1=-2, axis2=-1) for p, b in zip(self.trace_vector, blocks))
+        return total / float(self.weight)
 
     def inner(self, X: BlockOperator, Y: BlockOperator) -> complex:
         """GNS inner product <X, Y> = phi(X* Y)."""

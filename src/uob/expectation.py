@@ -6,7 +6,8 @@ its diagonal copies with weights q_ij = p_i / sum_x p_x a_xj and writes the
 average back into every copy.  ``conditional_expectation(spec, phi)`` compiles
 that map once into a ``SlotTable`` (per sub block j, every copy (super block
 i, start, q_ij), read off ``spec.copies``) and returns it as a callable;
-``markov_expectation(spec)`` is the one for the Markov trace.
+``markov_expectation(spec)`` is the one for the Markov trace.  ``batched``
+runs any E over (K, n_i, n_i) block stacks.
 
 Two other forms of the same map stay as independent references: the
 phi-orthogonal projection onto the span of a family such as the embedded
@@ -19,6 +20,7 @@ per sub column, refused over MAX_CHANNEL_ENTRIES before it is built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockOperator, TracialState, roots
+from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
 from .errors import AlgebraMismatch, NonStandardTrace, SingularGram, TooLarge
 from .inclusion import InclusionSpec, markov_trace, spectral_d
 
@@ -89,6 +91,37 @@ def conditional_expectation(spec: InclusionSpec, phi: TracialState):
     E.spec = spec
     E.slots = table
     return E
+
+
+def slot_table(E, alg: MultiMatrixAlgebra) -> SlotTable | None:
+    """The compiled table that ``conditional_expectation`` attaches to E, or
+    None; read from E's attributes, so it survives wrappers that copy them."""
+    table = getattr(E, "slots", None)
+    if table is not None and table.super_dims != alg.blocks:
+        raise AlgebraMismatch("expectation and basis live on different algebras")
+    return table
+
+
+def apply_each(E, alg: MultiMatrixAlgebra, operands) -> list[np.ndarray]:
+    """E on (K, n_i, n_i) block stacks, one call per operand: out[i][c] is block
+    i of E(operand c).  An output that is not an operator of ``alg`` is
+    refused, so a block of the wrong size never lands (or broadcasts) in a stack.
+    """
+    out = [np.empty_like(p) for p in operands]
+    for c in range(len(operands[0])):
+        Y = E(BlockOperator(alg, tuple(p[c] for p in operands)))
+        if getattr(Y, "algebra", None) != alg:
+            raise AlgebraMismatch("expectation output does not belong to the basis's algebra")
+        for o, blk in zip(out, Y.data):
+            o[c] = blk
+    return out
+
+
+def batched(E, alg: MultiMatrixAlgebra):
+    """E over lists of (K, n_i, n_i) block stacks of ``alg``: the slot table's
+    ``apply`` when E carries one, otherwise ``apply_each``, one call per operand."""
+    table = slot_table(E, alg)
+    return table.apply if table is not None else functools.partial(apply_each, E, alg)
 
 
 def markov_expectation(spec: InclusionSpec):
@@ -173,9 +206,10 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
     if any(abs(v - p[0]) > 1e-12 for v in p):
         raise NonStandardTrace("mixed-unitary form requires equal trace weights")
 
-    copies = spec.copies
+    # T, the number of copies, from the column sums: the copy table itself
+    # holds T tuples, so it is built only under the cap
     column_counts = tuple(map(sum, zip(*spec.inclusion_matrix)))
-    T, N = len(copies), spec.super_algebra.ambient_dim
+    T, N = sum(column_counts), spec.super_algebra.ambient_dim
     # a conjugation per unitary, and every dense N x N array: K, the identity,
     # each L_j, the 2T powers ``unitaries`` keeps, and the twenty stacked
     # operands, results, E's results and sums of the ``uob channel`` check
@@ -187,6 +221,7 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
 
     # K: epsilon(t / T) on the t-th copy; L_j: cyclic permutation of the copies
     # of sub block j, fixing l
+    copies = spec.copies
     offsets = spec.super_algebra.block_offsets()
     K = np.diag(np.repeat(roots(T), [spec.sub_dims[j] for _, j, _, _ in copies]))
     k_phases = tuple(((i, j, k), Fraction(t, T)) for t, (i, j, k, _) in enumerate(copies))

@@ -8,6 +8,7 @@ sit at start + l.  Every reader of the layout iterates that table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,7 @@ from .errors import (
     DisconnectedDiagram,
     EmptyColumn,
     InvariantViolated,
+    TooLarge,
 )
 
 SPECTRAL_TOL = 1e-9
@@ -190,7 +192,10 @@ def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
     """
     d = spectral_d(spec)
     m, n = spec.sub_dims, spec.super_dims
-    norm_sq = float(np.linalg.norm(np.array(spec.inclusion_matrix, dtype=float), ord=2) ** 2)
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.linalg.norm(_float_matrix(spec), ord=2) ** 2)
+    if not norm_sq < math.inf or (d is not None and d > sys.float_info.max):
+        raise TooLarge("||A||^2 is past the range of a float")
     connected = spec.is_connected()
     if d is not None:
         if abs(norm_sq - d) > SPECTRAL_TOL:
@@ -216,7 +221,7 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
         raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
     if spectral_d(spec) is not None:
         return TracialState(spec.super_algebra, spec.super_dims)
-    A = np.array(spec.inclusion_matrix, dtype=float)
+    A = _float_matrix(spec)
     M = A @ A.T
     vals, vecs = np.linalg.eigh(M)
     v = vecs[:, -1]
@@ -225,6 +230,14 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
         raise DisconnectedDiagram("Perron eigenvector is not strictly positive")
     v = v / v.min()
     return TracialState(spec.super_algebra, tuple(float(x) for x in v))
+
+
+def _float_matrix(spec: InclusionSpec) -> np.ndarray:
+    """The inclusion matrix as floats; an entry past their range is TooLarge."""
+    try:
+        return np.array(spec.inclusion_matrix, dtype=float)
+    except OverflowError:
+        raise TooLarge("an inclusion matrix entry is past the range of a float") from None
 
 
 def embed(spec: InclusionSpec, Y: BlockOperator) -> BlockOperator:

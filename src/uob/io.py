@@ -49,7 +49,7 @@ def _block_from_json(entries, n: int) -> np.ndarray:
         if bool in set(map(type, itertools.chain.from_iterable(entries))):
             raise TypeError("a boolean is not a number")
         flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"block entries must be [re, im] number pairs: {exc}") from None
     if flat.size != n * n:
         raise DimensionMismatch(f"block has {flat.size} entries, expected {n * n}")

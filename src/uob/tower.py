@@ -11,7 +11,7 @@ transpose inclusion, lines up with the canonical embedding layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +24,8 @@ from .errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from .expectation import _GramProjector, markov_expectation
+from .expectation import _GramProjector, batched, markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d
-from .verify import CHUNK_ENTRIES, _apply_each, _entry_max, _phi_batch, _slot_table, _unit_batches
 
 JONES_TOL = 1e-9
 PARTITION_TOL = 1e-8
@@ -70,15 +69,9 @@ class BasicConstruction:
     @cached_property
     def _proj(self) -> _GramProjector:
         """The Gram projector onto left_rep(A), compiled at the first dual_expectation."""
-        units = _unit_batches(self.spec.super_dims, self._chunk)
+        units = self.spec.super_algebra.unit_batches(self.gns_algebra.batch_size)
         family = (self.gns_algebra.operator([L]) for X in units for L in self.left_reps(X))
         return _GramProjector(self.tr1_state, family)
-
-    @cached_property
-    def _chunk(self) -> int:
-        """Operands per ``left_reps`` batch: a (K, D, D) stack holds at most
-        CHUNK_ENTRIES entries, or one operator when D^2 is larger."""
-        return max(1, CHUNK_ENTRIES // self.gns_dim**2)
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
@@ -144,20 +137,18 @@ def _validation_residuals(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray
     """max |e1 L(u) e1 - L(E(u)) e1| and |tr(L(u)) / D - tau(u)| for every
     matrix unit u of A, in matrix_units() order.
 
-    A chunk of units goes through each batched product.  E is called through
-    its slot table when it carries one, otherwise once per unit.
+    A batch of ``gns_algebra.batch_size`` units goes through each product, and
+    E through ``batched``: its slot table when it has one, else once per unit.
     """
     alg = bc.spec.super_algebra
-    E = markov_expectation(bc.spec)
-    table = _slot_table(E, alg)
-    apply = table.apply if table is not None else partial(_apply_each, E, alg)
+    apply = batched(markov_expectation(bc.spec), alg)
     e1 = bc.e1
     jones, trace = [], []
-    for X in _unit_batches(alg.blocks, bc._chunk):
+    for X in alg.unit_batches(bc.gns_algebra.batch_size):
         L = bc.left_reps(X)
         rhs = bc.left_reps(apply(X)) @ e1
-        jones.append(_entry_max(e1 @ L @ e1 - rhs))
-        trace.append(np.abs(np.trace(L, axis1=-2, axis2=-1) / bc.gns_dim - _phi_batch(bc.tau, X)))
+        jones.append(np.abs(e1 @ L @ e1 - rhs).max(axis=(-2, -1)))
+        trace.append(np.abs(np.trace(L, axis1=-2, axis2=-1) / bc.gns_dim - bc.tau.batch(X)))
     return np.concatenate(jones), np.concatenate(trace)
 
 
@@ -190,7 +181,7 @@ def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):
 
 def basic_construction_basis(bc: BasicConstruction, b: UnitaryBasis) -> UnitaryBasis:
     """Fourier-twisted basis W_j = sum_k epsilon(jk/d) U_k e1 U_k* for (A in A_1, E_1)."""
-    e1, size = bc.e1, bc._chunk
+    e1, size = bc.e1, bc.gns_algebra.batch_size
     terms = np.empty((b.d, bc.gns_dim, bc.gns_dim), dtype=complex)
     for lo in range(0, b.d, size):
         L = bc.left_reps([Ws[lo : lo + size] for Ws in b.stacks])

@@ -7,28 +7,27 @@ basic-construction models.  All checks work on the basis's per-block
 (d, n_i, n_i) stacks.  When E carries the compiled slot table of
 ``markov_expectation``, E itself is applied as matrix products over the
 stacks; any other E (the tower's Gram projector, a plain callable) goes
-through ``_apply_each``, which calls it exactly once per operand: d^2 times
-for orthonormality, d times per test operator for reconstruction and once
-per matrix unit for trace preservation, with every product around those
-calls formed as a batched matmul.  No linearity of E is assumed on that
-path, which is the reference the compiled checks are tested against.  A
-reconstruction check given its own test family (a ``sampler``) always takes
-it.  A compiled E preserves the trace on every off-diagonal matrix unit
+through ``uob.expectation.apply_each``, which calls it exactly once per
+operand: d^2 times for orthonormality, d times per test operator for
+reconstruction and once per matrix unit for trace preservation, with every
+product around those calls formed as a batched matmul.  No linearity of E
+is assumed on that path, which is the reference the compiled checks are
+tested against.  A reconstruction check given its own test family (a
+``sampler``) always takes it.  A compiled E preserves the trace on every off-diagonal matrix unit
 exactly (both traces are 0.0), so trace preservation runs it on the sum n_i
 diagonal units only.  A residual that is NaN or infinite fails.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import BlockOperator, TracialState
+from .algebra import TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
-from .expectation import markov_expectation
+from .expectation import apply_each, batched, markov_expectation, slot_table
 from .inclusion import InclusionSpec, spectral_d
 
 UNITARY_TOL = 1e-9
@@ -37,9 +36,6 @@ RECON_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-9
 TRACE_TOL = 1e-10
 N_RANDOM = 10
-# complex entries (64 KiB) per batch of elements or test operators; larger
-# batches were no faster and raised the peak resident memory
-CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass
@@ -92,18 +88,6 @@ def _worst(name, residuals, tol, label, seed=None) -> VerificationReport:
     return _report(name, r[k], tol, label(k) if r[k] != 0 else "", seed)
 
 
-def _slot_table(E, alg):
-    """The compiled table that ``markov_expectation`` attaches to E, or None.
-
-    Read from E's attributes, so it survives wrappers that copy them; any
-    other callable takes the per-element reference path.
-    """
-    table = getattr(E, "slots", None)
-    if table is not None and table.super_dims != alg.blocks:
-        raise AlgebraMismatch("expectation and basis live on different algebras")
-    return table
-
-
 def _entry_max(stack: np.ndarray) -> np.ndarray:
     """Largest absolute entry of each matrix in a (..., n, n) stack."""
     return np.abs(stack).max(axis=(-2, -1))
@@ -132,36 +116,11 @@ def _batches(ops, size):
         yield [np.stack(blocks) for blocks in zip(*(X.data for X in ops[lo : lo + size]))]
 
 
-def _unit_batches(blocks, size, diagonal=False):
-    """Every matrix unit (i, a, b) in matrix_units() order, as block stacks of
-    at most ``size`` units; only the units (i, a, a) when ``diagonal``."""
-    for i, n in enumerate(blocks):
-        flat = np.arange(n) * (n + 1) if diagonal else np.arange(n * n)
-        for lo in range(0, len(flat), size):
-            t = flat[lo : lo + size]
-            X = [np.zeros((len(t), n2, n2), dtype=complex) for n2 in blocks]
-            X[i].reshape(len(t), n * n)[np.arange(len(t)), t] = 1
-            yield X
-
-
-def _unit_label(blocks, k: int) -> str:
-    """Label of test operator k: the matrix units first, then the random draws."""
-    for i, n in enumerate(blocks):
-        if k < n * n:
-            return f"unit {(i, *divmod(k, n))}"
-        k -= n * n
-    return f"random {k}"
-
-
-def _batch_size(blocks) -> int:
-    return max(1, CHUNK_ENTRIES // sum(n * n for n in blocks))
-
-
 def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> VerificationReport:
     """Every element satisfies W W* = W* W = I."""
     if not basis.d:
         return _report("unitary", np.inf, tol, "empty basis")
-    size = _batch_size(basis.algebra.blocks)
+    size = basis.algebra.batch_size
     resid = np.zeros(basis.d)
     for Ws in basis.stacks:
         I = np.eye(Ws.shape[-1])
@@ -173,32 +132,12 @@ def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> Verificatio
     return _worst("unitary", resid, tol, lambda j: f"element {j}")
 
 
-def _apply_each(E, alg, operands, out=None) -> list[np.ndarray]:
-    """E on a batch, one E call per operand: returns ``out`` with out[i][c] =
-    block i of E(operand c).
-
-    ``operands`` holds one (K, n_i, n_i) stack per block.  ``out`` is filled
-    in place, so a loop can reuse one set of K-long stacks; it is allocated
-    when not given.  An output that is not an operator of ``alg`` is refused,
-    so a block of the wrong size never lands (or broadcasts) in a stack.
-    """
-    if out is None:
-        out = [np.empty_like(p) for p in operands]
-    for c in range(len(operands[0])):
-        Y = E(BlockOperator(alg, tuple(p[c] for p in operands)))
-        if getattr(Y, "algebra", None) != alg:
-            raise AlgebraMismatch("expectation output does not belong to the basis's algebra")
-        for o, blk in zip(out, Y.data):
-            o[c] = blk
-    return out
-
-
 def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> VerificationReport:
     """E(W_j* W_k) = delta_jk I for the given expectation."""
     if not basis.d:
         return _report("orthonormality", np.inf, tol, "empty basis")
     d, alg, stacks = basis.d, basis.algebra, basis.stacks
-    table = _slot_table(E, alg)
+    table = slot_table(E, alg)
     if table is not None:
         resid = 0.0
         for m, _, L, R in _weighted_columns(basis, table):
@@ -206,11 +145,10 @@ def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> Ver
             G[np.diag_indices(d * m)] -= 1
             resid = np.maximum(resid, np.abs(G).reshape(d, m, d, m).max(axis=(1, 3)))
     else:
-        out = [np.empty_like(Ws) for Ws in stacks]
         resid = np.empty((d, d))
         for j in range(d):
             # every W_j* W_k in one batched matmul per block, then E on each
-            _apply_each(E, alg, [Ws[j].conj().T @ Ws for Ws in stacks], out)
+            out = apply_each(E, alg, [Ws[j].conj().T @ Ws for Ws in stacks])
             row = 0.0
             for o in out:
                 o[j] -= np.eye(o.shape[-1])
@@ -228,13 +166,14 @@ def verify_reconstruction(
     of a proper subalgebra of the ambient block algebra; it is checked with
     one E call per W_c* X.  Otherwise, with a compiled E, the matrix units are
     read off one product per sub block (see ``_unit_residuals``) and the
-    random operators are streamed in batches of at most CHUNK_ENTRIES entries.
+    random operators are streamed in batches of at most
+    ``uob.algebra.CHUNK_ENTRIES`` entries.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
     alg = basis.algebra
     rng = np.random.default_rng(seed)
-    table = _slot_table(E, alg)
+    table = slot_table(E, alg)
     if sampler is not None:
         samples = list(sampler(rng))
     elif table is None:
@@ -242,9 +181,11 @@ def verify_reconstruction(
         samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
     else:
         parts = list(_weighted_columns(basis, table))
-        randoms = _batches([alg.random(rng) for _ in range(N_RANDOM)], _batch_size(alg.blocks))
+        randoms = _batches([alg.random(rng) for _ in range(N_RANDOM)], alg.batch_size)
         resid = np.concatenate([_unit_residuals(basis, parts), _stacked_reconstruction(parts, randoms)])
-        return _worst("reconstruction", resid, tol, lambda k: _unit_label(alg.blocks, k), seed=seed)
+        D = alg.vector_dim  # the matrix units first, then the random draws
+        label = lambda k: f"unit {alg.unit_index(k)}" if k < D else f"random {k - D}"
+        return _worst("reconstruction", resid, tol, label, seed=seed)
     resid = _generic_reconstruction(basis, E, [X for _, X in samples])
     return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)
 
@@ -259,12 +200,11 @@ def _generic_reconstruction(basis: UnitaryBasis, E, Xs) -> np.ndarray:
     """
     alg, stacks = basis.algebra, basis.stacks
     adj = [Ws.conj().swapaxes(-1, -2) for Ws in stacks]
-    out = [np.empty_like(Ws) for Ws in stacks]
     resid = np.empty(len(Xs))
     for t, X in enumerate(Xs):
         if X.algebra != alg:
             raise AlgebraMismatch("test operator does not belong to the basis's algebra")
-        _apply_each(E, alg, [h @ x for h, x in zip(adj, X.data)], out)
+        out = apply_each(E, alg, [h @ x for h, x in zip(adj, X.data)])
         r = 0.0
         for Ws, o, x in zip(stacks, out, X.data):
             r = np.maximum(r, np.abs((Ws @ o).sum(axis=0) - x).max())
@@ -299,23 +239,24 @@ def _unit_residuals(basis: UnitaryBasis, parts) -> np.ndarray:
 
 def _stacked_reconstruction(parts, batches) -> np.ndarray:
     """max |sum_c W_c E(W_c* X) - X| for every X of every (K, n_i, n_i) batch,
-    with ``parts`` the sub blocks' ``_weighted_columns``."""
+    with ``parts`` the sub blocks' ``_weighted_columns``.
+
+    Each copy's column slice of the sum is compared with the same slice of X
+    where it is formed; the copies tile the columns of every super block, so
+    every entry of X is compared exactly once.
+    """
     resid = []
     for X in batches:
-        K = X[0].shape[0]
-        acc = [np.empty_like(Xi) for Xi in X]
+        K, worst = len(X[0]), []
         for m, copies, L, R in parts:
-            # Z[(c, a), (k, b)] is block j of E(W_c* X_k); R @ Z gives the column
-            # slices of sum_c W_c E(W_c* X_k), copy after copy.
+            # Xcols[(x, a), k, b] = X_k[a, s + b] over the copies (i, s) of the
+            # sub block; L @ Xcols gives block j of every E(W_c* X_k), and R @
+            # that the column slices of sum_c W_c E(W_c* X_k), copy after copy.
             Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
-            Z = L @ Xcols.transpose(1, 0, 2).reshape(-1, K * m)
-            out = (R @ Z).reshape(-1, K, m)
-            row = 0
-            for i, s, _ in copies:
-                n = X[i].shape[-1]
-                acc[i][:, :, s : s + m] = out[row : row + n].transpose(1, 0, 2)
-                row += n
-        resid.append(np.max([_entry_max(a - x) for a, x in zip(acc, X)], axis=0))
+            Xcols = Xcols.transpose(1, 0, 2)
+            out = (R @ (L @ Xcols.reshape(-1, K * m))).reshape(Xcols.shape)
+            worst.append(np.abs(out - Xcols).max(axis=(0, 2)))
+        resid.append(np.max(worst, axis=0))
     return np.concatenate(resid)
 
 
@@ -383,23 +324,16 @@ def verify_trace_conditions(
         E = markov_expectation(spec)
     alg = spec.super_algebra
     phi = TracialState(alg, n)
-    table = _slot_table(E, alg)
-    apply = table.apply if table is not None else functools.partial(_apply_each, E, alg)
+    apply = batched(E, alg)
     # SlotTable.apply copies square slots X_i[S, S] onto square slots, so it
     # maps an off-diagonal unit to an operator whose diagonal entries are all
     # exactly 0 (a finite q times 0, summed).  Both traces are then exactly
     # 0.0, and so is that unit's residual: the diagonal units alone give the
     # same maximum, bit for bit.  Any other E is tested on every unit.
-    units = _unit_batches(alg.blocks, _batch_size(alg.blocks), diagonal=table is not None)
-    resid = np.concatenate([np.abs(_phi_batch(phi, apply(X)) - _phi_batch(phi, X)) for X in units])
+    units = alg.unit_batches(alg.batch_size, diagonal=slot_table(E, alg) is not None)
+    resid = np.concatenate([np.abs(phi.batch(apply(X)) - phi.batch(X)) for X in units])
     reports.append(_report("markov_preservation", np.max(resid), tol))
     return reports
-
-
-def _phi_batch(phi: TracialState, blocks) -> np.ndarray:
-    """phi on every operator of a batch of (K, n_i, n_i) block stacks."""
-    total = sum(p * np.trace(b, axis1=-2, axis2=-1) for p, b in zip(phi.trace_vector, blocks))
-    return total / float(phi.weight)
 
 
 def verify_necessary_conditions(

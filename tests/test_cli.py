@@ -70,6 +70,23 @@ def test_check_boolean_spec_field_exits_1_with_one_line(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1 and "boolean" in err
 
 
+@pytest.mark.parametrize("command", ["check", "entropy"])
+@pytest.mark.parametrize(
+    "A, m",
+    [
+        ([[10**400]], [1]),  # the entry itself is past the range of a float
+        ([[10**400, 1]], [1, 1]),  # and with no integer d
+        ([[10**200]], [1]),  # a float entry, but ||A||^2 = 10^400 is not
+    ],
+)
+def test_an_entry_past_the_float_range_exits_1_with_one_line(tmp_path, capsys, command, A, m):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"inclusion_matrix": A, "sub_dims": m}))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "range of a float" in err
+
+
 def test_check_spec_from_file(tmp_path, capsys):
     path = tmp_path / "s.json"
     save_spec(path, catalog_spec("c_in_m3"))
@@ -296,6 +313,7 @@ def test_channel(capsys):
     [
         ([[12] * 6], [1] * 6),  # N = 72 but 214,990,848 conjugations
         ([[1]], [20000]),  # one conjugation, but N x N arrays of 6.4 GB each
+        ([[200000]], [1]),  # refused before its 200,000 copies are listed
     ],
 )
 def test_channel_over_the_size_cap_exits_1_with_one_line(tmp_path, capsys, A, m):
@@ -368,6 +386,13 @@ def test_verify_nan_entry_exits_1_without_traceback(tmp_path, capsys):
     assert "[FAIL] unitary" in captured.out
     assert "[FAIL] orthonormality" in captured.out
     assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+
+def test_verify_entry_past_the_float_range_exits_1_with_one_line(tmp_path, capsys):
+    path = _write_basis_doc(tmp_path / "big.json", [[[[10**400, 0]]]])
+    assert main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
 
 
 def test_verify_empty_basis_exits_1(tmp_path, capsys):

@@ -1,0 +1,44 @@
+"""Layering: building bases and expectations does not depend on the verifier.
+
+Every module below is parsed with ``ast``, so an import anywhere in it (at
+the top, inside a function, relative or absolute) counts.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import uob
+
+SRC = Path(uob.__file__).parent
+BELOW_VERIFY = ["algebra", "inclusion", "expectation", "bases", "tower", "io", "catalog"]
+
+
+def _imports(module: str) -> set[str]:
+    """Absolute names a module of the uob package imports, ``from`` targets included."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the flat uob package
+                base = "uob" + (f".{base}" if base else "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _imports_verify(module: str) -> bool:
+    return any(n == "uob.verify" or n.startswith("uob.verify.") for n in _imports(module))
+
+
+def test_the_cli_is_seen_to_import_verify():
+    # the parser sees the verifier where it is used, so the checks below are not vacuous
+    assert _imports_verify("cli")
+
+
+@pytest.mark.parametrize("module", BELOW_VERIFY)
+def test_module_does_not_import_verify(module):
+    assert not _imports_verify(module)

@@ -20,10 +20,8 @@ from uob.inclusion import embed
 from uob.verify import (
     N_RANDOM,
     RECON_TOL,
-    _batch_size,
+    _batches,
     _stacked_reconstruction,
-    _unit_batches,
-    _unit_label,
     _unit_residuals,
     _weighted_columns,
     _worst,
@@ -218,13 +216,13 @@ def test_an_output_of_another_algebra_is_an_algebra_mismatch(name):
 
 def _unit_parity(basis):
     table = markov_expectation(basis.spec).slots
-    blocks = basis.algebra.blocks
+    alg = basis.algebra
     with np.errstate(invalid="ignore", over="ignore"):
         parts = list(_weighted_columns(basis, table))
         fast = _unit_residuals(basis, parts)
-        batched = _stacked_reconstruction(parts, _unit_batches(blocks, _batch_size(blocks)))
+        batched = _stacked_reconstruction(parts, alg.unit_batches(alg.batch_size))
     np.testing.assert_allclose(fast, batched, rtol=0, atol=MATCH_TOL)
-    label = lambda k: _unit_label(blocks, k)  # noqa: E731
+    label = lambda k: f"unit {alg.unit_index(k)}"  # noqa: E731
     a, b = _worst("r", fast, RECON_TOL, label), _worst("r", batched, RECON_TOL, label)
     assert (a.witness, a.passed) == (b.witness, b.passed)
 
@@ -259,3 +257,131 @@ def test_a_compiled_E_moves_the_trace_on_diagonal_units_only(spec, data):
         ref = verify_trace_conditions(spec, lambda X: E(X))[-1]  # all units
         assert np.float64(fast.residual).tobytes() == np.float64(ref.residual).tobytes()
         assert fast.passed == ref.passed
+
+
+# The forms these primitives had before they moved below ``uob.verify``,
+# written out as references: the moved forms must give the same bits, except
+# the scalar phi, which moves by at most one ulp (see ``_assert_phi_match``).
+
+
+def _scatter_reconstruction(parts, batches):
+    """The former ``_stacked_reconstruction``: every copy's columns scattered
+    into full-size blocks, which are then compared with X."""
+    resid = []
+    for X in batches:
+        K = X[0].shape[0]
+        acc = [np.empty_like(Xi) for Xi in X]
+        for m, copies, L, R in parts:
+            Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
+            Z = L @ Xcols.transpose(1, 0, 2).reshape(-1, K * m)
+            out = (R @ Z).reshape(-1, K, m)
+            row = 0
+            for i, s, _ in copies:
+                n = X[i].shape[-1]
+                acc[i][:, :, s : s + m] = out[row : row + n].transpose(1, 0, 2)
+                row += n
+        resid.append(np.max([np.abs(a - x).max(axis=(-2, -1)) for a, x in zip(acc, X)], axis=0))
+    return np.concatenate(resid)
+
+
+def _triple_loop_units(alg):
+    """The former ``matrix_units``: one fresh operator per (i, a, b)."""
+    for i, n in enumerate(alg.blocks):
+        for a in range(n):
+            for b in range(n):
+                M = np.zeros((n, n), dtype=complex)
+                M[a, b] = 1.0
+                data = [
+                    M if i2 == i else np.zeros((n2, n2), dtype=complex)
+                    for i2, n2 in enumerate(alg.blocks)
+                ]
+                yield (i, a, b), alg.operator(data)
+
+
+def _phi_batch_before(phi, blocks):
+    """The former batched phi of the verify checks."""
+    total = sum(p * np.trace(b, axis1=-2, axis2=-1) for p, b in zip(phi.trace_vector, blocks))
+    return total / float(phi.weight)
+
+
+def _phi_through_block_traces(phi, X):
+    """The former scalar phi: Python complex arithmetic on the block traces."""
+    traces = [complex(np.trace(d)) for d in X.data]
+    return complex(sum(p * t for p, t in zip(phi.trace_vector, traces))) / float(phi.weight)
+
+
+def _with_tampered(basis):
+    return [("basis", basis)] + [
+        (kind, UnitaryBasis.from_elements(basis.spec, elements, kind))
+        for kind, elements in _tampered(basis).items()
+    ]
+
+
+def _assert_units_match(alg):
+    new, old = list(alg.matrix_units()), list(_triple_loop_units(alg))
+    assert [lbl for lbl, _ in new] == [lbl for lbl, _ in old]
+    assert [alg.unit_index(k) for k in range(alg.vector_dim)] == [lbl for lbl, _ in old]
+    with pytest.raises(IndexError):
+        alg.unit_index(alg.vector_dim)
+    for (_, X), (_, Y) in zip(new, old):
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(X.data, Y.data))
+
+
+def _assert_phi_match(phi, ops):
+    """The batched phi keeps the verify checks' bits, and the scalar phi is its
+    K = 1 case.  The former scalar phi divided in Python complex arithmetic,
+    (a + b 0) / w, where numpy multiplies by 1 / w: the scalar moves by at most
+    one unit in the last place, and its NaNs stay where they were."""
+    blocks = [np.stack(b) for b in zip(*(X.data for X in ops))]
+    batch = phi.batch(blocks)
+    assert np.array_equal(batch, _phi_batch_before(phi, blocks), equal_nan=True)
+    scalar = np.array([phi(X) for X in ops])
+    assert np.array_equal(scalar, batch, equal_nan=True)
+    ref = np.array([_phi_through_block_traces(phi, X) for X in ops])
+    assert np.array_equal(np.isnan(scalar), np.isnan(ref))
+    finite = np.isfinite(ref)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_max_ulp(part(scalar[finite]), part(ref[finite]), maxulp=1)
+
+
+@pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
+def test_in_place_reconstruction_gives_the_bits_of_the_scatter_form(name, basis):
+    alg = basis.algebra
+    table = markov_expectation(basis.spec).slots
+    rng = np.random.default_rng(5)
+    randoms = [alg.random(rng) for _ in range(3)]
+    for kind, b in _with_tampered(basis):
+        with np.errstate(invalid="ignore", over="ignore"):
+            parts = list(_weighted_columns(b, table))
+            for batches in (lambda: alg.unit_batches(alg.batch_size), lambda: _batches(randoms, 2)):
+                new = _stacked_reconstruction(parts, batches())
+                old = _scatter_reconstruction(parts, batches())
+        assert np.array_equal(new, old, equal_nan=True), (name, kind)
+
+
+@pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
+def test_moved_units_and_phi_give_the_bits_of_the_former_forms(name, basis):
+    spec = basis.spec
+    _assert_units_match(spec.super_algebra)
+    _assert_units_match(spec.sub_algebra)
+    E = markov_expectation(spec)
+    phis = [E.phi, TracialState(basis.algebra, (0.7, 1.9, 2.3)[: spec.s])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for kind, b in _with_tampered(basis):
+            ops = list(b.elements) + [W.adjoint() @ W for W in b.elements] + [E(W) for W in b.elements]
+            for phi in phis:
+                _assert_phi_match(phi, ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=specs(), data=st.data())
+def test_moved_units_and_phi_on_the_spec_box(spec, data):
+    weights = st.floats(0.01, 100, allow_nan=False, allow_infinity=False)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for alg in (spec.super_algebra, spec.sub_algebra):
+        _assert_units_match(alg)
+        k = alg.num_blocks
+        phi = TracialState(alg, data.draw(st.lists(weights, min_size=k, max_size=k)))
+        ops = [u for _, u in alg.matrix_units()] + [alg.random(rng) for _ in range(3)]
+        _assert_phi_match(phi, ops)
+        _assert_phi_match(TracialState(alg, alg.blocks), ops)

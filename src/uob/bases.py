@@ -345,7 +345,9 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     """
     size = (spectral_d(spec) or 0) * spec.super_algebra.vector_dim
     if size > MAX_BASIS_ENTRIES:
-        raise TooLarge(f"a basis would hold {size} entries, over the cap of {MAX_BASIS_ENTRIES}")
+        raise TooLarge(
+            f"a basis would hold {TooLarge.count(size)} entries, over the cap of {MAX_BASIS_ENTRIES}"
+        )
     builders = {
         "abelian": abelian_basis,
         "weyl": weyl_basis,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import catalog
 from .bases import METHODS, construct
-from .errors import NoKnownConstruction, UobError
+from .errors import InputError, NoKnownConstruction, UobError
 from .expectation import markov_expectation, mixed_unitary_channel
 from .inclusion import InclusionSpec, check_spectral_condition
 from .io import load_basis, load_spec, save_basis
@@ -93,17 +93,14 @@ def cmd_channel(args) -> int:
     got = dec.apply(np.stack([X.to_dense() for X in Xs]))
     want = np.stack([E(X).to_dense() for X in Xs])
     worst = float(np.max(np.abs(got - want)))
-    print(
-        json.dumps(
-            {
-                "unitary_count": dec.unitary_count,
-                "column_counts": list(dec.column_counts),
-                "k_phases": {str(lbl): str(x) for lbl, x in dec.k_phases},
-                "cycles": [[list(pos) for pos in cyc] for cyc in dec.cycles],
-                "agreement_residual": worst,
-            }
-        )
-    )
+    doc = {
+        "unitary_count": dec.unitary_count,
+        "column_counts": dec.column_counts,
+        "k_phases": {str(lbl): str(x) for lbl, x in dec.k_phases},
+        "cycles": dec.cycles,
+        "agreement_residual": worst,
+    }
+    print(json.dumps(doc))
     return EXIT_OK if worst <= args.tol else EXIT_FAILED
 
 
@@ -188,7 +185,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, InputError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UobError as exc:

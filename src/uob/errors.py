@@ -1,6 +1,10 @@
 """Exception hierarchy for the uob package."""
 
 
+class InputError(ValueError):
+    """A file that json cannot read into a document: bad input, not a domain error."""
+
+
 class UobError(Exception):
     """Base class for all domain errors raised by uob."""
 
@@ -67,6 +71,11 @@ class InvariantViolated(UobError):
 
 class TooLarge(UobError):
     """The requested object is over a documented size cap; nothing was allocated."""
+
+    @staticmethod
+    def count(n: int) -> str:
+        """n in full up to 2^64, else the power of two below it: str() refuses over 4300 digits."""
+        return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 class NoExpectation(UobError):

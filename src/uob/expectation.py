@@ -13,9 +13,10 @@ Two other forms of the same map stay as independent references: the
 phi-orthogonal projection onto the span of a family such as the embedded
 matrix units of B (``_GramProjector(phi, family)``, compiled once and then
 called on each operand; the tower's dual expectation is one), and, when the
-preserved trace is the standard one, a mixed unitary channel built from one
-diagonal unitary (a phase per copy) and one cyclic permutation of the copies
-per sub column, refused over MAX_CHANNEL_ENTRIES before it is built.
+preserved trace is the standard one, a mixed unitary channel.  Its unitaries
+are permutations of the copies (a cycle per sub block) times a phase per
+copy, read off ``spec.copies`` and kept as index arrays, so a conjugation is
+a gather and a product; a channel over MAX_CHANNEL_ENTRIES is refused first.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import AlgebraMismatch, NonStandardTrace, SingularGram, TooLarge
 from .inclusion import InclusionSpec, markov_trace, spectral_d
 
 GRAM_COND_LIMIT = 1e12
-# Largest mixed-unitary channel built, in complex entries (see
-# ``mixed_unitary_channel``): 2^24, the budget of MAX_BASIS_ENTRIES.
+# Largest mixed-unitary channel, in N x N entries per conjugation and stacked
+# operand (see ``mixed_unitary_channel``): 2^24, the budget of MAX_BASIS_ENTRIES.
 MAX_CHANNEL_ENTRIES = 1 << 24
 
 
@@ -140,64 +141,69 @@ def markov_expectation(spec: InclusionSpec):
 
 @dataclass(frozen=True)
 class MixedUnitaryDecomposition:
-    """E as a uniform average over L^x K^y conjugations on the ambient space.
+    """E as the uniform average of the conjugations by L_0^{x_0} ... L_{r-1}^{x_{r-1}} K^y.
 
-    K is diagonal with T-th roots of unity; L_j cyclically permutes the T_j
-    copies of sub block j.  The unitaries live in the ambient matrix algebra,
-    not necessarily in the super-algebra itself.
+    Every unitary is a permutation times phases, read off ``spec.copies`` and
+    kept as index arrays: K multiplies the t-th of the T copies by
+    epsilon(t / T), and L_j cyclically permutes the T_j copies of sub block j.
+    The unitaries act on the ambient space, not necessarily in the super-algebra.
     """
 
     spec: InclusionSpec
-    K: np.ndarray
-    L: tuple[np.ndarray, ...]
-    column_counts: tuple[int, ...]
-    # phase of K on sub-block (i, j, k) as an exact rational over T, and the
-    # (i, k) cycle each L_j runs through
-    k_phases: tuple = ()
-    cycles: tuple = ()
 
-    @property
-    def total_count(self) -> int:
-        return sum(self.column_counts)
+    @functools.cached_property
+    def column_counts(self) -> tuple[int, ...]:
+        """T_j, the copies of sub block j: the column sums of A."""
+        return tuple(map(sum, zip(*self.spec.inclusion_matrix)))
 
-    @property
+    @functools.cached_property
     def unitary_count(self) -> int:
         """Number of conjugations in the average: prod_j T_j times T."""
-        return math.prod(self.column_counts) * self.total_count
+        return math.prod(self.column_counts) * sum(self.column_counts)
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.unitary_count)
+    @functools.cached_property
+    def k_phases(self) -> tuple:
+        """The phase of K on each copy (i, j, k), exact over T."""
+        T = len(self.spec.copies)
+        return tuple(((i, j, k), Fraction(t, T)) for t, (i, j, k, _) in enumerate(self.spec.copies))
 
-    def unitaries(self):
-        """All L_0^{x_0} ... L_{r-1}^{x_{r-1}} K^y in the average."""
-        T = self.total_count
-        Lpowers = []
-        for Lj, Tj in zip(self.L, self.column_counts):
-            powers = [np.eye(Lj.shape[0], dtype=complex)]
-            for _ in range(Tj - 1):
-                powers.append(Lj @ powers[-1])
-            Lpowers.append(powers)
-        Kpowers = [np.eye(self.K.shape[0], dtype=complex)]
-        for _ in range(T - 1):
-            Kpowers.append(self.K @ Kpowers[-1])
-        for xs in itertools.product(*(range(Tj) for Tj in self.column_counts)):
-            Lprod = Kpowers[0]
-            for powers, x in zip(Lpowers, xs):
-                Lprod = Lprod @ powers[x]
-            for y in range(T):
-                yield Lprod @ Kpowers[y]
+    @functools.cached_property
+    def cycles(self) -> tuple:
+        """The (i, k) copies that each L_j runs through."""
+        copies = self.spec.copies
+        return tuple(tuple((i, k) for i, jj, k, _ in copies if jj == j) for j in range(self.spec.r))
+
+    @functools.cached_property
+    def copy_index(self) -> np.ndarray:
+        """The copy t at each ambient position, where K's phase is t / T."""
+        sizes = [self.spec.sub_dims[j] for _, j, _, _ in self.spec.copies]
+        return np.repeat(np.arange(len(sizes)), sizes)
+
+    @functools.cached_property
+    def shifts(self) -> tuple[np.ndarray, ...]:
+        """Row x of table j is L_j^x as an index array p: (L_j^x X L_j^-x)[a, b]
+        = X[p[a], p[b]], and p sends each copy of sub block j to the one x before it."""
+        copies, offsets, out = self.spec.copies, self.spec.super_algebra.block_offsets(), []
+        for j, m in enumerate(self.spec.sub_dims):
+            at = np.add.outer([offsets[i] + s for i, jj, _, s in copies if jj == j], np.arange(m))
+            out.append(np.tile(np.arange(self.spec.super_algebra.ambient_dim), (len(at), 1)))
+            for x, row in enumerate(out[-1]):
+                row[at] = np.roll(at, x, axis=0)
+        return tuple(out)
 
     def apply(self, X) -> np.ndarray:
-        """Average the unitary conjugations over a dense ambient matrix, or over
-        a stack of them with any leading batch shape (..., N, N)."""
-        if isinstance(X, BlockOperator):
-            X = X.to_dense()
-        X = np.asarray(X, dtype=complex)
-        out = np.zeros_like(X)
-        for U in self.unitaries():
-            out += U @ X @ U.conj().T
-        return out * float(self.weight)
+        """The average over a dense ambient matrix or an (..., N, N) stack of them.
+        With p the L product's index array and t the copy index, each conjugation is
+        a gather and exact phases: U X U* is roots(T)[y (t[pa] - t[pb]) mod T] X[pa, pb]."""
+        X = np.asarray(X.to_dense() if isinstance(X, BlockOperator) else X, dtype=complex)
+        phase, out = roots(len(self.spec.copies)), np.zeros_like(X)
+        for ps in itertools.product(*self.shifts):
+            p = functools.reduce(lambda a, b: a[b], ps)
+            step = self.copy_index[p][:, None] - self.copy_index[p]
+            G = X[..., p[:, None], p]
+            for y in range(len(phase)):
+                out += phase[y * step % len(phase)] * G
+        return out * (1 / self.unitary_count)
 
 
 def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
@@ -205,38 +211,16 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
     p = markov_trace(spec).trace_vector
     if any(abs(v - p[0]) > 1e-12 for v in p):
         raise NonStandardTrace("mixed-unitary form requires equal trace weights")
-
-    # T, the number of copies, from the column sums: the copy table itself
-    # holds T tuples, so it is built only under the cap
-    column_counts = tuple(map(sum, zip(*spec.inclusion_matrix)))
-    T, N = sum(column_counts), spec.super_algebra.ambient_dim
-    # a conjugation per unitary, and every dense N x N array: K, the identity,
-    # each L_j, the 2T powers ``unitaries`` keeps, and the twenty stacked
-    # operands, results, E's results and sums of the ``uob channel`` check
-    entries = (math.prod(column_counts) * T + 2 + spec.r + 2 * T + 20) * N * N
+    # N x N entries per conjugation and per stacked operand of ``uob channel``, which stacks
+    # twenty; read off the column sums, so the T copies are listed only under the cap
+    dec, N = MixedUnitaryDecomposition(spec), spec.super_algebra.ambient_dim
+    entries = (dec.unitary_count + 20) * N * N
     if entries > MAX_CHANNEL_ENTRIES:
         raise TooLarge(
-            f"the channel would take {entries} entries, over the cap of {MAX_CHANNEL_ENTRIES}"
+            f"the channel would take {TooLarge.count(entries)} entries,"
+            f" over the cap of {MAX_CHANNEL_ENTRIES}"
         )
-
-    # K: epsilon(t / T) on the t-th copy; L_j: cyclic permutation of the copies
-    # of sub block j, fixing l
-    copies = spec.copies
-    offsets = spec.super_algebra.block_offsets()
-    K = np.diag(np.repeat(roots(T), [spec.sub_dims[j] for _, j, _, _ in copies]))
-    k_phases = tuple(((i, j, k), Fraction(t, T)) for t, (i, j, k, _) in enumerate(copies))
-    eye = np.eye(N, dtype=complex)
-    Ls, cycles = [], []
-    for j, m in enumerate(spec.sub_dims):
-        mine = [(i, k, offsets[i] + s) for i, jj, k, s in copies if jj == j]
-        cycles.append(tuple((i, k) for i, k, _ in mine))
-        at = np.array([s for _, _, s in mine])[:, None] + np.arange(m)
-        perm = np.arange(N)
-        perm[at] = np.roll(at, 1, axis=0)
-        Ls.append(eye[perm])
-    return MixedUnitaryDecomposition(
-        spec, K, tuple(Ls), column_counts, k_phases, tuple(cycles)
-    )
+    return dec
 
 
 class _GramProjector:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .algebra import MultiMatrixAlgebra, exact_index
 from .bases import UnitaryBasis
-from .errors import DimensionMismatch, InvariantViolated
+from .errors import DimensionMismatch, InputError, InvariantViolated
 from .inclusion import InclusionSpec, _ints
 
 
@@ -108,9 +108,17 @@ def save_spec(path, spec: InclusionSpec, name: str = ""):
         fh.write("\n")
 
 
-def load_spec(path) -> InclusionSpec:
+def _read_json(path):
+    """The file's JSON document; anything json refuses, even a 5000-digit int, is an InputError."""
     with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(exc) from None
+
+
+def load_spec(path) -> InclusionSpec:
+    return spec_from_dict(_read_json(path))
 
 
 def save_basis(path, basis: UnitaryBasis, name: str = ""):
@@ -146,5 +154,4 @@ def save_basis(path, basis: UnitaryBasis, name: str = ""):
 
 
 def load_basis(path) -> UnitaryBasis:
-    with open(path) as fh:
-        return basis_from_dict(json.load(fh))
+    return basis_from_dict(_read_json(path))

@@ -122,7 +122,7 @@ def build_basic_construction(spec: InclusionSpec) -> BasicConstruction:
         raise SpectralConditionFailed("basic construction requires the spectral condition")
     D = spec.super_algebra.vector_dim
     if D > MAX_GNS_DIM:
-        raise TooLarge(f"gns_dim {D} exceeds cap {MAX_GNS_DIM}")
+        raise TooLarge(f"gns_dim {TooLarge.count(D)} exceeds cap {MAX_GNS_DIM}")
     bc = BasicConstruction(spec)
     # np.max keeps a NaN that Python's max drops, and a NaN fails the test
     worst_jones, worst_trace = (float(np.max(r)) for r in _validation_residuals(bc))

@@ -332,6 +332,15 @@ def test_channel_over_the_size_cap_exits_1_with_one_line(tmp_path, capsys, A, m)
     assert err.startswith("error: ") and err.count("\n") == 1 and "over the cap" in err
 
 
+def test_channel_on_the_largest_census_channel_spec(tmp_path, capsys):
+    # 3888 conjugations at N = 48: the largest channel of any equal-n spec of the census box
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec.from_matrix([[2, 2, 2]] * 3, [2, 3, 3]))
+    assert main(["channel", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["unitary_count"] == 3888 and doc["agreement_residual"] <= 1e-10
+
+
 def test_channel_with_a_nan_operand_exits_1(monkeypatch, capsys):
     # the third of the five random operands comes back NaN from the channel
     real = MixedUnitaryDecomposition.apply
@@ -489,3 +498,34 @@ def test_basis_c_in_m200_is_refused_quickly_without_allocating(tmp_path, capsys)
         tracemalloc.stop()
     assert code == 1 and "over the cap" in capsys.readouterr().err
     assert seconds < 5 and peak < 1 << 20
+
+
+# Python refuses to convert an int of over 4300 digits to or from a string
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", f'{{"inclusion_matrix": [[{HUGE}]], "sub_dims": [1]}}'),
+        ("verify", f'{{"d": {HUGE}, "spec": null, "block_dims": [1], "elements": []}}'),
+        ("check", "[" * 100000 + "]" * 100000),  # nested past the recursion limit
+    ],
+    ids=["check", "verify", "check_nested"],
+)
+def test_a_document_json_cannot_read_is_bad_input(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and _one_line(err)
+
+
+@pytest.mark.parametrize("command", ["channel", "basis"])
+def test_a_size_of_thousands_of_digits_is_refused_with_one_line(tmp_path, capsys, command):
+    # A = [[10^2000]]: the size over the cap has about 8000 digits
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec.from_matrix([[10**2000]], [1]))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _one_line(err) and "over the cap" in err

@@ -1,13 +1,17 @@
 """Conditional expectations: the compiled form, axioms, channel form, projections."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from spec_box import specs
 
-from uob.algebra import MultiMatrixAlgebra, TracialState
+from uob.algebra import MultiMatrixAlgebra, TracialState, epsilon
 from uob.catalog import catalog_names, catalog_spec
-from uob.errors import AlgebraMismatch, NonStandardTrace, SingularGram
+from uob.errors import AlgebraMismatch, DisconnectedDiagram, NonStandardTrace, SingularGram
 from uob.expectation import (
     _GramProjector,
     conditional_expectation,
@@ -21,6 +25,11 @@ EQUAL_WEIGHT = [
     name
     for name in catalog_names()
     if len(set(markov_trace(catalog_spec(name)).trace_vector)) == 1
+]
+# equal-weight specs with several sub blocks and m_j > 1, which the catalog lacks
+EXTRA_EQUAL_WEIGHT = [
+    InclusionSpec.from_matrix([[2, 1], [2, 1]], [3, 3]),
+    InclusionSpec.from_matrix([[2, 0, 1], [1, 2, 0]], [1, 3, 1]),
 ]
 
 
@@ -96,18 +105,61 @@ def test_mixed_unitary_apply_on_a_stack_equals_the_single_calls(name):
         assert np.array_equal(got, dec.apply(X)), name
 
 
+def _dense_unitaries(spec, dec):
+    """Every U = L_0^{x_0} ... L_{r-1}^{x_{r-1}} K^y of the average as a dense
+    matrix, from the spec and the public ``k_phases`` and ``cycles``: K is
+    epsilon(phase) on each copy, and L_j sends each copy of its cycle to the next."""
+    N = spec.super_algebra.ambient_dim
+    offsets = spec.super_algebra.block_offsets()
+    start = {(i, j, k): offsets[i] + s for i, j, k, s in spec.copies}
+    phases = np.zeros(N, dtype=complex)
+    for (i, j, k), x in dec.k_phases:
+        phases[start[i, j, k] : start[i, j, k] + spec.sub_dims[j]] = epsilon(x)
+    K = np.diag(phases)
+    Ls = []
+    for j, cycle in enumerate(dec.cycles):
+        dest = np.arange(N)
+        for (i, k), (i2, k2) in zip(cycle, cycle[1:] + cycle[:1]):
+            a, b = start[i, j, k], start[i2, j, k2]
+            dest[a : a + spec.sub_dims[j]] = np.arange(b, b + spec.sub_dims[j])
+        Ls.append(np.eye(N)[:, dest])  # column a is e_{dest[a]}
+    for xs in itertools.product(*(range(len(cycle)) for cycle in dec.cycles)):
+        P = np.eye(N)
+        for L, x in zip(Ls, xs):
+            P = P @ np.linalg.matrix_power(L, x)
+        for y in range(len(dec.k_phases)):
+            yield P @ np.linalg.matrix_power(K, y)
+
+
 def test_mixed_unitary_operators_are_unitary():
-    spec = catalog_spec("c2_in_m2_plus_m2")
-    dec = mixed_unitary_channel(spec)
-    count = 0
-    for U in dec.unitaries():
-        assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=1e-12)
-        count += 1
-    prod = 1
-    for Tj in dec.column_counts:
-        prod *= Tj
-    assert count == prod * dec.total_count == dec.unitary_count
-    assert dec.weight == Fraction(1, count)
+    # the dense average, written out here, is the reference for the index-array
+    # conjugations of ``apply``
+    for spec in [catalog_spec(name) for name in EQUAL_WEIGHT] + EXTRA_EQUAL_WEIGHT:
+        dec = mixed_unitary_channel(spec)
+        us = list(_dense_unitaries(spec, dec))
+        for U in us:
+            assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=1e-12)
+        assert len(us) == dec.unitary_count == math.prod(dec.column_counts) * len(spec.copies)
+        rng = np.random.default_rng(11)
+        X = spec.super_algebra.random(rng).to_dense()
+        want = sum(U @ X @ U.conj().T for U in us) / len(us)
+        assert np.max(np.abs(dec.apply(X) - want)) <= 1e-13, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs())
+def test_mixed_unitary_channel_is_the_expectation_over_the_spec_box(spec):
+    try:
+        dec = mixed_unitary_channel(spec)
+    except (DisconnectedDiagram, NonStandardTrace):
+        return
+    # every equal-weight spec of the box is under the cap, so none is TooLarge
+    E = markov_expectation(spec)
+    rng = np.random.default_rng(13)
+    Xs = [spec.super_algebra.random(rng) for _ in range(2)]
+    got = dec.apply(np.stack([X.to_dense() for X in Xs]))
+    want = np.stack([E(X).to_dense() for X in Xs])
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_mixed_unitary_requires_equal_weights():

@@ -114,9 +114,28 @@ class MultiMatrixAlgebra:
         return self.operator([np.zeros((n, n)) for n in self.blocks])
 
     def random(self, rng: np.random.Generator) -> "BlockOperator":
-        return self.operator(
-            [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in self.blocks]
-        )
+        """A random operator: per block, standard normal real parts, then imaginary parts."""
+        return BlockOperator(self, tuple(self._blocks_of(rng.standard_normal(2 * self.vector_dim))))
+
+    def random_batches(self, rng: np.random.Generator, count: int, size: int):
+        """``count`` operators drawn as by ``random``, as (K, n_i, n_i) block
+        stacks with K <= size, from one generator call: the draws are those of
+        ``count`` calls of ``random`` bit for bit, and the generator ends in the
+        same state."""
+        draws = rng.standard_normal((count, 2 * self.vector_dim))
+        for lo in range(0, count, size):
+            yield self._blocks_of(draws[lo : lo + size])
+
+    def _blocks_of(self, draws: np.ndarray) -> list[np.ndarray]:
+        """Complex blocks from (..., 2 vector_dim) real draws: per block, the
+        real parts and then the imaginary parts, each read row-major."""
+        out, off, lead = [], 0, draws.shape[:-1]
+        for n in self.blocks:
+            re = draws[..., off : off + n * n].reshape(lead + (n, n))
+            im = draws[..., off + n * n : off + 2 * n * n].reshape(lead + (n, n))
+            out.append(re + 1j * im)
+            off += 2 * n * n
+        return out
 
     @property
     def batch_size(self) -> int:

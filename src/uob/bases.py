@@ -19,6 +19,7 @@ from .errors import (
     NoKnownConstruction,
     NotAbelian,
     NotMultiple,
+    PartitionOfUnityFailed,
     ShapeMismatch,
     SpectralConditionFailed,
     TooLarge,
@@ -28,9 +29,12 @@ from .expectation import markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d, unembed
 
 METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
-# Largest basis ``construct`` builds, in complex entries d * sum_i n_i^2 over
-# all block stacks: 2^24 entries are 256 MiB.
+# Largest basis ``construct`` and ``basic_model_basis`` build, in complex
+# entries d * sum_i n_i^2 over all block stacks: 2^24 entries are 256 MiB.
 MAX_BASIS_ENTRIES = 1 << 24
+# largest deviation of sum_k U_k e_1 U_k* from the identity a basic-construction
+# basis may show
+PARTITION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,11 @@ def weyl_basis(spec: InclusionSpec) -> UnitaryBasis:
 def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
     """Products {V_j embed(W_k)} for the composed inclusion A2 in A0.
 
-    ``inner`` is a basis for (A1 in A0, E0), ``outer`` for (A2 in A1, E1); the
-    result is orthonormal for the composed expectation E1 o E0.
+    ``inner`` is a basis for (A1 in A0, E0), ``outer`` for (A2 in A1, E1).
+    Each block is conjugated by the permutation from the nested layout (each
+    copy of an A1 block, then the A2 copies inside it) to the canonical
+    embedding layout of the composed spec, so the result verifies against that
+    spec's own Markov expectation, which is E1 o E0 in the canonical layout.
     """
     s0, s1 = inner.spec, outer.spec
     if s0 is None or s1 is None or s0.sub_dims != s1.super_dims:
@@ -199,7 +206,25 @@ def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
     for V in inner.elements:
         for W in outer.elements:
             elements.append(V @ embed(s0, W))
-    return UnitaryBasis.from_elements(spec, elements, "concat")
+    nested = UnitaryBasis.from_elements(spec, elements, "concat")
+    perms = _concat_block_perms(s0, s1, spec)
+    return UnitaryBasis(spec, tuple(s[:, p[:, None], p] for s, p in zip(nested.stacks, perms)), "concat")
+
+
+def _concat_block_perms(s0, s1, spec):
+    """perms[i][c] is the nested position at canonical position c of block i
+    of the composed spec; copy k of sub block l in block i is the k-th copy
+    of l that the nested layout meets."""
+    starts = {(i, l, k): start for i, l, k, start in spec.copies}
+    met = {}
+    perms = [np.empty(n, dtype=int) for n in spec.super_dims]
+    for i, j, _, a in s0.copies:
+        for j1, l, _, b in s1.copies:
+            if j1 == j:
+                k = met[i, l] = met.get((i, l), -1) + 1
+                c, m = starts[i, l, k], spec.sub_dims[l]
+                perms[i][c : c + m] = a + b + np.arange(m)
+    return perms
 
 
 def composed_expectation(inner_spec: InclusionSpec, outer_spec: InclusionSpec):
@@ -288,6 +313,34 @@ def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
     return _split_full_matrix(spec, m, "full_matrix_sub")
 
 
+def basic_model_basis(sub_dims) -> UnitaryBasis:
+    """Basis for ((+)_j M_{m_j} in M_D), D = sum_j m_j^2: the basic construction of C in B.
+
+    The twisted basis W_j = sum_k epsilon(jk/d) U_k e_1 U_k* of the abelian
+    basis {U_k} of C in B, d = D, in closed form.  On the GNS space L^2(B) of
+    the Markov trace, e_1 projects onto the GNS vector of 1, so U_k e_1 U_k*
+    is v_k v_k* with v_k the GNS vector of U_k: block i of v_k is
+    sqrt(m_i / D) U_k,i read column by column, as in
+    ``uob.tower.BasicConstruction.coeff``.  No model of A_1 is formed; the
+    tower's ``basic_construction_basis`` is the reference it is tested against.
+    """
+    spec0 = InclusionSpec.from_matrix([[m] for m in sub_dims], [1])
+    D = spec0.super_algebra.vector_dim
+    _refuse_over_budget(D**3)
+    b0 = abelian_basis(spec0)
+    # column k of V is v_k
+    V = np.concatenate(
+        [np.sqrt(n / D) * U.swapaxes(1, 2).reshape(D, n * n) for n, U in zip(spec0.super_dims, b0.stacks)],
+        axis=1,
+    ).T
+    j = np.arange(D)
+    W = (V * roots(D)[np.outer(j, j) % D][:, None, :]) @ V.conj().T
+    # W_0 = sum_k v_k v_k* = sum_k U_k e_1 U_k*
+    if not np.abs(W[0] - np.eye(D)).max() <= PARTITION_TOL:
+        raise PartitionOfUnityFailed("sum of U e1 U* deviates from the identity")
+    return UnitaryBasis(spec0.transpose(), (W,), "basic_construction")
+
+
 def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     """Basis for B inside a single full matrix algebra M_n.
 
@@ -295,8 +348,6 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     (C in M_l, trace) tensor the basic-construction model of
     ((+)_j M_{m_j/k} in M_{sum (m_j/k)^2}), where l/k = d/n in lowest terms.
     """
-    from .tower import basic_model_basis
-
     if spec.s != 1:
         raise ShapeMismatch("super-algebra must be a single full matrix block")
     d = spectral_d(spec)
@@ -331,23 +382,27 @@ def _split_full_matrix(spec: InclusionSpec, g: int, provenance: str) -> UnitaryB
     return _relabel(tensor_basis(identity_basis(g), construct(inner)), spec, provenance)
 
 
+def _refuse_over_budget(entries: int) -> None:
+    """TooLarge when a basis would hold more than MAX_BASIS_ENTRIES complex entries."""
+    if entries > MAX_BASIS_ENTRIES:
+        raise TooLarge(
+            f"a basis would hold {TooLarge.count(entries)} entries, over the cap of {MAX_BASIS_ENTRIES}"
+        )
+
+
 def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     """A basis for ``spec`` from the named construction in ``METHODS``.
 
     ``auto`` tries abelian, weyl, full_matrix_sub and full_matrix_super in that
     order and raises ``NoKnownConstruction`` when none applies.  ``tensor``
     splits off the largest common full-matrix factor M_g and runs ``auto`` on
-    the rest; ``basic`` is the basic-construction model, for M_n containing B
-    with a_j = m_j.  A forced construction that does not apply raises its own
+    the rest; ``basic`` is ``basic_model_basis``, for M_n containing B with
+    a_j = m_j.  A forced construction that does not apply raises its own
     ``UobError``.  A spec whose basis would hold more than MAX_BASIS_ENTRIES
     entries is refused with ``TooLarge`` before any builder runs.  The table is
     built per call, so rebound module names are used.
     """
-    size = (spectral_d(spec) or 0) * spec.super_algebra.vector_dim
-    if size > MAX_BASIS_ENTRIES:
-        raise TooLarge(
-            f"a basis would hold {TooLarge.count(size)} entries, over the cap of {MAX_BASIS_ENTRIES}"
-        )
+    _refuse_over_budget((spectral_d(spec) or 0) * spec.super_algebra.vector_dim)
     builders = {
         "abelian": abelian_basis,
         "weyl": weyl_basis,
@@ -372,8 +427,6 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
             raise ShapeMismatch("no common full-matrix tensor factor to split off")
         return _split_full_matrix(spec, g, "tensor")
     if method == "basic":
-        from .tower import basic_model_basis
-
         if spec.s != 1 or spec.inclusion_matrix[0] != spec.sub_dims:
             raise ShapeMismatch("basic method needs a single super block with a_j = m_j")
         return basic_model_basis(spec.sub_dims)

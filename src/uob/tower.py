@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
-from .bases import UnitaryBasis, abelian_basis
+from .bases import PARTITION_TOL, UnitaryBasis
 from .errors import (
     AlgebraMismatch,
     InvariantViolated,
@@ -28,7 +28,6 @@ from .expectation import _GramProjector, batched, markov_expectation
 from .inclusion import InclusionSpec, embed, spectral_d
 
 JONES_TOL = 1e-9
-PARTITION_TOL = 1e-8
 # largest GNS dimension D = sum n_i^2 that build_basic_construction accepts
 MAX_GNS_DIM = 256
 
@@ -198,10 +197,3 @@ def basic_construction_basis(bc: BasicConstruction, b: UnitaryBasis) -> UnitaryB
         out_spec = bc.spec.transpose()
     return UnitaryBasis(out_spec, (twisted,), "basic_construction")
 
-
-def basic_model_basis(sub_dims) -> UnitaryBasis:
-    """Basis for ((+)_j M_{m_j} in M_{sum m_j^2}) via the basic construction of C in B."""
-    spec0 = InclusionSpec.from_matrix([[m] for m in sub_dims], [1])
-    b0 = abelian_basis(spec0)
-    bc = build_basic_construction(spec0)
-    return basic_construction_basis(bc, b0)

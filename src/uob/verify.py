@@ -110,12 +110,6 @@ def _weighted_columns(basis: UnitaryBasis, table):
         yield m, copies, L, R
 
 
-def _batches(ops, size):
-    """Lists of (K, n_i, n_i) block stacks over a list of operators, K <= size."""
-    for lo in range(0, len(ops), size):
-        yield [np.stack(blocks) for blocks in zip(*(X.data for X in ops[lo : lo + size]))]
-
-
 def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> VerificationReport:
     """Every element satisfies W W* = W* W = I."""
     if not basis.d:
@@ -166,8 +160,8 @@ def verify_reconstruction(
     of a proper subalgebra of the ambient block algebra; it is checked with
     one E call per W_c* X.  Otherwise, with a compiled E, the matrix units are
     read off one product per sub block (see ``_unit_residuals``) and the
-    random operators are streamed in batches of at most
-    ``uob.algebra.CHUNK_ENTRIES`` entries.
+    random operators, drawn in one generator call, are streamed in batches of
+    at most ``uob.algebra.CHUNK_ENTRIES`` entries.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
@@ -181,7 +175,7 @@ def verify_reconstruction(
         samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
     else:
         parts = list(_weighted_columns(basis, table))
-        randoms = _batches([alg.random(rng) for _ in range(N_RANDOM)], alg.batch_size)
+        randoms = alg.random_batches(rng, N_RANDOM, alg.batch_size)
         resid = np.concatenate([_unit_residuals(basis, parts), _stacked_reconstruction(parts, randoms)])
         D = alg.vector_dim  # the matrix units first, then the random draws
         label = lambda k: f"unit {alg.unit_index(k)}" if k < D else f"random {k - D}"

@@ -163,3 +163,25 @@ def test_circulant_of_a_batch_equals_the_row_by_row_calls():
     for rows, Cs in zip(b, batch):
         for row, C in zip(rows, Cs):
             assert np.allclose(circulant(row), C, rtol=0, atol=1e-14)
+
+
+def _per_block_draws(alg, rng):
+    """The former ``random``: two generator calls per block, real part first."""
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in alg.blocks]
+
+
+@pytest.mark.parametrize("blocks,count,size", [((2, 3, 1), 7, 3), ((2, 3, 1), 4, 4), ((5,), 10, 1)])
+def test_random_batches_give_the_draws_of_random_bit_for_bit(blocks, count, size):
+    alg = MultiMatrixAlgebra(blocks)
+    ref_rng, one_rng, batch_rng = (np.random.default_rng(11) for _ in range(3))
+    ref = [_per_block_draws(alg, ref_rng) for _ in range(count)]
+    ones = [alg.random(one_rng).data for _ in range(count)]
+    batches = list(alg.random_batches(batch_rng, count, size))
+    assert [len(X[0]) for X in batches] == [min(size, count - lo) for lo in range(0, count, size)]
+    stacked = [np.concatenate(parts) for parts in zip(*batches)]
+    for k in range(count):
+        for i in range(alg.num_blocks):
+            # tobytes compares the bits, the sign of a zero included
+            assert ref[k][i].tobytes() == ones[k][i].tobytes() == stacked[i][k].tobytes()
+    state = ref_rng.bit_generator.state
+    assert one_rng.bit_generator.state == state == batch_rng.bit_generator.state

@@ -35,7 +35,7 @@ from uob.errors import (
     TooLarge,
 )
 from uob.inclusion import InclusionSpec, check_spectral_condition, spectral_d
-from uob.tower import basic_model_basis
+from uob.bases import basic_model_basis
 from uob.verify import (
     all_passed,
     verify_basis,
@@ -130,6 +130,18 @@ def test_concat_basis_against_composed_expectation():
     assert verify_unitary(b).passed
     assert verify_orthonormality(b, E).passed
     assert verify_reconstruction(b, E, seed=7).passed
+
+
+@pytest.mark.parametrize(
+    "inner,outer",
+    [(([[1], [2]], [2]), "c2_in_m2"), (([[2]], [3]), "c3_in_m3")],
+    ids=["m2_in_m2_plus_m4_then_c2_in_m2", "m3_in_m6_then_c3_in_m3"],
+)
+def test_concat_basis_verifies_against_its_own_spec(inner, outer):
+    # the innermost algebra is not C, so the nested layout of the products
+    # differs from the composed spec's own copies layout
+    b = concat_basis(construct(InclusionSpec.from_matrix(*inner)), construct(catalog_spec(outer)))
+    _assert_verified(b, seed=4)
 
 
 def test_concat_requires_matching_middle_algebra():

@@ -42,3 +42,9 @@ def test_the_cli_is_seen_to_import_verify():
 @pytest.mark.parametrize("module", BELOW_VERIFY)
 def test_module_does_not_import_verify(module):
     assert not _imports_verify(module)
+
+
+def test_bases_does_not_import_tower():
+    # the tower builds on the bases; an import back would be a cycle
+    assert "uob.bases" in _imports("tower")
+    assert not any(n == "uob.tower" or n.startswith("uob.tower.") for n in _imports("bases"))

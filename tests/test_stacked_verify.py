@@ -20,7 +20,6 @@ from uob.inclusion import embed
 from uob.verify import (
     N_RANDOM,
     RECON_TOL,
-    _batches,
     _stacked_reconstruction,
     _unit_residuals,
     _weighted_columns,
@@ -348,12 +347,11 @@ def _assert_phi_match(phi, ops):
 def test_in_place_reconstruction_gives_the_bits_of_the_scatter_form(name, basis):
     alg = basis.algebra
     table = markov_expectation(basis.spec).slots
-    rng = np.random.default_rng(5)
-    randoms = [alg.random(rng) for _ in range(3)]
+    randoms = lambda: alg.random_batches(np.random.default_rng(5), 3, 2)  # noqa: E731
     for kind, b in _with_tampered(basis):
         with np.errstate(invalid="ignore", over="ignore"):
             parts = list(_weighted_columns(b, table))
-            for batches in (lambda: alg.unit_batches(alg.batch_size), lambda: _batches(randoms, 2)):
+            for batches in (lambda: alg.unit_batches(alg.batch_size), randoms):
                 new = _stacked_reconstruction(parts, batches())
                 old = _scatter_reconstruction(parts, batches())
         assert np.array_equal(new, old, equal_nan=True), (name, kind)

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from uob.bases import abelian_basis, construct, full_matrix_super_basis, weyl_basis
+from uob.bases import abelian_basis, basic_model_basis, construct, full_matrix_super_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob import tower
 from uob.algebra import MultiMatrixAlgebra, roots
@@ -22,7 +22,6 @@ from uob.expectation import _GramProjector, markov_expectation
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.tower import (
     basic_construction_basis,
-    basic_model_basis,
     build_basic_construction,
     dual_expectation,
     generated_algebra_sampler,
@@ -185,6 +184,23 @@ def test_basic_model_basis_carries_canonical_spec():
     assert b.spec.sub_dims == (1, 2)
     assert b.spec.super_dims == (5,)
     assert all_passed(verify_basis(b, seed=6))
+
+
+@pytest.mark.parametrize("sub_dims", [(1,), (2,), (1, 1), (1, 2), (2, 2), (3, 4), (1, 2, 3)])
+def test_closed_form_basic_model_basis_equals_the_gns_model(sub_dims):
+    # the closed form v_k v_k* against U_k e1 U_k* on the GNS model of C in B
+    spec0 = InclusionSpec.from_matrix([[m] for m in sub_dims], [1])
+    ref = basic_construction_basis(build_basic_construction(spec0), abelian_basis(spec0))
+    b = basic_model_basis(sub_dims)
+    assert (b.spec, b.provenance) == (ref.spec, ref.provenance)
+    assert np.abs(b.stacks[0] - ref.stacks[0]).max() <= 1e-15
+    assert all_passed(verify_basis(b, seed=2))
+
+
+def test_basic_model_basis_is_refused_over_the_basis_budget():
+    # C in M_17 has D = 289 > 256, so d * D^2 = 289^3 > MAX_BASIS_ENTRIES
+    with pytest.raises(TooLarge, match="over the cap"):
+        basic_model_basis((17,))
 
 
 def test_tower_iteration_two_steps():

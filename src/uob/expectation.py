@@ -230,30 +230,42 @@ class _GramProjector:
     S, N = sum n_i^2, and phi's inner product becomes the per-entry weight w
     (p_i / weight on every entry of block i), so <X, Y> = sum conj(x) w y and
     the Gram matrix is G = conj(S) diag(w) S^T.  The projector keeps
-    P = G^-1 conj(S) diag(w), a (k, N) array, so a call is two matrix-vector
-    products: the coefficients c = P x, then c S.
+    P = G^-1 conj(S) diag(w), a (k, N) array, and S on its support only: the
+    columns where some member of the family is nonzero.  So a call is two
+    matrix-vector products, the coefficients c = P x over all N entries and
+    then c S over the support only, scattered into zeros.  Each kept entry is
+    the length-k dot product of the dense c S; BLAS may sum it in another
+    order for another column count, but where each support column holds a
+    single 1, as for the tower's left multiplications, it is exact either
+    way.  P is zero off the support, so a NaN or Inf anywhere in x makes
+    every c non-finite, and with it the output on the support.
     """
 
     def __init__(self, phi: TracialState, basis):
         self.algebra = phi.algebra
-        self._S = np.stack([_flatten(X) for X in basis])
+        S = np.stack([_flatten(X) for X in basis])
         sizes = [n * n for n in self.algebra.blocks]
         w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
-        T = self._S * w
-        G = np.conj(T, out=T) @ self._S.T
+        T = S * w
+        G = np.conj(T, out=T) @ S.T
         if np.linalg.cond(G) > GRAM_COND_LIMIT:
             raise SingularGram("projection basis is numerically degenerate")
         self._P = np.linalg.inv(G) @ T
+        self._support = np.flatnonzero(S.any(axis=0))
+        self._S = S.take(self._support, axis=1)  # C-ordered like S, so c @ S takes the same BLAS kernel
         ends = np.cumsum(sizes)
         self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
 
     def __call__(self, X: BlockOperator) -> BlockOperator:
         if X.algebra != self.algebra:
             raise AlgebraMismatch("operand does not belong to the projector's algebra")
-        flat = (self._P @ _flatten(X)) @ self._S
-        return self.algebra.operator([flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts])
+        flat = np.zeros(self._P.shape[1], dtype=complex)
+        flat[self._support] = (self._P @ _flatten(X)) @ self._S
+        return BlockOperator(self.algebra, tuple(flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts))
 
 
 def _flatten(X: BlockOperator) -> np.ndarray:
     """The blocks of X, each row-major, one after another: N = sum n_i^2 entries."""
+    if len(X.data) == 1:
+        return X.data[0].ravel()
     return np.concatenate([b.ravel() for b in X.data])

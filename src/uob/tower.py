@@ -68,9 +68,13 @@ class BasicConstruction:
     @cached_property
     def _proj(self) -> _GramProjector:
         """The Gram projector onto left_rep(A), compiled at the first dual_expectation."""
-        units = self.spec.super_algebra.unit_batches(self.gns_algebra.batch_size)
-        family = (self.gns_algebra.operator([L]) for X in units for L in self.left_reps(X))
-        return _GramProjector(self.tr1_state, family)
+        return _GramProjector(self.tr1_state, (self.gns_algebra.operator([L]) for L in self.unit_reps()))
+
+    def unit_reps(self):
+        """``left_rep`` of every matrix unit of A in ``matrix_units`` order, as
+        (D, D) arrays formed in batches of ``gns_algebra.batch_size``."""
+        for X in self.spec.super_algebra.unit_batches(self.gns_algebra.batch_size):
+            yield from self.left_reps(X)
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
@@ -162,18 +166,23 @@ def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):
     """Sampler of elements of <A, e1> for reconstruction checks.
 
     The generated algebra is spanned by L(x) together with L(x) e1 L(y); it is
-    a proper subalgebra of the full GNS matrix algebra unless B = C.
+    a proper subalgebra of the full GNS matrix algebra unless B = C.  The
+    family is L(u) for every matrix unit u of A, labelled as ``matrix_units``
+    labels it, then ``count`` operators L(a) + L(b) e1 L(c).  The 3 count
+    operands come from one ``random_batches`` call, in the order a, b, c of
+    each operator, so they are the draws of 3 count ``random`` calls; both
+    halves are formed as stacks of at most ``gns_algebra.batch_size`` operators,
+    and every operator is bit for bit what one operand at a time gives.
     """
-    e1 = bc.e1_operator()
-    A = bc.spec.super_algebra
+    A, gns, e1 = bc.spec.super_algebra, bc.gns_algebra, bc.e1
 
     def sampler(rng):
-        out = [(f"left unit {lbl}", bc.left_rep(u)) for lbl, u in A.matrix_units()]
-        for t in range(count):
-            X = bc.left_rep(A.random(rng))
-            X = X + bc.left_rep(A.random(rng)) @ e1 @ bc.left_rep(A.random(rng))
-            out.append((f"random {t}", X))
-        return out
+        out = [(f"left unit {A.unit_index(k)}", gns.operator([L])) for k, L in enumerate(bc.unit_reps())]
+        randoms = []
+        for X in A.random_batches(rng, 3 * count, 3 * gns.batch_size):
+            La, Lb, Lc = (bc.left_reps([x[t::3] for x in X]) for t in range(3))
+            randoms.extend(La + Lb @ e1 @ Lc)
+        return out + [(f"random {t}", gns.operator([X])) for t, X in enumerate(randoms)]
 
     return sampler
 

@@ -19,6 +19,7 @@ from uob.expectation import (
     mixed_unitary_channel,
 )
 from uob.inclusion import InclusionSpec, embed, markov_trace
+from uob.tower import build_basic_construction
 from uob.verify import all_passed, verify_expectation_axioms
 
 EQUAL_WEIGHT = [
@@ -220,6 +221,83 @@ def test_compiled_projection_matches_the_written_out_formula(trace_vector, k):
         assert got.allclose(_projection_reference(phi, family, X), 1e-12)
     if k == 14:
         assert got.allclose(X, 1e-12)
+
+
+def _sparse_family(alg, rng, k):
+    """k random operators of ``alg`` that are all zero on block 0 and below
+    the diagonal of the last block, so the family has all-zero columns."""
+    family = []
+    for _ in range(k):
+        X = alg.random(rng)
+        family.append(alg.operator([np.zeros_like(X.data[0]), *X.data[1:-1], np.triu(X.data[-1])]))
+    return family
+
+
+def _projection_families():
+    """(phi, family) pairs: the non-orthogonal families of the written-out
+    formula test (every column in the support), one family with all-zero
+    columns, and the tower's left-multiplication family, whose support
+    columns hold a single 1 each."""
+    alg = MultiMatrixAlgebra((1, 2, 3))
+    for trace_vector in [(1, 3, 2), (0.7, 1.9, 2.3)]:
+        phi = TracialState(alg, trace_vector)
+        for k in [1, 6, 14]:
+            rng = np.random.default_rng(k)
+            yield phi, [alg.random(rng) for _ in range(k)]
+    yield TracialState(alg, (0.7, 1.9, 2.3)), _sparse_family(alg, np.random.default_rng(2), 5)
+    bc = build_basic_construction(InclusionSpec.from_matrix([[2], [3]], [1]))
+    yield bc.tr1_state, [bc.left_rep(u) for _, u in bc.spec.super_algebra.matrix_units()]
+
+
+def _flat(X):
+    return np.concatenate([b.ravel() for b in X.data])
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_compiled_projection_splits_the_dense_product_at_the_support(case):
+    # off the support the output is exactly zero, where the dense product
+    # (P x) S with the whole (k, N) family S gives +-0.  On it, the output is
+    # that product bit for bit when the support is every column, or when each
+    # of its columns holds one 1 (the tower); otherwise BLAS sums each length-k
+    # dot product in an order that depends on the column count, so the two
+    # agree to rounding only
+    phi, family = list(_projection_families())[case]
+    S = np.stack([_flat(X) for X in family])
+    support = S.any(axis=0)
+    assert support.all() == (case < 6)
+    one_each = (np.count_nonzero(S, axis=0)[support] == 1).all() and (S[S != 0] == 1).all()
+    assert one_each == (case == 7)
+    proj = _GramProjector(phi, family)
+    rng = np.random.default_rng(case)
+    for _ in range(3):
+        X = phi.algebra.random(rng)
+        c = proj._P @ _flat(X)
+        got, dense = _flat(proj(X)), c @ S
+        assert np.all(got[~support] == 0) and np.all(dense[~support] == 0)
+        if support.all() or one_each:
+            assert np.array_equal(got[support], dense[support])
+        else:
+            bound = 4 * len(family) * np.finfo(float).eps * (np.abs(c) @ np.abs(S))
+            assert (np.abs(got - dense) <= bound).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("on_support", [True, False])
+def test_compiled_projection_fails_closed_on_and_off_its_support(bad, on_support):
+    # P is zero off the support, and 0 * NaN or 0 * Inf is NaN: a bad entry
+    # anywhere makes every coefficient, so every entry on the support, non-finite
+    alg = MultiMatrixAlgebra((1, 2, 3))
+    family = _sparse_family(alg, np.random.default_rng(2), 5)
+    proj = _GramProjector(TracialState(alg, (0.7, 1.9, 2.3)), family)
+    support = np.stack([_flat(X) for X in family]).any(axis=0)
+    X = alg.random(np.random.default_rng(4))
+    block, entry = (2, (0, 1)) if on_support else (0, (0, 0))
+    X.data[block][entry] = bad
+    # block 0 is all zero; block 2 starts at entry 1 + 4 and keeps its upper triangle
+    assert not support[0] and support[5 + 1]
+    with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, as it should be
+        out = _flat(proj(X))
+    assert not np.isfinite(out[support]).any()
 
 
 def test_compiled_projection_rejects_an_operand_of_another_algebra():

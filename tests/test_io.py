@@ -115,6 +115,20 @@ def test_save_basis_writes_the_bytes_of_json_dump(tmp_path):
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["a, b: c", "Jones ⊂ tower", 'quote " and \\ slash'])
+def test_save_basis_writes_json_dump_bytes_for_a_name_of_any_text(tmp_path, name):
+    # the elements are one orjson call with ", " for ","; the name is not
+    # touched by that replacement, nor escaped otherwise than json.dump does
+    b = abelian_basis(catalog_spec("c_in_m1_plus_m2"))
+    path, ref = tmp_path / "basis.json", tmp_path / "ref.json"
+    save_basis(path, b, name)
+    with open(ref, "w") as fh:
+        json.dump(basis_to_dict(b, name), fh)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
+    assert load_basis(path).provenance == b.provenance
+
+
 def _constructible_bases():
     for name in catalog_names():
         for method in METHODS:

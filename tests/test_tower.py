@@ -1,12 +1,20 @@
 """Concrete basic construction, dual expectation, and twisted bases."""
 
+import functools
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
-from uob.bases import abelian_basis, basic_model_basis, construct, full_matrix_super_basis, weyl_basis
+from uob.bases import (
+    UnitaryBasis,
+    abelian_basis,
+    basic_model_basis,
+    construct,
+    full_matrix_super_basis,
+    weyl_basis,
+)
 from uob.catalog import catalog_spec
 from uob import tower
 from uob.algebra import MultiMatrixAlgebra, roots
@@ -18,7 +26,7 @@ from uob.errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from uob.expectation import _GramProjector, markov_expectation
+from uob.expectation import _GramProjector, markov_expectation, slot_table
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.tower import (
     basic_construction_basis,
@@ -373,6 +381,53 @@ def test_generic_checks_match_the_per_element_loop(name):
     fast = verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc))
     assert abs(fast.residual - max(recon)) <= 1e-15
     assert fast.witness == samples[int(np.argmax(recon))][0]
+
+
+def _sampler_reference(bc, count):
+    """The sampler as a per-operand loop: ``left_rep`` of each matrix unit, then
+    per operator three ``random`` calls a, b, c and L(a) + L(b) e1 L(c)."""
+    e1, A = bc.e1_operator(), bc.spec.super_algebra
+
+    def sampler(rng):
+        out = [(f"left unit {lbl}", bc.left_rep(u)) for lbl, u in A.matrix_units()]
+        for t in range(count):
+            X = bc.left_rep(A.random(rng))
+            X = X + bc.left_rep(A.random(rng)) @ e1 @ bc.left_rep(A.random(rng))
+            out.append((f"random {t}", X))
+        return out
+
+    return sampler
+
+
+@pytest.mark.parametrize("count", [0, 1, 10])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_sampler_matches_the_per_operand_loop(name, seed, count):
+    bc = build_basic_construction(ALL_TOWER[name])
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generated_algebra_sampler(bc, count)(rng)
+    want = _sampler_reference(bc, count)(ref_rng)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (_, X), (_, Y) in zip(got, want):
+        assert X.algebra == Y.algebra and np.array_equal(X.data[0], Y.data[0])
+    # the generator ends in the same state
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("entry", [(0, 0, 0), (5, 2, 11), (12, 12, 0)])
+def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
+    # one NaN entry (element, row, column) of the twisted basis: the Gram
+    # projector's output is NaN on its support, so both checks report NaN
+    bc, b1 = _tower_basis("c_in_m2_plus_m3")
+    W = b1.stacks[0].copy()
+    W[entry] = np.nan
+    bad = UnitaryBasis(b1.spec, (W,), b1.provenance)
+    E1 = functools.partial(dual_expectation, bc)
+    assert slot_table(E1, bad.algebra) is None  # the generic path
+    ortho = verify_orthonormality(bad, E1)
+    recon = verify_reconstruction(bad, E1, seed=5, sampler=generated_algebra_sampler(bc))
+    for report in (ortho, recon):
+        assert not report.passed and np.isnan(report.residual), report
 
 
 def _stack(ops):

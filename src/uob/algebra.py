@@ -175,9 +175,10 @@ class BlockOperator:
     data: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        if len(self.data) != self.algebra.num_blocks:
+        blocks = self.algebra.blocks
+        if len(self.data) != len(blocks):
             raise AlgebraMismatch("block count does not match algebra")
-        for n, d in zip(self.algebra.blocks, self.data):
+        for n, d in zip(blocks, self.data):
             if d.shape != (n, n):
                 raise AlgebraMismatch(f"block shape {d.shape} does not match size {n}")
 

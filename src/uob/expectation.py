@@ -109,8 +109,8 @@ def apply_each(E, alg: MultiMatrixAlgebra, operands) -> list[np.ndarray]:
     refused, so a block of the wrong size never lands (or broadcasts) in a stack.
     """
     out = [np.empty_like(p) for p in operands]
-    for c in range(len(operands[0])):
-        Y = E(BlockOperator(alg, tuple(p[c] for p in operands)))
+    for c, blocks in enumerate(zip(*operands)):
+        Y = E(BlockOperator(alg, blocks))
         if getattr(Y, "algebra", None) != alg:
             raise AlgebraMismatch("expectation output does not belong to the basis's algebra")
         for o, blk in zip(out, Y.data):
@@ -248,11 +248,12 @@ class _GramProjector:
         w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
         T = S * w
         G = np.conj(T, out=T) @ S.T
+        self._support = np.flatnonzero(S.any(axis=0))
+        self._S = S.take(self._support, axis=1)  # C-ordered like S, so c @ S takes the same BLAS kernel
+        del S  # so the dense S, T and P are never all alive at once
         if np.linalg.cond(G) > GRAM_COND_LIMIT:
             raise SingularGram("projection basis is numerically degenerate")
         self._P = np.linalg.inv(G) @ T
-        self._support = np.flatnonzero(S.any(axis=0))
-        self._S = S.take(self._support, axis=1)  # C-ordered like S, so c @ S takes the same BLAS kernel
         ends = np.cumsum(sizes)
         self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
 
@@ -261,6 +262,8 @@ class _GramProjector:
             raise AlgebraMismatch("operand does not belong to the projector's algebra")
         flat = np.zeros(self._P.shape[1], dtype=complex)
         flat[self._support] = (self._P @ _flatten(X)) @ self._S
+        if len(self._cuts) == 1:
+            return BlockOperator(self.algebra, (flat.reshape(self._cuts[0][2], -1),))
         return BlockOperator(self.algebra, tuple(flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts))
 
 

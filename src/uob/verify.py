@@ -10,12 +10,14 @@ stacks; any other E (the tower's Gram projector, a plain callable) goes
 through ``uob.expectation.apply_each``, which calls it exactly once per
 operand: d^2 times for orthonormality, d times per test operator for
 reconstruction and once per matrix unit for trace preservation, with every
-product around those calls formed as a batched matmul.  No linearity of E
-is assumed on that path, which is the reference the compiled checks are
-tested against.  A reconstruction check given its own test family (a
-``sampler``) always takes it.  A compiled E preserves the trace on every off-diagonal matrix unit
-exactly (both traces are 0.0), so trace preservation runs it on the sum n_i
-diagonal units only.  A residual that is NaN or infinite fails.
+product around those calls formed as a batched matmul; reconstruction forms
+all W_c* X of a block as one product against the adjoint stack, laid out
+once per call.  No linearity of E is assumed on that path, which is the
+reference the compiled checks are tested against.  A reconstruction check
+given its own test family (a ``sampler``) always takes it.  A compiled E
+preserves the trace on every off-diagonal matrix unit exactly (both traces
+are 0.0), so trace preservation runs it on the sum n_i diagonal units only.
+A residual that is NaN or infinite fails.
 """
 
 from __future__ import annotations
@@ -187,18 +189,24 @@ def verify_reconstruction(
 def _generic_reconstruction(basis: UnitaryBasis, E, Xs) -> np.ndarray:
     """max |sum_c W_c E(W_c* X) - X| for every X, one E call per W_c* X.
 
-    The W_c E(W_c* X) are one batched matmul per block, summed over c in the
-    order the per-element loop adds them (numpy reorders it only on 1 x 1
-    blocks).  One (n, d n) @ (d n, n) product would be faster but reorders
-    the sum on every block, which moved tower residuals by 1.2e-15.
+    Every W_c* of a block is laid out once, as the rows of one (d n, n) array,
+    so all W_c* X of a block are one (d n, n) @ (n, n) product.  The
+    W_c E(W_c* X) are one batched matmul per block, summed over c in the order
+    the per-element loop adds them (numpy reorders it only on 1 x 1 blocks).
+    One (n, d n) @ (d n, n) product for that sum would be faster but reorders
+    it on every block, which moved tower residuals by 1.2e-15.
     """
     alg, stacks = basis.algebra, basis.stacks
-    adj = [Ws.conj().swapaxes(-1, -2) for Ws in stacks]
+    adj = []
+    for Ws in stacks:
+        H = np.empty(Ws.shape, dtype=complex)  # conjugated straight into the layout: one stack
+        np.conjugate(Ws.swapaxes(-1, -2), out=H)
+        adj.append(H.reshape(-1, H.shape[-1]))
     resid = np.empty(len(Xs))
     for t, X in enumerate(Xs):
         if X.algebra != alg:
             raise AlgebraMismatch("test operator does not belong to the basis's algebra")
-        out = apply_each(E, alg, [h @ x for h, x in zip(adj, X.data)])
+        out = apply_each(E, alg, [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, stacks, X.data)])
         r = 0.0
         for Ws, o, x in zip(stacks, out, X.data):
             r = np.maximum(r, np.abs((Ws @ o).sum(axis=0) - x).max())

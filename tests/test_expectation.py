@@ -14,6 +14,7 @@ from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, NonStandardTrace, SingularGram
 from uob.expectation import (
     _GramProjector,
+    apply_each,
     conditional_expectation,
     markov_expectation,
     mixed_unitary_channel,
@@ -305,3 +306,26 @@ def test_compiled_projection_rejects_an_operand_of_another_algebra():
     phi = TracialState(alg, (1, 2))
     with pytest.raises(AlgebraMismatch):
         _GramProjector(phi, [alg.identity()])(MultiMatrixAlgebra((3,)).identity())
+
+
+@pytest.mark.parametrize("blocks", [(5,), (1, 2, 3)])
+def test_an_equal_algebra_built_apart_is_accepted_and_an_unequal_one_refused(blocks):
+    # the tower's E answers with operators of bc.gns_algebra, which equals the
+    # basis's algebra but is another object: both checks compare by equality
+    alg, twin = MultiMatrixAlgebra(blocks), MultiMatrixAlgebra(blocks)
+    other = MultiMatrixAlgebra(blocks[:-1] + (blocks[-1] + 1,))
+    assert twin == alg and twin is not alg and other != alg
+    rng = np.random.default_rng(3)
+    proj = _GramProjector(TracialState(twin, range(1, len(blocks) + 1)), [twin.random(rng) for _ in range(3)])
+    Xs = [alg.random(rng) for _ in range(2)]
+    for X in Xs:
+        Y = proj(X)
+        assert Y.algebra == alg and np.array_equal(_flat(Y), _flat(proj(twin.operator(X.data))))
+    with pytest.raises(AlgebraMismatch):
+        proj(other.random(rng))
+    operands = [np.stack(blks) for blks in zip(*(X.data for X in Xs))]
+    out = apply_each(proj, alg, operands)
+    for c, X in enumerate(Xs):
+        assert all(np.array_equal(o[c], y) for o, y in zip(out, proj(X).data))
+    with pytest.raises(AlgebraMismatch):
+        apply_each(lambda X: other.zero(), alg, operands)

@@ -430,6 +430,64 @@ def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
         assert not report.passed and np.isnan(report.residual), report
 
 
+def _tamper_one(sampler, k, entry, bad):
+    """``sampler`` with one entry (block, row, column) of its k-th operator set to ``bad``."""
+
+    def tampered(rng):
+        samples = list(sampler(rng))
+        label, X = samples[k]
+        blocks = [b.copy() for b in X.data]
+        blocks[entry[0]][entry[1:]] = bad
+        samples[k] = (label, X.algebra.operator(blocks))
+        return samples
+
+    return tampered
+
+
+def _catalog_sampler(alg):
+    def sampler(rng):
+        return [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()] + [
+            (f"random {t}", alg.random(rng)) for t in range(4)
+        ]
+
+    return sampler
+
+
+def _generic_cases():
+    """(name, basis, E, sampler, (k, entry)s): the tower's C in M_5 basis (one
+    block) against its Gram projector, and a multi-block catalog basis under a
+    plain-lambda Markov E; each k a left or matrix unit and a random operator."""
+    bc, b1 = _tower_basis("c_in_m5")
+    yield "c_in_m5", b1, functools.partial(dual_expectation, bc), generated_algebra_sampler(bc), [
+        (7, (0, 3, 11)),
+        (30, (0, 24, 0)),
+    ]
+    spec = catalog_spec("m2_in_m2_plus_m4")
+    b = construct(spec, "auto")
+    E = markov_expectation(spec)
+    yield "m2_in_m2_plus_m4", b, lambda X: E(X), _catalog_sampler(b.algebra), [
+        (2, (0, 1, 0)),
+        (21, (1, 2, 3)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case", list(_generic_cases()), ids=lambda c: c[0])
+def test_a_bad_entry_in_one_test_operator_fails_with_its_label(case, bad):
+    # each W_c* X of a block is one product over the whole adjoint stack; a NaN
+    # or Inf in one X must still fail the check on the generic path, with that X
+    # as the witness
+    name, basis, E, sampler, spots = case
+    assert slot_table(E, basis.algebra) is None
+    labels = [label for label, _ in sampler(np.random.default_rng(5))]
+    assert verify_reconstruction(basis, E, seed=5, sampler=sampler).passed
+    for k, entry in spots:
+        with np.errstate(invalid="ignore", over="ignore"):
+            report = verify_reconstruction(basis, E, seed=5, sampler=_tamper_one(sampler, k, entry, bad))
+        assert not report.passed and not np.isfinite(report.residual), (name, k, report)
+        assert report.witness == labels[k], (name, k, report)
+
+
 def _stack(ops):
     return [np.stack(blocks) for blocks in zip(*(X.data for X in ops))]
 

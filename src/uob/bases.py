@@ -18,7 +18,6 @@ from .errors import (
     MiddleAlgebraMismatch,
     NoKnownConstruction,
     NotAbelian,
-    NotMultiple,
     PartitionOfUnityFailed,
     ShapeMismatch,
     SpectralConditionFailed,
@@ -26,7 +25,7 @@ from .errors import (
     UobError,
 )
 from .expectation import markov_expectation
-from .inclusion import InclusionSpec, embed, spectral_d, unembed
+from .inclusion import InclusionSpec, embed, embed_batch, spectral_d, unembed
 
 METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
 # Largest basis ``construct`` and ``basic_model_basis`` build, in complex
@@ -202,13 +201,12 @@ def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
     mat0 = np.array(s0.inclusion_matrix, dtype=int)
     mat1 = np.array(s1.inclusion_matrix, dtype=int)
     spec = InclusionSpec.from_matrix((mat0 @ mat1).tolist(), s1.sub_dims)
-    elements = []
-    for V in inner.elements:
-        for W in outer.elements:
-            elements.append(V @ embed(s0, W))
-    nested = UnitaryBasis.from_elements(spec, elements, "concat")
-    perms = _concat_block_perms(s0, s1, spec)
-    return UnitaryBasis(spec, tuple(s[:, p[:, None], p] for s, p in zip(nested.stacks, perms)), "concat")
+    stacks = []
+    for V, W, p in zip(inner.stacks, embed_batch(s0, outer.stacks), _concat_block_perms(s0, s1, spec)):
+        # element j d_outer + k is V_j embed(W_k)
+        VW = (V[:, None] @ W).reshape(inner.d * outer.d, len(p), len(p))
+        stacks.append(VW[:, p[:, None], p])
+    return UnitaryBasis(spec, tuple(stacks), "concat")
 
 
 def _concat_block_perms(s0, s1, spec):
@@ -307,10 +305,8 @@ def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
     """
     if spec.r != 1:
         raise ShapeMismatch("sub-algebra must be a single full matrix block")
-    m = spec.sub_dims[0]
-    if any(n % m != 0 for n in spec.super_dims):
-        raise NotMultiple("every super block size must be a multiple of m")
-    return _split_full_matrix(spec, m, "full_matrix_sub")
+    # a_i m = n_i, so m divides every super block size
+    return _split_full_matrix(spec, spec.sub_dims[0], "full_matrix_sub")
 
 
 def basic_model_basis(sub_dims) -> UnitaryBasis:
@@ -393,14 +389,15 @@ def _refuse_over_budget(entries: int) -> None:
 def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     """A basis for ``spec`` from the named construction in ``METHODS``.
 
-    ``auto`` tries abelian, weyl, full_matrix_sub and full_matrix_super in that
-    order and raises ``NoKnownConstruction`` when none applies.  ``tensor``
-    splits off the largest common full-matrix factor M_g and runs ``auto`` on
-    the rest; ``basic`` is ``basic_model_basis``, for M_n containing B with
-    a_j = m_j.  A forced construction that does not apply raises its own
-    ``UobError``.  A spec whose basis would hold more than MAX_BASIS_ENTRIES
-    entries is refused with ``TooLarge`` before any builder runs.  The table is
-    built per call, so rebound module names are used.
+    ``auto`` tries abelian, full_matrix_sub and full_matrix_super in that order
+    (weyl applies only where abelian does) and raises ``NoKnownConstruction``
+    when none applies.  ``tensor`` splits off the largest common full-matrix
+    factor M_g and runs ``auto`` on the rest; ``basic`` is
+    ``basic_model_basis``, for M_n containing B with a_j = m_j.  A forced
+    construction that does not apply raises its own ``UobError``.  A spec
+    whose basis would hold more than MAX_BASIS_ENTRIES entries is refused with
+    ``TooLarge`` before any builder runs.  The table is built per call, so
+    rebound module names are used.
     """
     _refuse_over_budget((spectral_d(spec) or 0) * spec.super_algebra.vector_dim)
     builders = {
@@ -413,9 +410,9 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
         return builders[method](spec)
     if method == "auto":
         last = None
-        for builder in builders.values():
+        for name in ("abelian", "full_matrix_sub", "full_matrix_super"):
             try:
-                return builder(spec)
+                return builders[name](spec)
             except TooLarge:
                 raise
             except UobError as exc:

@@ -53,10 +53,6 @@ class CardinalityMismatch(UobError):
     """Direct sums of bases require equal cardinalities."""
 
 
-class NotMultiple(UobError):
-    """Full-matrix subalgebra M_m requires every super block size to be a multiple of m."""
-
-
 class PartitionOfUnityFailed(UobError):
     """Sum of U e1 U* deviates from the identity; input was not a genuine basis."""
 

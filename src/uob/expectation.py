@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
 from .errors import AlgebraMismatch, NonStandardTrace, SingularGram, TooLarge
-from .inclusion import InclusionSpec, markov_trace, spectral_d
+from .inclusion import InclusionSpec, embed_batch, markov_trace, spectral_d
 
 GRAM_COND_LIMIT = 1e12
 # Largest mixed-unitary channel, in N x N entries per conjugation and stacked
@@ -42,14 +42,13 @@ MAX_CHANNEL_ENTRIES = 1 << 24
 @dataclass(frozen=True)
 class SlotTable:
     """E compiled once: ``slots[j]`` lists every copy (super block i, start, q_ij)
-    of sub block j, in the order ``apply`` sums them.
+    of sub block j of ``spec``, in the order ``apply`` sums them.
 
     Works on blocks of any leading batch shape: ``blocks[i]`` has shape
     (..., n_i, n_i).
     """
 
-    sub_dims: tuple[int, ...]
-    super_dims: tuple[int, ...]
+    spec: InclusionSpec
     slots: tuple[tuple[tuple[int, int, float], ...], ...]
 
     @classmethod
@@ -59,17 +58,16 @@ class SlotTable:
         slots = [[] for _ in range(spec.r)]
         for i, j, _, start in spec.copies:
             slots[j].append((i, start, p[i] / denoms[j]))
-        return cls(spec.sub_dims, spec.super_dims, tuple(map(tuple, slots)))
+        return cls(spec, tuple(map(tuple, slots)))
 
     def apply(self, blocks) -> list[np.ndarray]:
-        """E in embedded form: Z_j = sum over copies S of q_ij X_i[S, S], written
-        back into every copy of sub block j."""
-        out = [np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex) for n in self.super_dims]
-        for m, copies in zip(self.sub_dims, self.slots):
-            Z = sum(q * blocks[i][..., s : s + m, s : s + m] for i, s, q in copies)
-            for i, s, _ in copies:
-                out[i][..., s : s + m, s : s + m] = Z
-        return out
+        """E in embedded form: the ``embed_batch`` of Z_j = sum over copies S of
+        q_ij X_i[S, S]."""
+        Z = [
+            sum(q * blocks[i][..., s : s + m, s : s + m] for i, s, q in copies)
+            for m, copies in zip(self.spec.sub_dims, self.slots)
+        ]
+        return embed_batch(self.spec, Z)
 
 
 def conditional_expectation(spec: InclusionSpec, phi: TracialState):
@@ -98,7 +96,7 @@ def slot_table(E, alg: MultiMatrixAlgebra) -> SlotTable | None:
     """The compiled table that ``conditional_expectation`` attaches to E, or
     None; read from E's attributes, so it survives wrappers that copy them."""
     table = getattr(E, "slots", None)
-    if table is not None and table.super_dims != alg.blocks:
+    if table is not None and table.spec.super_dims != alg.blocks:
         raise AlgebraMismatch("expectation and basis live on different algebras")
     return table
 

@@ -2,7 +2,8 @@
 
 The embedding layout is one table, ``InclusionSpec.copies``: every copy
 (i, j, k, start) of sub block j in super block i, whose basis vectors u_{ijkl}
-sit at start + l.  Every reader of the layout iterates that table.
+sit at start + l.  Every reader of the layout iterates that table, and
+``embed_batch`` is the one code that writes blocks into it.
 """
 
 from __future__ import annotations
@@ -240,15 +241,24 @@ def _float_matrix(spec: InclusionSpec) -> np.ndarray:
         raise TooLarge("an inclusion matrix entry is past the range of a float") from None
 
 
-def embed(spec: InclusionSpec, Y: BlockOperator) -> BlockOperator:
-    """Block-diagonal image of a sub-algebra element: Y_j on every copy of block j."""
-    if Y.algebra != spec.sub_algebra:
+def embed_batch(spec: InclusionSpec, blocks) -> list[np.ndarray]:
+    """``embed`` on stacks: ``blocks[j]`` is a (..., m_j, m_j) stack, all with
+    one leading shape, and block i of the result is the (..., n_i, n_i) stack
+    with Y_j on every copy of block j.  The one writer of copy positions; a
+    stack of another shape is refused, so nothing broadcasts into a copy."""
+    lead = blocks[0].shape[:-2] if len(blocks) == spec.r else None
+    if lead is None or any(Y.shape != lead + (m, m) for Y, m in zip(blocks, spec.sub_dims)):
         raise AlgebraMismatch("operand does not belong to the sub-algebra")
-    data = [np.zeros((n, n), dtype=complex) for n in spec.super_dims]
+    out = [np.zeros(lead + (n, n), dtype=complex) for n in spec.super_dims]
     for i, j, _, s in spec.copies:
         m = spec.sub_dims[j]
-        data[i][s : s + m, s : s + m] = Y.data[j]
-    return spec.super_algebra.operator(data)
+        out[i][..., s : s + m, s : s + m] = blocks[j]
+    return out
+
+
+def embed(spec: InclusionSpec, Y: BlockOperator) -> BlockOperator:
+    """Block-diagonal image of a sub-algebra element: Y_j on every copy of block j."""
+    return spec.super_algebra.operator(embed_batch(spec, Y.data))
 
 
 def unembed(spec: InclusionSpec, X: BlockOperator) -> BlockOperator:

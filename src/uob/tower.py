@@ -4,8 +4,8 @@ A_1 = <A, e_1> is represented by operators on the GNS space of the Markov
 trace: left multiplication becomes a unital *-homomorphism into M_D with
 D = sum n_i^2, and e_1 is the orthogonal projection onto the copy of the
 sub-algebra.  The GNS basis is ordered per super block by (column, row), so
-left multiplication restricted to block i is I_{n_i} (x) X_i and, for the
-transpose inclusion, lines up with the canonical embedding layout.
+left multiplication restricted to block i is I_{n_i} (x) X_i: the embedding
+``gns_spec`` of A in M_D, the row (n_0 ... n_{s-1}) with sub dims n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     TooLarge,
 )
 from .expectation import _GramProjector, batched, markov_expectation
-from .inclusion import InclusionSpec, embed, spectral_d
+from .inclusion import InclusionSpec, embed, embed_batch, spectral_d
 
 JONES_TOL = 1e-9
 # largest GNS dimension D = sum n_i^2 that build_basic_construction accepts
@@ -55,6 +55,12 @@ class BasicConstruction:
         return MultiMatrixAlgebra((self.gns_dim,))
 
     @cached_property
+    def gns_spec(self) -> InclusionSpec:
+        """A in M_D by left multiplication: the row n with sub dims n."""
+        n = self.spec.super_dims
+        return InclusionSpec.from_matrix([list(n)], n)
+
+    @cached_property
     def e1(self) -> np.ndarray:
         """Projection onto the copy of B: the GNS vectors of B's embedded matrix
         units have disjoint supports, so normalizing them makes them orthonormal."""
@@ -78,22 +84,12 @@ class BasicConstruction:
 
     def left_rep(self, x: BlockOperator) -> BlockOperator:
         """Left multiplication by x in the orthonormal GNS basis."""
-        return self.gns_algebra.operator([self.left_reps([X[None] for X in x.data])[0]])
+        return self.gns_algebra.operator([self.left_reps(x.data)])
 
     def left_reps(self, blocks) -> np.ndarray:
         """``left_rep`` of every operand of a batch: ``blocks[i]`` is a
-        (K, n_i, n_i) stack of block i, the result a (K, D, D) stack."""
-        if [X.shape[1:] for X in blocks] != [(n, n) for n in self.spec.super_dims]:
-            raise AlgebraMismatch("operand does not belong to the super-algebra")
-        K = len(blocks[0])
-        M = np.zeros((K, self.gns_dim, self.gns_dim), dtype=complex)
-        off = 0
-        for n, X in zip(self.spec.super_dims, blocks):
-            # I_n (x) X: X on the n diagonal positions of the block, as copies
-            r = np.arange(n)
-            M[:, off : off + n * n, off : off + n * n].reshape(K, n, n, n, n)[:, r, :, r, :] = X
-            off += n * n
-        return M
+        (..., n_i, n_i) stack of block i, the result a (..., D, D) stack."""
+        return embed_batch(self.gns_spec, blocks)[0]
 
     def coeff(self, x: BlockOperator) -> np.ndarray:
         """GNS coordinate vector of x in the orthonormal basis: block i is

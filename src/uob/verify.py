@@ -104,7 +104,7 @@ def _weighted_columns(basis: UnitaryBasis, table):
     block j of E(W_a* W_b).
     """
     d, stacks = basis.d, basis.stacks
-    for m, copies in zip(table.sub_dims, table.slots):
+    for m, copies in zip(table.spec.sub_dims, table.slots):
         cols = [stacks[i][:, :, start : start + m] for i, start, _ in copies]
         R = np.concatenate(cols, axis=1).transpose(1, 0, 2).reshape(-1, d * m)
         L = np.concatenate([q * c for c, (_, _, q) in zip(cols, copies)], axis=1)

@@ -325,3 +325,12 @@ def test_construct_refuses_a_basis_over_the_entry_cap():
     for method in ("auto", "abelian", "tensor", "basic"):
         with pytest.raises(TooLarge):
             construct(spec, method)
+
+
+@pytest.mark.parametrize("combine", [tensor_basis, direct_sum_basis])
+def test_a_factor_without_a_spec_is_a_shape_mismatch(combine):
+    b = abelian_basis(catalog_spec("c_in_m2"))
+    bare = UnitaryBasis(None, b.stacks, "bare")
+    for pair in ((bare, b), (b, bare)):
+        with pytest.raises(ShapeMismatch):
+            combine(*pair)

@@ -529,3 +529,25 @@ def test_a_size_of_thousands_of_digits_is_refused_with_one_line(tmp_path, capsys
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _one_line(err) and "over the cap" in err
+
+
+@pytest.mark.parametrize("change", ["one_pair_over", "one_pair_short", "one_block_over", "one_block_short"])
+def test_a_basis_file_with_a_misshapen_element_fails_with_one_line(tmp_path, capsys, change):
+    # c_in_m1_plus_m2 has blocks (1, 2): element 1 holds one pair, then n^2 = 4
+    path = tmp_path / "b.json"
+    assert main(["basis", "c_in_m1_plus_m2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    W = doc["elements"][1]
+    if change == "one_pair_over":
+        W[1].append([0.0, 0.0])
+    elif change == "one_pair_short":
+        W[1].pop()
+    elif change == "one_block_over":
+        W.append([[1.0, 0.0]])
+    else:
+        W.pop()
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _one_line(err)

@@ -383,3 +383,18 @@ def test_moved_units_and_phi_on_the_spec_box(spec, data):
         ops = [u for _, u in alg.matrix_units()] + [alg.random(rng) for _ in range(3)]
         _assert_phi_match(phi, ops)
         _assert_phi_match(TracialState(alg, alg.blocks), ops)
+
+
+def test_a_sampled_operator_of_another_algebra_is_an_algebra_mismatch():
+    # one more block than the basis's algebra: zip would drop it unchecked
+    basis = construct(catalog_spec("c_in_m1_plus_m2"), "auto")
+    other = MultiMatrixAlgebra(basis.algebra.blocks + (1,))
+    sampler = lambda rng: [("identity", basis.algebra.identity()), ("other", other.identity())]  # noqa: E731
+    with pytest.raises(AlgebraMismatch):
+        verify_reconstruction(basis, markov_expectation(basis.spec), sampler=sampler)
+
+
+def test_a_compiled_expectation_of_another_spec_is_an_algebra_mismatch():
+    basis = construct(catalog_spec("c_in_m5"), "auto")
+    with pytest.raises(AlgebraMismatch):
+        verify_orthonormality(basis, markov_expectation(catalog_spec("c_in_m3")))

@@ -4,20 +4,20 @@ Every checker takes an expectation as a plain callable E mapping a block
 operator to a block operator of the same algebra (embedded form), so the
 same code verifies both multi-matrix inclusions and concrete
 basic-construction models.  All checks work on the basis's per-block
-(d, n_i, n_i) stacks.  When E carries the compiled slot table of
-``markov_expectation``, E itself is applied as matrix products over the
-stacks; any other E (the tower's Gram projector, a plain callable) goes
-through ``uob.expectation.apply_each``, which calls it exactly once per
-operand: d^2 times for orthonormality, d times per test operator for
-reconstruction and once per matrix unit for trace preservation, with every
-product around those calls formed as a batched matmul; reconstruction forms
-all W_c* X of a block as one product against the adjoint stack, laid out
-once per call.  No linearity of E is assumed on that path, which is the
-reference the compiled checks are tested against.  A reconstruction check
-given its own test family (a ``sampler``) always takes it.  A compiled E
-preserves the trace on every off-diagonal matrix unit exactly (both traces
-are 0.0), so trace preservation runs it on the sum n_i diagonal units only.
-A residual that is NaN or infinite fails.
+(d, n_i, n_i) stacks; unitarity forms its products in chunks of each block's
+own size.  When E carries the compiled slot table of ``markov_expectation``,
+E itself is applied as matrix products over the stacks, and one sweep of the
+sub blocks gives every reconstruction residual.  Any other E (the tower's
+Gram projector, a plain callable) goes through one helper, ``_conjugated``:
+E(W_c* X) for every c, one call per operand through ``apply_each``.
+Orthonormality takes X = W_k for each k (d^2 calls), reconstruction each
+test operator (d calls each), and trace preservation calls E once per matrix
+unit.  No linearity of E is assumed on that path, the reference the compiled
+checks are tested against; a reconstruction check given its own test family
+(a ``sampler``) always takes it.  A compiled E preserves the trace on every
+off-diagonal matrix unit exactly (both traces are 0.0), so trace
+preservation runs it on the sum n_i diagonal units only.  A residual that is
+NaN or infinite fails.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import TracialState
+from .algebra import CHUNK_ENTRIES, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
 from .expectation import apply_each, batched, markov_expectation, slot_table
@@ -113,13 +113,13 @@ def _weighted_columns(basis: UnitaryBasis, table):
 
 
 def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> VerificationReport:
-    """Every element satisfies W W* = W* W = I."""
+    """Every element satisfies W W* = W* W = I: products in chunks of each block's own size."""
     if not basis.d:
         return _report("unitary", np.inf, tol, "empty basis")
-    size = basis.algebra.batch_size
     resid = np.zeros(basis.d)
     for Ws in basis.stacks:
-        I = np.eye(Ws.shape[-1])
+        n = Ws.shape[-1]
+        I, size = np.eye(n), max(1, CHUNK_ENTRIES // (n * n))
         for lo in range(0, basis.d, size):
             W = Ws[lo : lo + size]
             Wh = W.conj().swapaxes(-1, -2)
@@ -128,12 +128,27 @@ def verify_unitary(basis: UnitaryBasis, tol: float = UNITARY_TOL) -> Verificatio
     return _worst("unitary", resid, tol, lambda j: f"element {j}")
 
 
+def _adjoints(basis: UnitaryBasis) -> list[np.ndarray]:
+    """Every W_c* of each block, laid out once as the rows of one (d n, n) array:
+    conjugated straight into one C-ordered (d, n, n) stack, then viewed."""
+    adj = (np.conjugate(Ws.swapaxes(-1, -2), order="C") for Ws in basis.stacks)
+    return [H.reshape(-1, H.shape[-1]) for H in adj]
+
+
+def _conjugated(E, basis: UnitaryBasis, adj, X) -> list[np.ndarray]:
+    """E(W_c* X) for every c, one E call per c through ``apply_each``: out[i][c]
+    is block i.  With ``adj`` the ``_adjoints`` and ``X`` the blocks of one
+    operator, all W_c* X of a block are one (d n, n) @ (n, n) product."""
+    operands = [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, basis.stacks, X)]
+    return apply_each(E, basis.algebra, operands)
+
+
 def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> VerificationReport:
     """E(W_j* W_k) = delta_jk I for the given expectation."""
     if not basis.d:
         return _report("orthonormality", np.inf, tol, "empty basis")
-    d, alg, stacks = basis.d, basis.algebra, basis.stacks
-    table = slot_table(E, alg)
+    d, stacks = basis.d, basis.stacks
+    table = slot_table(E, basis.algebra)
     if table is not None:
         resid = 0.0
         for m, _, L, R in _weighted_columns(basis, table):
@@ -141,15 +156,12 @@ def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> Ver
             G[np.diag_indices(d * m)] -= 1
             resid = np.maximum(resid, np.abs(G).reshape(d, m, d, m).max(axis=(1, 3)))
     else:
-        resid = np.empty((d, d))
-        for j in range(d):
-            # every W_j* W_k in one batched matmul per block, then E on each
-            out = apply_each(E, alg, [Ws[j].conj().T @ Ws for Ws in stacks])
-            row = 0.0
+        adj, resid = _adjoints(basis), np.empty((d, d))
+        for k in range(d):  # column k: E(W_j* W_k) for every j
+            out = _conjugated(E, basis, adj, [Ws[k] for Ws in stacks])
             for o in out:
-                o[j] -= np.eye(o.shape[-1])
-                row = np.maximum(row, _entry_max(o))
-            resid[j] = row
+                o[k] -= np.eye(o.shape[-1])
+            resid[:, k] = np.max([_entry_max(o) for o in out], axis=0)
     return _worst("orthonormality", resid, tol, lambda t: f"pair {divmod(t, d)}")
 
 
@@ -159,107 +171,74 @@ def verify_reconstruction(
     """X = sum_j W_j E(W_j* X) on all matrix units and random operators.
 
     ``sampler(rng)`` may supply the (label, X) test family instead, for bases
-    of a proper subalgebra of the ambient block algebra; it is checked with
-    one E call per W_c* X.  Otherwise, with a compiled E, the matrix units are
-    read off one product per sub block (see ``_unit_residuals``) and the
-    random operators, drawn in one generator call, are streamed in batches of
-    at most ``uob.algebra.CHUNK_ENTRIES`` entries.
+    of a proper subalgebra of the ambient block algebra.  With a compiled E
+    and no sampler, one ``_compiled_reconstruction`` sweep gives every
+    residual, the random operators drawn in one generator call and streamed
+    in batches of at most ``uob.algebra.CHUNK_ENTRIES`` entries.  Otherwise
+    each X takes one E call per W_c* X, and sum_c W_c E(W_c* X) is a batched
+    matmul summed over c in the per-element loop's order (numpy reorders it
+    only on 1 x 1 blocks); one (n, d n) @ (d n, n) product would reorder it
+    on every block, which moved tower residuals by 1.2e-15.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
     alg = basis.algebra
     rng = np.random.default_rng(seed)
     table = slot_table(E, alg)
-    if sampler is not None:
-        samples = list(sampler(rng))
-    elif table is None:
-        samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
-        samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
-    else:
-        parts = list(_weighted_columns(basis, table))
-        randoms = alg.random_batches(rng, N_RANDOM, alg.batch_size)
-        resid = np.concatenate([_unit_residuals(basis, parts), _stacked_reconstruction(parts, randoms)])
+    if table is not None and sampler is None:
+        resid = _compiled_reconstruction(basis, table, alg.random_batches(rng, N_RANDOM, alg.batch_size))
         D = alg.vector_dim  # the matrix units first, then the random draws
         label = lambda k: f"unit {alg.unit_index(k)}" if k < D else f"random {k - D}"
         return _worst("reconstruction", resid, tol, label, seed=seed)
-    resid = _generic_reconstruction(basis, E, [X for _, X in samples])
+    if sampler is None:
+        samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
+        samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
+    else:
+        samples = list(sampler(rng))
+    adj, resid = _adjoints(basis), np.empty(len(samples))
+    for t, (_, X) in enumerate(samples):
+        if X.algebra != alg:
+            raise AlgebraMismatch("test operator does not belong to the basis's algebra")
+        blocks = zip(basis.stacks, _conjugated(E, basis, adj, X.data), X.data)
+        resid[t] = np.max([np.abs((Ws @ o).sum(axis=0) - x).max() for Ws, o, x in blocks])  # keeps a NaN
     return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)
 
 
-def _generic_reconstruction(basis: UnitaryBasis, E, Xs) -> np.ndarray:
-    """max |sum_c W_c E(W_c* X) - X| for every X, one E call per W_c* X.
-
-    Every W_c* of a block is laid out once, as the rows of one (d n, n) array,
-    so all W_c* X of a block are one (d n, n) @ (n, n) product.  The
-    W_c E(W_c* X) are one batched matmul per block, summed over c in the order
-    the per-element loop adds them (numpy reorders it only on 1 x 1 blocks).
-    One (n, d n) @ (d n, n) product for that sum would be faster but reorders
-    it on every block, which moved tower residuals by 1.2e-15.
-    """
-    alg, stacks = basis.algebra, basis.stacks
-    adj = []
-    for Ws in stacks:
-        H = np.empty(Ws.shape, dtype=complex)  # conjugated straight into the layout: one stack
-        np.conjugate(Ws.swapaxes(-1, -2), out=H)
-        adj.append(H.reshape(-1, H.shape[-1]))
-    resid = np.empty(len(Xs))
-    for t, X in enumerate(Xs):
-        if X.algebra != alg:
-            raise AlgebraMismatch("test operator does not belong to the basis's algebra")
-        out = apply_each(E, alg, [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, stacks, X.data)])
-        r = 0.0
-        for Ws, o, x in zip(stacks, out, X.data):
-            r = np.maximum(r, np.abs((Ws @ o).sum(axis=0) - x).max())
-        resid[t] = r
-    return resid
-
-
-def _unit_residuals(basis: UnitaryBasis, parts) -> np.ndarray:
-    """max |sum_c W_c E(W_c* e) - e| for every matrix unit e, in matrix_units() order.
+def _compiled_reconstruction(basis: UnitaryBasis, table, batches) -> np.ndarray:
+    """max |sum_c W_c E(W_c* X) - X| for every matrix unit X (matrix_units()
+    order), then every X of every (K, n_i, n_i) batch: one ``_weighted_columns`` sweep.
 
     For the unit e at row a, column s + l of copy (i, s) of sub block j, the
     sum is column x of R @ L (x the row of (i, a) in R) written into column
     s + l of block i.  So every unit (i, a, s..s+m) has the residual
     max_x' |(R @ L - I)[x', x]|.  A non-finite entry anywhere in the basis
-    makes every residual NaN, as it does in the batched products, where it
-    meets the zeros of every unit.
+    makes every unit residual NaN, as it does in the batched products, where
+    it meets the zeros of every unit.  A batch compares each copy's column
+    slice of the sum with that slice of X, where it is formed; the copies tile
+    every super block's columns, so each entry of X is compared once.
     """
-    if not all(np.isfinite(Ws).all() for Ws in basis.stacks):
-        return np.full(basis.algebra.vector_dim, np.nan)
-    out = [np.empty((n, n)) for n in basis.algebra.blocks]
-    for m, copies, L, R in parts:
+    batches = list(batches)
+    units = [np.empty((n, n)) for n in basis.algebra.blocks]
+    worst = [[] for _ in batches]
+    for m, copies, L, R in _weighted_columns(basis, table):
         F = R @ L
         F[np.diag_indices(len(F))] -= 1
-        col = np.abs(F).max(axis=0)
-        x = 0
+        col, x = np.abs(F).max(axis=0), 0
         for i, s, _ in copies:
-            n = len(out[i])
-            out[i][:, s : s + m] = col[x : x + n, None]
+            n = len(units[i])
+            units[i][:, s : s + m] = col[x : x + n, None]
             x += n
-    return np.concatenate([o.ravel() for o in out])
-
-
-def _stacked_reconstruction(parts, batches) -> np.ndarray:
-    """max |sum_c W_c E(W_c* X) - X| for every X of every (K, n_i, n_i) batch,
-    with ``parts`` the sub blocks' ``_weighted_columns``.
-
-    Each copy's column slice of the sum is compared with the same slice of X
-    where it is formed; the copies tile the columns of every super block, so
-    every entry of X is compared exactly once.
-    """
-    resid = []
-    for X in batches:
-        K, worst = len(X[0]), []
-        for m, copies, L, R in parts:
+        for w, X in zip(worst, batches):
             # Xcols[(x, a), k, b] = X_k[a, s + b] over the copies (i, s) of the
             # sub block; L @ Xcols gives block j of every E(W_c* X_k), and R @
             # that the column slices of sum_c W_c E(W_c* X_k), copy after copy.
             Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
             Xcols = Xcols.transpose(1, 0, 2)
-            out = (R @ (L @ Xcols.reshape(-1, K * m))).reshape(Xcols.shape)
-            worst.append(np.abs(out - Xcols).max(axis=(0, 2)))
-        resid.append(np.max(worst, axis=0))
-    return np.concatenate(resid)
+            out = (R @ (L @ Xcols.reshape(-1, len(X[0]) * m))).reshape(Xcols.shape)
+            w.append(np.abs(out - Xcols).max(axis=(0, 2)))
+    if not all(np.isfinite(Ws).all() for Ws in basis.stacks):
+        units = [np.full(n * n, np.nan) for n in basis.algebra.blocks]
+    return np.concatenate([u.ravel() for u in units] + [np.max(w, axis=0) for w in worst])
 
 
 def verify_expectation_axioms(

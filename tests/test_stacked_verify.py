@@ -16,12 +16,12 @@ from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
 from uob.expectation import _GramProjector, conditional_expectation, markov_expectation
-from uob.inclusion import embed
+from uob import verify
+from uob.inclusion import InclusionSpec, embed
 from uob.verify import (
     N_RANDOM,
     RECON_TOL,
-    _stacked_reconstruction,
-    _unit_residuals,
+    _compiled_reconstruction,
     _weighted_columns,
     _worst,
     all_passed,
@@ -182,6 +182,35 @@ def test_any_nan_inf_or_moved_entry_fails_on_both_paths(name, basis, data):
         assert not all_passed(verify_basis(bad, expectation, seed=3)), (name, step)
 
 
+# the paper's first special case, complex Hadamard matrices, at width: C in C^100
+# (the 100 x 100 Fourier matrix as 100 blocks of size 1) and a wide mixed-size one
+WIDE = {
+    "c_in_c100": InclusionSpec.from_matrix([[1]] * 100, [1]),
+    "c_in_m1_m1_m2_x20": InclusionSpec.from_matrix([[1], [1], [2]] * 20, [1]),
+}
+
+
+@pytest.mark.parametrize("name", WIDE)
+def test_a_wide_basis_takes_one_unitary_product_per_block(name, monkeypatch):
+    spec = WIDE[name]
+    basis = construct(spec, "auto")
+    assert all_passed(verify_basis(basis))
+    calls, entry_max = [], verify._entry_max
+
+    def counted(stack):
+        calls.append(len(stack))
+        return entry_max(stack)
+
+    monkeypatch.setattr(verify, "_entry_max", counted)
+    report = verify_unitary(basis)
+    # chunked by each block's own size, every block is one chunk: W W* and W* W once each
+    assert calls == [basis.d] * (2 * spec.s)
+    one = lambda j: UnitaryBasis(spec, tuple(Ws[j : j + 1] for Ws in basis.stacks), "one")  # noqa: E731
+    per_element = [_unitary_reference(one(j)) for j in range(basis.d)]
+    assert report.residual == _unitary_reference(basis) == max(per_element)
+    assert report.witness == f"element {int(np.argmax(per_element))}"
+
+
 @pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
 def test_generic_path_calls_E_once_per_operand(name, basis):
     E = markov_expectation(basis.spec)
@@ -217,9 +246,9 @@ def _unit_parity(basis):
     table = markov_expectation(basis.spec).slots
     alg = basis.algebra
     with np.errstate(invalid="ignore", over="ignore"):
-        parts = list(_weighted_columns(basis, table))
-        fast = _unit_residuals(basis, parts)
-        batched = _stacked_reconstruction(parts, alg.unit_batches(alg.batch_size))
+        # the closed-form units, then every unit again as a batched test operator
+        both = _compiled_reconstruction(basis, table, alg.unit_batches(alg.batch_size))
+        fast, batched = np.split(both, [alg.vector_dim])
     np.testing.assert_allclose(fast, batched, rtol=0, atol=MATCH_TOL)
     label = lambda k: f"unit {alg.unit_index(k)}"  # noqa: E731
     a, b = _worst("r", fast, RECON_TOL, label), _worst("r", batched, RECON_TOL, label)
@@ -264,8 +293,8 @@ def test_a_compiled_E_moves_the_trace_on_diagonal_units_only(spec, data):
 
 
 def _scatter_reconstruction(parts, batches):
-    """The former ``_stacked_reconstruction``: every copy's columns scattered
-    into full-size blocks, which are then compared with X."""
+    """The former batch residuals of ``_compiled_reconstruction``: every copy's
+    columns scattered into full-size blocks, which are then compared with X."""
     resid = []
     for X in batches:
         K = X[0].shape[0]
@@ -352,7 +381,7 @@ def test_in_place_reconstruction_gives_the_bits_of_the_scatter_form(name, basis)
         with np.errstate(invalid="ignore", over="ignore"):
             parts = list(_weighted_columns(b, table))
             for batches in (lambda: alg.unit_batches(alg.batch_size), randoms):
-                new = _stacked_reconstruction(parts, batches())
+                new = _compiled_reconstruction(b, table, batches())[alg.vector_dim :]
                 old = _scatter_reconstruction(parts, batches())
         assert np.array_equal(new, old, equal_nan=True), (name, kind)
 

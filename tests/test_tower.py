@@ -383,6 +383,28 @@ def test_generic_checks_match_the_per_element_loop(name):
     assert fast.witness == samples[int(np.argmax(recon))][0]
 
 
+# the benchmark's tower inclusions with B = C: their twisted bases carry the
+# transposed spec, whose compiled Markov E is the dual expectation
+B_IS_C = [name for name, (_, m) in BENCH_TOWER.items() if m == [1]]
+
+
+@pytest.mark.parametrize("name", B_IS_C)
+def test_the_tower_basis_verifies_alike_against_the_projector_and_the_compiled_E(name):
+    bc, b1 = _tower_basis(name)
+    assert b1.spec == ALL_TOWER[name].transpose()
+    W = b1.stacks[0].copy()
+    W[-1, 0, 0] += 1e-6
+    generic = functools.partial(dual_expectation, bc)
+    compiled = markov_expectation(b1.spec)
+    assert slot_table(generic, b1.algebra) is None and slot_table(compiled, b1.algebra) is not None
+    for b in (b1, UnitaryBasis(b1.spec, (W,), "perturbed")):
+        g, c = verify_basis(b, generic, seed=3), verify_basis(b, compiled, seed=3)
+        assert [r.name for r in g] == [r.name for r in c]
+        assert [r.passed for r in g] == [r.passed for r in c], (name, b.provenance)
+        assert g[1].name == "orthonormality" and abs(g[1].residual - c[1].residual) <= 1e-15, (g[1], c[1])
+        assert all_passed(g) == (b is b1)
+
+
 def _sampler_reference(bc, count):
     """The sampler as a per-operand loop: ``left_rep`` of each matrix unit, then
     per operator three ``random`` calls a, b, c and L(a) + L(b) e1 L(c)."""

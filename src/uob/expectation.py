@@ -241,7 +241,7 @@ class _GramProjector:
 
     def __init__(self, phi: TracialState, basis):
         self.algebra = phi.algebra
-        S = np.stack([_flatten(X) for X in basis])
+        S = _rows(basis, self.algebra.vector_dim)
         sizes = [n * n for n in self.algebra.blocks]
         w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
         T = S * w
@@ -263,6 +263,13 @@ class _GramProjector:
         if len(self._cuts) == 1:
             return BlockOperator(self.algebra, (flat.reshape(self._cuts[0][2], -1),))
         return BlockOperator(self.algebra, tuple(flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts))
+
+
+def _rows(family, N: int) -> np.ndarray:
+    """The members of ``family`` flattened into the rows of one (k, N) array,
+    one at a time: a list of them, each maybe a view of its whole batch, would
+    hold the family twice."""
+    return np.fromiter(map(_flatten, family), dtype=np.dtype((complex, N)))
 
 
 def _flatten(X: BlockOperator) -> np.ndarray:

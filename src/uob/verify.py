@@ -195,6 +195,8 @@ def verify_reconstruction(
         samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
     else:
         samples = list(sampler(rng))
+    if not samples:
+        return _report("reconstruction", np.inf, tol, "no test operators", seed=seed)
     adj, resid = _adjoints(basis), np.empty(len(samples))
     for t, (_, X) in enumerate(samples):
         if X.algebra != alg:

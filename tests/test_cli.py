@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import time
 import tracemalloc
 
@@ -376,11 +377,26 @@ def test_tol_env_override(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(out)]) == 1
 
 
+def test_basis_out_from_a_spec_path_with_an_undecodable_byte_writes_a_loadable_file(tmp_path, capsys):
+    # the path's byte 0xff reaches argv as a lone surrogate, the name the file records
+    spec_path = os.path.join(os.fsencode(tmp_path), b"spec\xff.json")
+    save_spec(spec_path, catalog_spec("c_in_m2"))
+    out = tmp_path / "b.json"
+    assert main(["basis", os.fsdecode(spec_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_bytes())["name"].endswith("spec\\udcff.json")
+    assert load_basis(out).spec == catalog_spec("c_in_m2")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+
+
+C_IN_C = {"inclusion_matrix": [[1]], "sub_dims": [1]}
+
+
 def _write_basis_doc(path, elements, d=None, **extra):
     doc = {
         "d": len(elements) if d is None else d,
         "provenance": "hand-written",
-        "spec": {"inclusion_matrix": [[1]], "sub_dims": [1]},
+        "spec": C_IN_C,
         "elements": elements,
         **extra,
     }
@@ -419,8 +435,8 @@ def test_verify_wrong_d_field_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "elements, extra",
     [
-        ([[[[1.0, 0.0]]]], {"spec": None, "block_dims": []}),
-        ([[[[1.0, 0.0]]]], {"spec": None, "block_dims": [0]}),
+        ([[[[1.0, 0.0]]]], {"spec": [1]}),
+        ([[[[1.0, 0.0]]]], {"spec": {"inclusion_matrix": [[1], [1]], "sub_dims": [1]}}),
         ([[[[1.0]]]], {}),
     ],
 )
@@ -434,10 +450,10 @@ def test_verify_malformed_basis_exits_1_with_one_line(tmp_path, capsys, elements
 @pytest.mark.parametrize(
     "elements, extra",
     [
-        ([[[[1.0, 0.0]]]], {"spec": None, "block_dims": [True]}),
+        ([[[[1.0, 0.0]]]], {"spec": {"inclusion_matrix": [[1]], "sub_dims": [True]}}),
         ([[[[True, False]]]], {}),
     ],
-    ids=["block_dims", "entry_pair"],
+    ids=["spec_sub_dims", "entry_pair"],
 )
 def test_verify_boolean_basis_field_exits_1_with_one_line(tmp_path, capsys, elements, extra):
     # complex(True, False) == 1: a boolean entry must not load as a number
@@ -450,8 +466,8 @@ def test_verify_boolean_basis_field_exits_1_with_one_line(tmp_path, capsys, elem
 @pytest.mark.parametrize(
     "text",
     [
-        json.dumps({"d": 1, "spec": None, "block_dims": [1], "elements": 5}),
-        json.dumps({"d": 1, "spec": None, "block_dims": [1], "elements": [7]}),
+        json.dumps({"d": 1, "spec": C_IN_C, "elements": 5}),
+        json.dumps({"d": 1, "spec": C_IN_C, "elements": [7]}),
         "[1, 2]",
     ],
     ids=["elements_not_a_list", "element_not_a_list", "document_not_an_object"],
@@ -465,13 +481,25 @@ def test_verify_malformed_structure_exits_1_with_one_line(tmp_path, capsys, text
 
 
 def test_verify_spec_less_basis_exits_1_with_one_line(tmp_path, capsys):
-    # without a spec there is no expectation to verify against
+    # without a spec there is no expectation to verify against: a null spec
+    # and a missing one are refused alike
     path = tmp_path / "b.json"
-    doc = {"d": 1, "spec": None, "block_dims": [1], "elements": [[[[1.0, 0.0]]]]}
+    for doc in ({"d": 1, "spec": None, "elements": [[[[1.0, 0.0]]]]}, {"d": 1, "elements": [[[[1.0, 0.0]]]]}):
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "no spec" in err
+
+
+@pytest.mark.parametrize("key", ["d", "elements"])
+def test_verify_basis_without_a_field_exits_1_naming_it(tmp_path, capsys, key):
+    path = tmp_path / "b.json"
+    doc = {"d": 1, "spec": C_IN_C, "elements": [[[[1.0, 0.0]]]]}
+    del doc[key]
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "no spec" in err
+    assert err == f"error: basis document has no {key}\n"
 
 
 @pytest.mark.parametrize("method", ["auto", "basic"])

@@ -26,7 +26,7 @@ from uob.errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from uob.expectation import _GramProjector, markov_expectation, slot_table
+from uob.expectation import _GramProjector, _rows, markov_expectation, slot_table
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.tower import (
     basic_construction_basis,
@@ -405,6 +405,43 @@ def test_the_tower_basis_verifies_alike_against_the_projector_and_the_compiled_E
         assert all_passed(g) == (b is b1)
 
 
+def _canonical_stacks(spec, W):
+    """The GNS-frame stack W of a tower basis in the canonical frame of
+    ``spec.transpose()``: GNS entry (a, c) of block i is vector off_i + c n_i + a,
+    and block j is copy l = 0 of block j of A_1, its rows (i, k, a) at the
+    columns c = start of the copies (i, j, k, start), in ``spec.copies`` order."""
+    n = spec.super_dims
+    off = np.cumsum([0] + [x * x for x in n])
+    rows = [[] for _ in range(spec.r)]
+    for i, j, _, start in spec.copies:
+        rows[j].extend(off[i] + start * n[i] + np.arange(n[i]))
+    return tuple(W[:, r][:, :, r] for r in map(np.array, rows))
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_the_tower_basis_verifies_in_the_canonical_frame_of_the_transpose(name):
+    # the paper's basis for A in A_1, checked against the compiled Markov E of
+    # (A^t, n) as well as the Gram projector; for B = C the map is the identity
+    spec = ALL_TOWER[name]
+    bc, b1 = _tower_basis(name)
+    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    E = markov_expectation(spec.transpose())
+    bad = b1.stacks[0].copy()
+    bad[-1, 0, 0] += 1e-6  # GNS vector 0 is row 0 of the first copy, so both frames see it
+    for W, good in ((b1.stacks[0], True), (bad, False)):
+        gns = UnitaryBasis(None, (W,), "gns")
+        canonical = UnitaryBasis(spec.transpose(), _canonical_stacks(spec, W), "canonical")
+        if spec.sub_dims == (1,):
+            assert canonical.stacks[0].tobytes() == W.tobytes()
+        gns_reports = [
+            verify_unitary(gns),
+            verify_orthonormality(gns, E1),
+            verify_reconstruction(gns, E1, seed=3, sampler=sampler),
+        ]
+        canonical_reports = verify_basis(canonical, E, seed=3)
+        assert all_passed(gns_reports) == all_passed(canonical_reports) == good, name
+
+
 def _sampler_reference(bc, count):
     """The sampler as a per-operand loop: ``left_rep`` of each matrix unit, then
     per operator three ``random`` calls a, b, c and L(a) + L(b) e1 L(c)."""
@@ -609,3 +646,19 @@ def test_chunked_products_keep_the_peak_of_the_per_element_loops():
         _per_element_twist(bc, b0)
 
     assert _traced_peak(batched) <= 1.1 * _traced_peak(per_element)
+
+
+def test_the_projector_reads_its_family_once_without_a_second_copy():
+    # C in M_10, D = 100: the family is D members of D^2 entries, each a view
+    # of its own (1, D, D) batch of ``unit_reps``. Read row by row, the rows
+    # and one batch are alive; a list of the views stacked would hold the
+    # family twice (measured: 32.0 MB against 21.3 MB for the 16 MB family).
+    bc = build_basic_construction(InclusionSpec.from_matrix([[10]], [1]))
+    family = lambda: (bc.gns_algebra.operator([L]) for L in bc.unit_reps())
+    list(family())  # warm the caches outside the traced run
+    rows = []
+    peak = _traced_peak(lambda: rows.append(_rows(family(), bc.gns_dim**2)))
+    assert rows[0].shape == (bc.gns_dim, bc.gns_dim**2)
+    assert peak <= 1.5 * rows[0].nbytes
+    ref = np.stack([X.data[0].ravel() for X in family()])
+    assert rows[0].view(np.int64).tolist() == ref.view(np.int64).tolist()

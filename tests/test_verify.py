@@ -155,6 +155,16 @@ def test_empty_basis_fails_without_crashing():
     assert not all_passed(verify_necessary_conditions(empty))
 
 
+def test_an_empty_test_family_fails_reconstruction():
+    # a sampler that draws nothing tests nothing: it must fail, not crash
+    b = abelian_basis(catalog_spec("c_in_m2"))
+    compiled = markov_expectation(b.spec)
+    for E in (compiled, lambda X: compiled(X)):
+        r = verify_reconstruction(b, E, seed=4, sampler=lambda rng: [])
+        assert not r.passed and r.residual == np.inf
+        assert (r.witness, r.seed) == ("no test operators", 4)
+
+
 def test_cardinality_uses_every_column():
     # A^t n = (3, 3) is not a multiple of m = (1, 2): no d exists, although
     # column 0 alone would give d = 3

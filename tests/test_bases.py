@@ -13,7 +13,6 @@ from uob.bases import (
     abelian_basis_entrywise,
     adjoint_basis,
     concat_basis,
-    composed_expectation,
     construct,
     direct_sum_basis,
     full_matrix_sub_basis,
@@ -34,7 +33,7 @@ from uob.errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from uob.inclusion import InclusionSpec, check_spectral_condition, spectral_d
+from uob.inclusion import InclusionSpec, check_spectral_condition, embed, spectral_d
 from uob.bases import basic_model_basis
 from uob.verify import (
     all_passed,
@@ -43,6 +42,8 @@ from uob.verify import (
     verify_reconstruction,
     verify_unitary,
 )
+
+from reference import CONCAT, composed_expectation, concat_block_perms, tensor_block_perms
 
 ABELIAN = ["c_in_m2", "c_in_m1_plus_m2", "c_in_m1_m1_m2", "c2_in_m4", "c3_in_m3"]
 
@@ -334,3 +335,71 @@ def test_a_factor_without_a_spec_is_a_shape_mismatch(combine):
     for pair in ((bare, b), (b, bare)):
         with pytest.raises(ShapeMismatch):
             combine(*pair)
+
+
+def _catalog_auto():
+    """The ``auto`` basis of every catalog spec that has one."""
+    out = {}
+    for name in catalog_names():
+        try:
+            out[name] = construct(catalog_spec(name))
+        except NoKnownConstruction:
+            pass
+    return out
+
+
+AUTO = _catalog_auto()
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def _assert_in_reference_layout(got, nested, perms):
+    """Block i of ``got`` is ``nested[i]`` conjugated by ``perms[i]``, bit for bit,
+    and each ``perms[i]`` is a permutation of its block's positions."""
+    assert len(got.stacks) == len(nested) == len(perms)
+    for X, N, p in zip(got.stacks, nested, perms):
+        assert np.array_equal(np.sort(p), np.arange(X.shape[1]))
+        assert np.array_equal(_bits(X), _bits(N[:, p[:, None], p]))
+
+
+@pytest.mark.parametrize("left,right", itertools.product(AUTO, repeat=2))
+def test_tensor_basis_is_the_kronecker_stack_in_the_reference_layout(left, right):
+    b1, b2 = AUTO[left], AUTO[right]
+    got = tensor_basis(b1, b2)
+    assert got.spec == tensor_spec(b1.spec, b2.spec)
+    # the stacked np.kron, with the multiplications tensor_basis makes: np.kron
+    # itself may round an entry differently in its last bit
+    kron = [
+        np.einsum("jac,kbe->jkabce", A, B).reshape(b1.d * b2.d, A.shape[1] * B.shape[1], -1)
+        for A in b1.stacks
+        for B in b2.stacks
+    ]
+    for K, (A, B) in zip(kron, itertools.product(b1.stacks, b2.stacks)):
+        assert np.allclose(K, [np.kron(V, W) for V in A for W in B], rtol=0, atol=1e-15)
+    _assert_in_reference_layout(got, kron, tensor_block_perms(b1.spec, b2.spec, got.spec))
+
+
+def _concat_cases():
+    """The composable ordered pairs of catalog ``auto`` bases, then ``CONCAT``."""
+    cases = [
+        pytest.param(AUTO[a], AUTO[b], id=f"{a}-{b}")
+        for a, b in itertools.product(AUTO, repeat=2)
+        if AUTO[a].spec.sub_dims == AUTO[b].spec.super_dims
+    ]
+    for k, (inner, inner_method, outer, outer_method) in enumerate(CONCAT):
+        b0 = construct(InclusionSpec.from_matrix(*inner), inner_method)
+        b1 = construct(InclusionSpec.from_matrix(*outer), outer_method)
+        cases.append(pytest.param(b0, b1, id=f"concat{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("inner,outer", _concat_cases())
+def test_concat_basis_is_the_nested_product_in_the_reference_layout(inner, outer):
+    got = concat_basis(inner, outer)
+    nested = [
+        np.stack([(V @ embed(inner.spec, W)).data[i] for V in inner.elements for W in outer.elements])
+        for i in range(inner.spec.s)
+    ]
+    _assert_in_reference_layout(got, nested, concat_block_perms(inner.spec, outer.spec, got.spec))

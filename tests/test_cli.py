@@ -447,6 +447,15 @@ def test_verify_malformed_basis_exits_1_with_one_line(tmp_path, capsys, elements
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("provenance", [{"a": [1, 2]}, 5])
+def test_verify_a_provenance_that_is_no_string_exits_1_with_one_line(tmp_path, capsys, provenance):
+    path = _write_basis_doc(tmp_path / "b.json", [[[[1.0, 0.0]]]], provenance=provenance)
+    assert main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: provenance must be a string\n"
+
+
 @pytest.mark.parametrize(
     "elements, extra",
     [

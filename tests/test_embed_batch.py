@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from uob import bases
-from uob.bases import _concat_block_perms, abelian_basis, concat_basis, construct, weyl_basis
+from uob.bases import abelian_basis, concat_basis, construct, weyl_basis
 from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, ShapeMismatch, UobError
 from uob.inclusion import InclusionSpec, embed, embed_batch
 from uob.tower import build_basic_construction
 
+from reference import CONCAT, concat_block_perms
 from spec_box import specs
 
 
@@ -59,15 +60,6 @@ def test_embed_batch_refuses_a_stack_that_would_broadcast_into_a_copy():
             pytest.fail(why)
 
 
-# (inner spec, method, outer spec, method): the composed spec has several sub
-# blocks, and in the first two m_j = 2, so nested and canonical layouts differ
-CONCAT = [
-    (([[1, 1]], [4, 4]), "auto", ([[1, 1], [1, 1]], [2, 2]), "tensor"),
-    (([[1, 1], [1, 1]], [4, 4]), "tensor", ([[1, 1], [1, 1]], [2, 2]), "tensor"),
-    (([[1], [2]], [2]), "auto", ([[1, 1]], [1, 1]), "auto"),
-]
-
-
 @pytest.mark.parametrize("inner,inner_method,outer,outer_method", CONCAT)
 def test_concat_basis_is_the_per_pair_product_loop(inner, inner_method, outer, outer_method):
     b0 = construct(InclusionSpec.from_matrix(*inner), inner_method)
@@ -79,7 +71,7 @@ def test_concat_basis_is_the_per_pair_product_loop(inner, inner_method, outer, o
         for W in b1.elements:
             nested.append(V @ embed(b0.spec, W))
     assert got.d == len(nested) == b0.d * b1.d
-    for i, p in enumerate(_concat_block_perms(b0.spec, b1.spec, got.spec)):
+    for i, p in enumerate(concat_block_perms(b0.spec, b1.spec, got.spec)):
         want = np.stack([X.data[i] for X in nested])[:, p[:, None], p]
         assert np.array_equal(got.stacks[i], want)
 

@@ -98,6 +98,20 @@ def test_basis_from_dict_names_a_missing_field(key, value):
         basis_from_dict(doc)
 
 
+@pytest.mark.parametrize("provenance", [{"a": [1, 2]}, 5, None, True, ["abelian"]])
+def test_basis_from_dict_refuses_a_provenance_that_is_no_string(provenance):
+    doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
+    doc["provenance"] = provenance
+    with pytest.raises(DimensionMismatch, match="provenance must be a string$"):
+        basis_from_dict(doc)
+
+
+def test_basis_from_dict_without_a_provenance_loads_it_as_loaded():
+    doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
+    del doc["provenance"]
+    assert basis_from_dict(doc).provenance == "loaded"
+
+
 def test_entries_are_plain_floats():
     doc = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))
     entry = doc["elements"][1][0][0]

@@ -48,3 +48,9 @@ def test_bases_does_not_import_tower():
     # the tower builds on the bases; an import back would be a cycle
     assert "uob.bases" in _imports("tower")
     assert not any(n == "uob.tower" or n.startswith("uob.tower.") for n in _imports("bases"))
+
+
+def test_bases_does_not_import_expectation():
+    # building a basis needs no E; the composed E1 o E0 is a test reference
+    assert "uob.expectation" in _imports("verify")
+    assert not any(n == "uob.expectation" or n.startswith("uob.expectation.") for n in _imports("bases"))

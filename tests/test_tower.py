@@ -9,6 +9,7 @@ import pytest
 
 from uob.bases import (
     UnitaryBasis,
+    _to_layout,
     abelian_basis,
     basic_model_basis,
     construct,
@@ -416,6 +417,22 @@ def _canonical_stacks(spec, W):
     for i, j, _, start in spec.copies:
         rows[j].extend(off[i] + start * n[i] + np.arange(n[i]))
     return tuple(W[:, r][:, :, r] for r in map(np.array, rows))
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_the_layout_map_gives_the_canonical_frame_of_the_tower_basis(name):
+    # bases._to_layout with one W per block of the transpose: a compression, not
+    # a permutation, that must agree with the reference gather above
+    spec = ALL_TOWER[name]
+    W = _tower_basis(name)[1].stacks[0]
+    n = spec.super_dims
+    off = np.cumsum([0] + [x * x for x in n])
+    placed = ((j, i, off[i] + start * n[i] + np.arange(n[i])) for i, j, _, start in spec.copies)
+    got = _to_layout(spec.transpose(), [W] * spec.r, placed)
+    want = _canonical_stacks(spec, W)
+    assert len(got) == len(want) == spec.r
+    for X, Y in zip(got, want):
+        assert X.shape == Y.shape and X.tobytes() == Y.tobytes()
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)

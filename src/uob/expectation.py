@@ -6,8 +6,7 @@ its diagonal copies with weights q_ij = p_i / sum_x p_x a_xj and writes the
 average back into every copy.  ``conditional_expectation(spec, phi)`` compiles
 that map once into a ``SlotTable`` (per sub block j, every copy (super block
 i, start, q_ij), read off ``spec.copies``) and returns it as a callable;
-``markov_expectation(spec)`` is the one for the Markov trace.  ``batched``
-runs any E over (K, n_i, n_i) block stacks.
+``markov_expectation(spec)`` is the one for the Markov trace.
 
 Two other forms of the same map stay as independent references: the
 phi-orthogonal projection onto the span of a family such as the embedded
@@ -114,13 +113,6 @@ def apply_each(E, alg: MultiMatrixAlgebra, operands) -> list[np.ndarray]:
         for o, blk in zip(out, Y.data):
             o[c] = blk
     return out
-
-
-def batched(E, alg: MultiMatrixAlgebra):
-    """E over lists of (K, n_i, n_i) block stacks of ``alg``: the slot table's
-    ``apply`` when E carries one, otherwise ``apply_each``, one call per operand."""
-    table = slot_table(E, alg)
-    return table.apply if table is not None else functools.partial(apply_each, E, alg)
 
 
 def markov_expectation(spec: InclusionSpec):

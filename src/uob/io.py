@@ -8,9 +8,9 @@ import json
 import numpy as np
 
 from .algebra import exact_index
-from .bases import UnitaryBasis
+from .bases import UnitaryBasis, _refuse_over_budget
 from .errors import DimensionMismatch, InputError, InvariantViolated
-from .inclusion import InclusionSpec, _ints
+from .inclusion import InclusionSpec, _ints, spectral_d
 
 
 def spec_to_dict(spec: InclusionSpec, name: str = "") -> dict:
@@ -79,6 +79,8 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
         if doc.get(key) is None:
             raise DimensionMismatch(f"basis document has no {key}")
     spec = spec_from_dict(doc["spec"])
+    # the budget ``construct`` applies, so that no check of an over-budget spec runs
+    _refuse_over_budget((spectral_d(spec) or 1) * spec.super_algebra.vector_dim)
     alg = spec.super_algebra
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(W, list) for W in elements):

@@ -24,7 +24,7 @@ from .errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from .expectation import _GramProjector, batched, markov_expectation
+from .expectation import _GramProjector, markov_expectation
 from .inclusion import InclusionSpec, embed, embed_batch, spectral_d
 
 JONES_TOL = 1e-9
@@ -137,10 +137,10 @@ def _validation_residuals(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray
     matrix unit u of A, in matrix_units() order.
 
     A batch of ``gns_algebra.batch_size`` units goes through each product, and
-    E through ``batched``: its slot table when it has one, else once per unit.
+    through E as one ``apply`` of the compiled Markov E's slot table.
     """
     alg = bc.spec.super_algebra
-    apply = batched(markov_expectation(bc.spec), alg)
+    apply = markov_expectation(bc.spec).slots.apply
     e1 = bc.e1
     jones, trace = [], []
     for X in alg.unit_batches(bc.gns_algebra.batch_size):

@@ -22,6 +22,7 @@ NaN or infinite fails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .algebra import CHUNK_ENTRIES, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
-from .expectation import apply_each, batched, markov_expectation, slot_table
+from .expectation import apply_each, markov_expectation, slot_table
 from .inclusion import InclusionSpec, spectral_d
 
 UNITARY_TOL = 1e-9
@@ -307,13 +308,14 @@ def verify_trace_conditions(
         E = markov_expectation(spec)
     alg = spec.super_algebra
     phi = TracialState(alg, n)
-    apply = batched(E, alg)
+    table = slot_table(E, alg)
     # SlotTable.apply copies square slots X_i[S, S] onto square slots, so it
     # maps an off-diagonal unit to an operator whose diagonal entries are all
     # exactly 0 (a finite q times 0, summed).  Both traces are then exactly
     # 0.0, and so is that unit's residual: the diagonal units alone give the
     # same maximum, bit for bit.  Any other E is tested on every unit.
-    units = alg.unit_batches(alg.batch_size, diagonal=slot_table(E, alg) is not None)
+    apply = table.apply if table is not None else functools.partial(apply_each, E, alg)
+    units = alg.unit_batches(alg.batch_size, diagonal=table is not None)
     resid = np.concatenate([np.abs(phi.batch(apply(X)) - phi.batch(X)) for X in units])
     reports.append(_report("markov_preservation", np.max(resid), tol))
     return reports

@@ -537,6 +537,25 @@ def test_basis_c_in_m200_is_refused_quickly_without_allocating(tmp_path, capsys)
     assert seconds < 5 and peak < 1 << 20
 
 
+def test_verify_a_document_over_the_size_cap_exits_1_quickly_without_allocating(tmp_path, capsys):
+    # 82 bytes: the empty basis costs nothing, but the trace check of its spec
+    # would run E on every diagonal unit of M_1500 (d * sum n_i^2 = 1500^4)
+    path = tmp_path / "b.json"
+    path.write_text('{"d": 0, "elements": [], "spec": {"inclusion_matrix": [[1500]], "sub_dims": [1]}}\n')
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code = main(["verify", str(path)])
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "over the cap" in err
+    assert seconds < 5 and peak < 1 << 20
+
+
 # Python refuses to convert an int of over 4300 digits to or from a string
 HUGE = "1" + "0" * 5000
 

@@ -8,7 +8,7 @@ import pytest
 from uob import cli
 from uob.bases import METHODS, UnitaryBasis, abelian_basis, construct, weyl_basis
 from uob.catalog import catalog_names, catalog_spec
-from uob.errors import DimensionMismatch, InvariantViolated, UobError
+from uob.errors import DimensionMismatch, InvariantViolated, TooLarge, UobError
 from uob.inclusion import InclusionSpec
 from uob.io import (
     basis_from_dict,
@@ -132,6 +132,23 @@ def test_basis_from_dict_rejects_wrong_d():
 def _json_dump_bytes(doc) -> bytes:
     """What json.dump writes for doc in the compact layout, UTF-8 unescaped, plus a newline."""
     return (json.dumps(doc, separators=(",", ":"), ensure_ascii=False) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "matrix, sub_dims", [([[1500]], [1]), ([[4097, 1]], [1, 2])], ids=["d_1500_squared", "no_d"]
+)
+def test_basis_from_dict_refuses_a_spec_over_the_budget(matrix, sub_dims):
+    # construct's budget, d * sum n_i^2 entries, with d = 1 where the spectral
+    # condition fails (sum n_i^2 = 4099^2 > 2^24)
+    doc = {"d": 0, "elements": [], "spec": {"inclusion_matrix": matrix, "sub_dims": sub_dims}}
+    with pytest.raises(TooLarge, match="over the cap"):
+        basis_from_dict(doc)
+
+
+def test_basis_from_dict_loads_a_spec_at_the_budget():
+    # M_4096 in M_4096: d * sum n_i^2 = 2^24, exactly MAX_BASIS_ENTRIES
+    doc = {"d": 0, "elements": [], "spec": {"inclusion_matrix": [[1]], "sub_dims": [4096]}}
+    assert basis_from_dict(doc).stacks[0].shape == (0, 4096, 4096)
 
 
 def test_save_basis_writes_the_bytes_of_json_dump(tmp_path):

@@ -156,6 +156,7 @@ def test_fast_path_survives_a_wrapper_that_copies_attributes():
 
     assert verify_orthonormality(basis, wrapped).passed
     assert verify_reconstruction(basis, wrapped).passed
+    assert all_passed(verify_trace_conditions(basis.spec, wrapped))
     assert calls == []
 
 

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a mathematical condition failed, 2 bad input,
 3 no known construction applies to the spec.
 
-The argument parser is built once per process and per ``UOB_TOL`` value;
-each call parses into a fresh namespace, so no option carries over.
+The argument parser is built once per process and per ``UOB_TOL`` value.
+A call that names a command is parsed by that command's own parser, into a
+fresh namespace, so no option carries over; any other call goes to the
+top-level parser.
 """
 
 from __future__ import annotations
@@ -33,10 +35,15 @@ EXIT_NO_CONSTRUCTION = 3
 
 
 def _resolve_spec(token: str) -> InclusionSpec:
-    if token in catalog.catalog_names():
+    if token in catalog._CATALOG:
         return catalog.catalog_spec(token)
-    if os.path.exists(token):
+    try:
         return load_spec(token)
+    except (OSError, ValueError):
+        # a directory or an unreadable file is itself the error; a path that
+        # names nothing (missing, a broken symlink, an embedded NUL) is not a file
+        if os.path.exists(token):
+            raise
     raise FileNotFoundError(f"'{token}' is neither a catalog name nor a file")
 
 
@@ -174,13 +181,27 @@ def _parser(tol_default: str) -> argparse.ArgumentParser:
     sp.add_argument("spec")
     common(sp)
     sp.set_defaults(func=cmd_channel)
+    p.commands = sub.choices  # command name -> its parser, for main's dispatch
     return p
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, but a known command's arguments are parsed
+    by that command's own parser: the top-level parser would only hand them
+    on to it, at twice the cost."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .algebra import exact_index
 from .bases import UnitaryBasis, _refuse_over_budget
-from .errors import DimensionMismatch, InputError, InvariantViolated
+from .errors import DimensionMismatch, InputError, InvariantViolated, UobError
 from .inclusion import InclusionSpec, _ints, spectral_d
 
 
@@ -41,6 +41,27 @@ def _pairs(stack: np.ndarray) -> np.ndarray:
     """Per element, the row-major [re, im] pairs of its block: a C-contiguous
     ``(d, n², 2)`` float array (complex128 is two float64s)."""
     return np.ascontiguousarray(stack).view(np.float64).reshape(len(stack), stack.shape[1] ** 2, 2)
+
+
+def _stack_from_json(blocks, n: int) -> np.ndarray:
+    """The ``(d, n, n)`` stack of one block of every element, from that
+    block's list of ``[re, im]`` pairs in each element.
+
+    Every number goes into one flat float array, viewed as complex, when each
+    block holds n² entries, each entry is a pair and each number an int or a
+    float (a bool is neither). Anything else, and an int past the range of a
+    float, goes through ``_block_from_json`` entry by entry, which names what
+    is wrong; it gives the same numbers, so the two agree wherever both accept.
+    """
+    try:
+        entries = list(itertools.chain.from_iterable(blocks))
+        if set(map(len, blocks)) <= {n * n} and set(map(len, entries)) <= {2}:
+            flat = list(itertools.chain.from_iterable(entries))
+            if set(map(type, flat)) <= {int, float}:
+                return np.fromiter(flat, float, len(flat)).view(complex).reshape(-1, n, n)
+    except (TypeError, OverflowError):
+        pass
+    return np.array([_block_from_json(W, n) for W in blocks]).reshape(-1, n, n)
 
 
 def _block_from_json(entries, n: int) -> np.ndarray:
@@ -96,10 +117,7 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
     provenance = doc.get("provenance", "loaded")
     if not isinstance(provenance, str):
         raise DimensionMismatch("provenance must be a string")
-    stacks = tuple(
-        np.array([_block_from_json(W[i], n) for W in elements]).reshape(-1, n, n)
-        for i, n in enumerate(alg.blocks)
-    )
+    stacks = tuple(_stack_from_json([W[i] for W in elements], n) for i, n in enumerate(alg.blocks))
     return UnitaryBasis(spec, stacks, provenance)
 
 
@@ -146,5 +164,40 @@ def save_basis(path, basis: UnitaryBasis, name: str = ""):
         fh.write(data)
 
 
+# the fields save_basis writes. basis_from_dict checks each of them but the
+# name; a field it does not check could hold nesting that orjson reads and
+# json.load refuses (past the recursion limit)
+_BASIS_FIELDS = frozenset({"d", "provenance", "elements", "spec", "name"})
+_SPEC_FIELDS = frozenset({"inclusion_matrix", "sub_dims", "super_dims"})
+
+
+def _written_fields_only(doc) -> bool:
+    """True when the document holds only fields save_basis writes, and its name is a string."""
+    return (
+        isinstance(doc, dict)
+        and doc.keys() <= _BASIS_FIELDS
+        and isinstance(doc.get("name", ""), str)
+        and isinstance(doc.get("spec"), dict)
+        and doc["spec"].keys() <= _SPEC_FIELDS
+    )
+
+
 def load_basis(path) -> UnitaryBasis:
+    """The basis in the document at ``path``, read with orjson.
+
+    A document orjson refuses (NaN or Infinity, a number past a double, a BOM,
+    bad UTF-8, a lone surrogate), one ``basis_from_dict`` refuses as orjson
+    reads it (orjson reads an int past 64 bits as a float), and one with a
+    field ``save_basis`` does not write is read again with ``json.load``: so
+    every document loads, or is refused, as ``json.load`` reads it.
+    """
+    import orjson  # imported here, as in save_basis
+
+    try:
+        with open(path, "rb") as fh:
+            doc = orjson.loads(fh.read())  # the bytes are freed once parsed, as in json.load
+        if _written_fields_only(doc):
+            return basis_from_dict(doc)
+    except (orjson.JSONDecodeError, UobError):
+        pass
     return basis_from_dict(_read_json(path))

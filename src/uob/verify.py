@@ -155,7 +155,9 @@ def verify_orthonormality(basis: UnitaryBasis, E, tol: float = ORTHO_TOL) -> Ver
         for m, _, L, R in _weighted_columns(basis, table):
             G = L @ R
             G[np.diag_indices(d * m)] -= 1
-            resid = np.maximum(resid, np.abs(G).reshape(d, m, d, m).max(axis=(1, 3)))
+            # the m x m pair axes led, so the max runs over whole (d, d) planes
+            pairs = np.abs(G).reshape(d, m, d, m).transpose(1, 3, 0, 2).reshape(m * m, d, d)
+            resid = np.maximum(resid, pairs.max(axis=0))
     else:
         adj, resid = _adjoints(basis), np.empty((d, d))
         for k in range(d):  # column k: E(W_j* W_k) for every j
@@ -238,7 +240,7 @@ def _compiled_reconstruction(basis: UnitaryBasis, table, batches) -> np.ndarray:
             Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
             Xcols = Xcols.transpose(1, 0, 2)
             out = (R @ (L @ Xcols.reshape(-1, len(X[0]) * m))).reshape(Xcols.shape)
-            w.append(np.abs(out - Xcols).max(axis=(0, 2)))
+            w.append(np.abs(out - Xcols).max(axis=0).max(axis=1))
     if not all(np.isfinite(Ws).all() for Ws in basis.stacks):
         units = [np.full(n * n, np.nan) for n in basis.algebra.blocks]
     return np.concatenate([u.ravel() for u in units] + [np.max(w, axis=0) for w in worst])

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from uob import cli
 from uob.bases import METHODS
 from uob.catalog import catalog_spec
 from uob.cli import build_parser, main
@@ -97,6 +98,18 @@ def test_check_spec_from_file(tmp_path, capsys):
 
 def test_unknown_spec_is_bad_input(capsys):
     assert main(["check", "no_such_spec"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["missing", "broken_symlink", "under_a_file"])
+def test_a_spec_path_that_names_no_file_is_neither_a_catalog_name_nor_a_file(tmp_path, capsys, kind):
+    path = tmp_path / "s.json"
+    if kind == "broken_symlink":
+        path.symlink_to(tmp_path / "gone.json")
+    elif kind == "under_a_file":
+        save_spec(path, catalog_spec("c_in_m2"))
+        path = path / "s.json"
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: '{path}' is neither a catalog name nor a file\n"
 
 
 def test_malformed_json_is_bad_input(tmp_path):
@@ -220,6 +233,55 @@ def test_zero_and_tiny_tol_are_accepted(tmp_path, monkeypatch, capsys):
 
 def test_bad_subcommand_is_bad_input():
     assert main(["frobnicate"]) == 2
+
+
+COMMANDS = ["check", "entropy", "basis", "verify", "channel"]
+PARSE_PROBES = [
+    ([], {}),
+    (["-h"], {}),
+    (["--help"], {}),
+    (["frobnicate"], {}),
+    *(([command, "-h"], {}) for command in COMMANDS),
+    (["check"], {}),
+    (["check", "c_in_m2", "--bogus"], {}),
+    (["basis", "c_in_m2", "extra", "--bogus"], {}),
+    (["basis", "c_in_m2", "--meth", "tensor"], {}),
+    (["basis", "c_in_m2", "--seed", "-1"], {}),
+    (["channel", "c2_in_m2_plus_m2", "--seed", "abc"], {}),
+    (["basis", "c_in_m2", "--tol=nan"], {}),
+    (["verify", "b.json", "--tol", "x"], {}),
+    (["basis", "c_in_m2"], {"UOB_TOL": "abc"}),
+    (["check", "c_in_m2"], {"UOB_TOL": "-1"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env", PARSE_PROBES, ids=[" ".join(a + [f"{k}={v}" for k, v in e.items()]) or "none" for a, e in PARSE_PROBES]
+)
+def test_main_parses_as_the_top_level_parser_does(monkeypatch, capsys, argv, env):
+    # the reference is the top-level parser's parse_args on the whole command line
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code = main(argv)
+    got = capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse", lambda parser, argv: parser.parse_args(argv))
+    assert main(argv) == code
+    assert capsys.readouterr() == got
+
+
+def test_unrecognized_arguments_are_reported_by_the_top_level_parser(capsys):
+    assert main(["basis", "c_in_m2", "extra", "--bogus"]) == 2
+    assert capsys.readouterr() == ("", "uob: error: unrecognized arguments: extra --bogus\n")
+
+
+def test_a_command_is_parsed_by_its_own_parser(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    assert main(["check", "c_in_m2"]) == 0
+    with pytest.raises(AssertionError):
+        main(["frobnicate"])
 
 
 def test_entropy(capsys):

@@ -1,10 +1,12 @@
 """JSON round-trips for specs and bases."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import uob.io
 from uob import cli
 from uob.bases import METHODS, UnitaryBasis, abelian_basis, construct, weyl_basis
 from uob.catalog import catalog_names, catalog_spec
@@ -172,17 +174,33 @@ def test_save_basis_writes_json_dump_bytes_for_a_name_of_any_text(tmp_path, name
     assert json.loads(path.read_bytes())["name"] == name
 
 
-def _constructible_bases():
-    for name in catalog_names():
+# the benchmark's size ladder, (inclusion_matrix, sub_dims) by name
+LADDER = {
+    "c_in_m6": ([[6]], [1]),
+    "c_in_m8": ([[8]], [1]),
+    "c_in_m10": ([[10]], [1]),
+    "m3_in_m6_plus_m9": ([[2], [3]], [3]),
+    "m1_m2_m3_in_m14": ([[1, 2, 3]], [1, 2, 3]),
+    "m2_m2_in_m4_m4": ([[1, 1], [1, 1]], [2, 2]),
+    "m3_m4_in_m25": ([[3, 4]], [3, 4]),
+}
+
+
+def _constructible_bases(specs):
+    for name, spec in specs:
         for method in METHODS:
             try:
-                basis = construct(catalog_spec(name), method)
+                basis = construct(spec, method)
             except UobError:
                 continue
             yield pytest.param(f"{name}-{method}", basis, id=f"{name}-{method}")
 
 
-@pytest.mark.parametrize("label,basis", _constructible_bases())
+CATALOG = [(name, catalog_spec(name)) for name in catalog_names()]
+CATALOG_AND_LADDER = CATALOG + [(name, InclusionSpec.from_matrix(*Am)) for name, Am in LADDER.items()]
+
+
+@pytest.mark.parametrize("label,basis", _constructible_bases(CATALOG))
 def test_save_basis_writes_json_dump_bytes_for_every_catalog_basis(tmp_path, label, basis):
     # full_matrix_sub, full_matrix_super and tensor build stacks that are not C-contiguous;
     # no catalog entry has a one-digit exponent, the one spelling orjson and repr differ in
@@ -262,3 +280,108 @@ C_IN_C = {"inclusion_matrix": [[1]], "sub_dims": [1]}
 def test_basis_from_dict_rejects_malformed_structure(doc):
     with pytest.raises(DimensionMismatch):
         basis_from_dict(doc)
+
+
+def _json_load_reference(path):
+    """The spec, stacks and provenance of a basis file as json.load reads it,
+    each entry converted by complex(re, im): the loader's reference."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    spec = spec_from_dict(doc["spec"])
+    stacks = [
+        np.array([[complex(re, im) for re, im in W[i]] for W in doc["elements"]]).reshape(-1, n, n)
+        for i, n in enumerate(spec.super_dims)
+    ]
+    return spec, stacks, doc.get("provenance", "loaded")
+
+
+# the 71 bases that the catalog and the ladder give under all methods
+@pytest.mark.parametrize("label,basis", _constructible_bases(CATALOG_AND_LADDER))
+def test_load_basis_reads_every_catalog_and_ladder_file_as_json_load_does(tmp_path, monkeypatch, label, basis):
+    path = tmp_path / "basis.json"
+    save_basis(path, basis, label)
+    spec, stacks, provenance = _json_load_reference(path)
+    # a written file never needs json.load
+    monkeypatch.setattr(uob.io, "_read_json", _no_json_load)
+    loaded = load_basis(path)
+    assert loaded.spec == spec and loaded.provenance == provenance
+    assert len(loaded.stacks) == len(stacks)
+    for got, want in zip(loaded.stacks, stacks):
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _no_json_load(path):
+    raise AssertionError(f"json.load read {path}")
+
+
+C_IN_M2_DOC = basis_to_dict(abelian_basis(catalog_spec("c_in_m2")))  # d = 4, one 2 x 2 block
+
+
+def _doc_text(entry=None, **fields) -> str:
+    """json.dumps of ``C_IN_M2_DOC`` with ``fields`` replaced and, if given,
+    ``entry`` as one off-diagonal entry of element 1."""
+    doc = json.loads(json.dumps({**C_IN_M2_DOC, **fields}))
+    if entry is not None:
+        doc["elements"][1][0][1] = entry
+    return json.dumps(doc)  # NaN and Infinity as those literals
+
+
+DEEP = "[" * 100000 + "]" * 100000  # json.load refuses nesting past the recursion limit; orjson reads it
+BASIS_DOCUMENTS = {
+    # id: (file contents, exit code of uob verify, its stderr line up to the message)
+    "nan": (_doc_text([math.nan, 0.0]), 1, ""),
+    "infinity": (_doc_text([math.inf, 0.0]), 1, ""),
+    "1e400": (_doc_text(["@", 0.0]).replace('"@"', "1e400"), 1, ""),
+    "400_digits": (_doc_text([int("1" * 400), 0]), 1, "error: block entries must be"),
+    # orjson reads an integer past 64 bits as a float, json.load as an int
+    "d_2_70": (_doc_text(d=2**70), 1, f"error: document says d = {2**70} but holds 4"),
+    "spec_entry_2_70": (_doc_text(spec={"inclusion_matrix": [[2**70]], "sub_dims": [1]}), 1, "error: a basis would"),
+    "boolean": (_doc_text([True, 0.0]), 1, "error: block entries must be"),
+    "string": (_doc_text(["0.5", 0.0]), 1, "error: block entries must be"),
+    "three_numbers": (_doc_text([0.5, 0.0, 0.0]), 1, "error: block entries must be"),
+    "two_character_string": (_doc_text("ab"), 1, "error: block entries must be"),
+    "bom": (b"\xef\xbb\xbf" + _doc_text().encode(), 2, "input error: Unexpected UTF-8 BOM"),
+    "invalid_utf8": (_doc_text(name="@").encode().replace(b"@", b"\xff"), 2, "input error: 'utf-8'"),
+    "dropped_element": (_doc_text(elements=C_IN_M2_DOC["elements"][1:]), 1, "error: document says d = 4 but holds 3"),
+    "provenance_not_a_string": (_doc_text(provenance=5), 1, "error: provenance must be a string"),
+    "lone_surrogate_name": (_doc_text(name="\ud800"), 0, ""),  # orjson refuses it
+    "deep_extra_field": (_doc_text(extra="@").replace('"@"', DEEP), 2, "input error: maximum recursion depth"),
+    "deep_spec_field": (
+        _doc_text(spec={**C_IN_M2_DOC["spec"], "extra": "@"}).replace('"@"', DEEP),
+        2,
+        "input error: maximum recursion depth",
+    ),
+}
+
+
+def _entry_by_entry(blocks, n):
+    return np.array([uob.io._block_from_json(W, n) for W in blocks]).reshape(-1, n, n)
+
+
+@pytest.mark.parametrize("key", BASIS_DOCUMENTS)
+def test_uob_verify_refuses_or_loads_each_document_as_json_load_does(tmp_path, monkeypatch, capsys, key):
+    # the reference reads with json.load and converts entry by entry
+    text, code, prefix = BASIS_DOCUMENTS[key]
+    path = tmp_path / "b.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert cli.main(["verify", str(path)]) == code
+    got = capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_basis", lambda p: basis_from_dict(uob.io._read_json(p)))
+        m.setattr(uob.io, "_stack_from_json", _entry_by_entry)
+        assert cli.main(["verify", str(path)]) == code
+    assert capsys.readouterr() == got
+    assert got.err.startswith(prefix) and got.err.count("\n") == (1 if prefix else 0)
+    if code == 1 and not prefix:
+        assert "[FAIL]" in got.out  # it loaded, and a check failed
+
+
+@pytest.mark.parametrize("entry", [2**64, 2**64 - 1, -(2**63) - 1, 2**70 + 1, 10**300])
+def test_a_large_integer_entry_loads_to_the_same_double_on_both_paths(tmp_path, entry):
+    # orjson reads an integer past 64 bits as a float, json.load as an int that complex() rounds
+    path = tmp_path / "b.json"
+    path.write_text(_doc_text([entry, -entry]))
+    _, stacks, _ = _json_load_reference(path)
+    got = load_basis(path).stacks[0]
+    assert got[1, 0, 1] == complex(float(entry), float(-entry))
+    assert np.array_equal(got.view(np.int64), stacks[0].view(np.int64))

@@ -91,7 +91,7 @@ class UnitaryBasis:
 
 def identity_basis(m: int) -> UnitaryBasis:
     """The trivial basis {I} for (M_m inside M_m, identity map)."""
-    spec = InclusionSpec(((1,),), (m,), (m,))
+    spec = InclusionSpec(((1,),), (m,))
     return UnitaryBasis(spec, (np.eye(m, dtype=complex)[None],), "identity")
 
 
@@ -221,7 +221,7 @@ def concat_basis(inner: UnitaryBasis, outer: UnitaryBasis) -> UnitaryBasis:
         raise MiddleAlgebraMismatch("inner sub-algebra must equal outer super-algebra")
     mat0 = np.array(s0.inclusion_matrix, dtype=int)
     mat1 = np.array(s1.inclusion_matrix, dtype=int)
-    spec = InclusionSpec.from_matrix((mat0 @ mat1).tolist(), s1.sub_dims)
+    spec = InclusionSpec((mat0 @ mat1).tolist(), s1.sub_dims)
     placed = (
         (i, l, range(a + b, a + b + spec.sub_dims[l]))
         for i, j, _, a in s0.copies
@@ -240,7 +240,7 @@ def tensor_spec(s1: InclusionSpec, s2: InclusionSpec) -> InclusionSpec:
     """Tensor-product inclusion: Kronecker matrices and dimension vectors."""
     mat = np.kron(np.array(s1.inclusion_matrix, int), np.array(s2.inclusion_matrix, int))
     sub = np.kron(np.array(s1.sub_dims, int), np.array(s2.sub_dims, int))
-    return InclusionSpec.from_matrix(mat.tolist(), sub.tolist())
+    return InclusionSpec(mat.tolist(), sub.tolist())
 
 
 def tensor_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
@@ -285,7 +285,7 @@ def direct_sum_basis(b1: UnitaryBasis, b2: UnitaryBasis) -> UnitaryBasis:
     ] + [
         [0] * s1.r + list(row) for row in s2.inclusion_matrix
     ]
-    spec = InclusionSpec.from_matrix(mat, s1.sub_dims + s2.sub_dims)
+    spec = InclusionSpec(mat, s1.sub_dims + s2.sub_dims)
     return UnitaryBasis(spec, b1.stacks + b2.stacks, "direct_sum")
 
 
@@ -312,7 +312,7 @@ def basic_model_basis(sub_dims) -> UnitaryBasis:
     ``uob.tower.BasicConstruction.coeff``.  No model of A_1 is formed; the
     tower's ``basic_construction_basis`` is the reference it is tested against.
     """
-    spec0 = InclusionSpec.from_matrix([[m] for m in sub_dims], [1])
+    spec0 = InclusionSpec([[m] for m in sub_dims], [1])
     D = spec0.super_algebra.vector_dim
     _refuse_over_budget(D**3)
     b0 = abelian_basis(spec0)
@@ -346,7 +346,7 @@ def full_matrix_super_basis(spec: InclusionSpec) -> UnitaryBasis:
     # a_j n = d m_j gives a_j k = l m_j with l, k coprime, so k divides every m_j
     m_red = tuple(m // k for m in spec.sub_dims)
 
-    b_trace = weyl_basis(InclusionSpec.from_matrix([[l]], [1]))
+    b_trace = weyl_basis(InclusionSpec([[l]], [1]))
     b_model = basic_model_basis(m_red)
     b = tensor_basis(identity_basis(k), tensor_basis(b_trace, b_model))
     return _relabel(b, spec, "full_matrix_super")
@@ -366,7 +366,7 @@ def _relabel(b: UnitaryBasis, spec: InclusionSpec, provenance: str) -> UnitaryBa
 
 def _split_full_matrix(spec: InclusionSpec, g: int, provenance: str) -> UnitaryBasis:
     """(M_g in M_g, id) tensor the ``auto`` basis of the spec with all dimensions over g."""
-    inner = InclusionSpec.from_matrix(spec.inclusion_matrix, [m // g for m in spec.sub_dims])
+    inner = InclusionSpec(spec.inclusion_matrix, [m // g for m in spec.sub_dims])
     return _relabel(tensor_basis(identity_basis(g), construct(inner)), spec, provenance)
 
 

@@ -30,7 +30,7 @@ def catalog_names() -> list[str]:
 
 def catalog_spec(name: str) -> InclusionSpec:
     mat, sub = _CATALOG[name]
-    return InclusionSpec.from_matrix(mat, sub)
+    return InclusionSpec(mat, sub)
 
 
 def random_abelian_specs(count: int, seed: int, max_d: int = 36) -> list[InclusionSpec]:
@@ -48,7 +48,7 @@ def random_abelian_specs(count: int, seed: int, max_d: int = 36) -> list[Inclusi
         # no zero column, no zero row
         if np.any(mat.sum(axis=0) == 0) or np.any(mat.sum(axis=1) == 0):
             continue
-        spec = InclusionSpec.from_matrix(mat.tolist(), [1] * r)
+        spec = InclusionSpec(mat.tolist(), [1] * r)
         d = spectral_d(spec)
         if d is not None and d <= max_d:
             found.append(spec)

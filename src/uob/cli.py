@@ -2,11 +2,6 @@
 
 Exit codes: 0 success, 1 a mathematical condition failed, 2 bad input,
 3 no known construction applies to the spec.
-
-The argument parser is built once per process and per ``UOB_TOL`` value.
-A call that names a command is parsed by that command's own parser, into a
-fresh namespace, so no option carries over; any other call goes to the
-top-level parser.
 """
 
 from __future__ import annotations
@@ -146,6 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     return _parser(os.environ.get("UOB_TOL", "1e-8"))
 
 
+# The argument parser is built once per process and per UOB_TOL value. A call
+# that names a command is parsed by that command's own parser (``_parse``),
+# into a fresh namespace, so no option carries over; any other call goes to
+# the top-level parser.
 @functools.cache
 def _parser(tol_default: str) -> argparse.ArgumentParser:
     # a string default: argparse converts it with type=_tolerance at parse
@@ -206,7 +205,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (OSError, InputError, KeyError) as exc:
+    except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UobError as exc:

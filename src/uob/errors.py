@@ -14,7 +14,8 @@ class AlgebraMismatch(UobError):
 
 
 class DimensionMismatch(UobError):
-    """Inclusion data fails the dimension count A @ sub_dims == super_dims."""
+    """Inclusion or basis data of the wrong shape, sign or type, or a stated
+    super_dims other than A @ sub_dims."""
 
 
 class EmptyColumn(UobError):

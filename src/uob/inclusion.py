@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,37 +37,45 @@ def _ints(values, what: str, item=exact_index) -> tuple:
         raise DimensionMismatch(f"{what} must hold integers: {exc}") from None
 
 
-def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return _ints(rows, "inclusion matrix", lambda row: tuple(map(exact_index, row)))
-
-
 @dataclass(frozen=True)
 class InclusionSpec:
-    """The triple (A, m, n): inclusion matrix plus the two dimension vectors.
+    """The inclusion (A, m): inclusion matrix and the sub-algebra's dimension vector.
 
     inclusion_matrix is s x r with non-negative integer entries a_{ij}; block
     j of the sub-algebra appears a_{ij} times inside block i of the
-    super-algebra.  Dimension counting forces A @ sub_dims == super_dims.
-    Construction converts the fields to exact ints and runs ``validate``, so
-    every spec that exists is valid.
+    super-algebra.  Dimension counting forces super_dims = A @ sub_dims, so it
+    is derived, never stated.  Construction converts A and m to exact ints once
+    and checks them, row by row, so every spec that exists is valid.
     """
 
     inclusion_matrix: tuple[tuple[int, ...], ...]
     sub_dims: tuple[int, ...]
-    super_dims: tuple[int, ...]
+    super_dims: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "inclusion_matrix", _int_rows(self.inclusion_matrix))
-        object.__setattr__(self, "sub_dims", _ints(self.sub_dims, "sub_dims"))
-        object.__setattr__(self, "super_dims", _ints(self.super_dims, "super_dims"))
-        self.validate()
+        A = _ints(self.inclusion_matrix, "inclusion matrix", lambda row: tuple(map(exact_index, row)))
+        m = _ints(self.sub_dims, "sub_dims")
+        if not A or not m:
+            raise DimensionMismatch("inclusion matrix needs at least one row and one column")
+        for row in A:
+            if len(row) != len(m):
+                raise DimensionMismatch("inclusion matrix column count does not match sub_dims")
+            if any(a < 0 for a in row):
+                raise DimensionMismatch("inclusion matrix entries must be non-negative")
+        n = tuple(sum(a * mj for a, mj in zip(row, m)) for row in A)
+        if any(mj < 1 for mj in m) or any(ni < 1 for ni in n):
+            raise DimensionMismatch("dimension vectors must be positive")
+        for j, column in enumerate(zip(*A)):
+            if not any(column):
+                raise EmptyColumn(f"column {j} of the inclusion matrix is zero")
+        object.__setattr__(self, "inclusion_matrix", A)
+        object.__setattr__(self, "sub_dims", m)
+        object.__setattr__(self, "super_dims", n)
 
     @classmethod
     def from_matrix(cls, inclusion_matrix, sub_dims) -> "InclusionSpec":
-        """Build a spec computing super_dims = A @ sub_dims."""
-        mat = _int_rows(inclusion_matrix)
-        sub = _ints(sub_dims, "sub_dims")
-        return cls(mat, sub, tuple(sum(a * m for a, m in zip(row, sub)) for row in mat))
+        """``InclusionSpec(inclusion_matrix, sub_dims)``, by its older name."""
+        return cls(inclusion_matrix, sub_dims)
 
     @property
     def s(self) -> int:
@@ -87,27 +95,6 @@ class InclusionSpec:
 
     def a(self, i: int, j: int) -> int:
         return self.inclusion_matrix[i][j]
-
-    def validate(self) -> None:
-        """Check shape consistency, A @ m == n, and no empty column."""
-        if self.s == 0 or self.r == 0:
-            raise DimensionMismatch("inclusion matrix needs at least one row and one column")
-        if len(self.inclusion_matrix) != self.s:
-            raise DimensionMismatch("inclusion matrix row count does not match super_dims")
-        for row in self.inclusion_matrix:
-            if len(row) != self.r:
-                raise DimensionMismatch("inclusion matrix column count does not match sub_dims")
-            if any(a < 0 for a in row):
-                raise DimensionMismatch("inclusion matrix entries must be non-negative")
-        if any(m < 1 for m in self.sub_dims) or any(n < 1 for n in self.super_dims):
-            raise DimensionMismatch("dimension vectors must be positive")
-        for i, row in enumerate(self.inclusion_matrix):
-            ni = sum(a * m for a, m in zip(row, self.sub_dims))
-            if ni != self.super_dims[i]:
-                raise DimensionMismatch(f"block {i}: sum_j a_ij m_j = {ni} != {self.super_dims[i]}")
-        for j in range(self.r):
-            if all(self.inclusion_matrix[i][j] == 0 for i in range(self.s)):
-                raise EmptyColumn(f"column {j} of the inclusion matrix is zero")
 
     @cached_property
     def copies(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -141,10 +128,7 @@ class InclusionSpec:
 
     def transpose(self) -> "InclusionSpec":
         """Spec of the basic-construction inclusion: matrix A^t, sub dims = n."""
-        mat = tuple(
-            tuple(self.inclusion_matrix[i][j] for i in range(self.s)) for j in range(self.r)
-        )
-        return InclusionSpec.from_matrix(mat, self.super_dims)
+        return InclusionSpec(tuple(zip(*self.inclusion_matrix)), self.super_dims)
 
 
 @dataclass(frozen=True)
@@ -189,7 +173,7 @@ def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
     """The spectral report: d from ``spectral_d``, cross-checked against ||A||^2.
 
     A^t A m = d m and A A^t n = d n need no check: they follow exactly from
-    A m = n, which every spec satisfies, and A^t n = d m.
+    n = A m, which is how every spec derives n, and A^t n = d m.
     """
     d = spectral_d(spec)
     m, n = spec.sub_dims, spec.super_dims

@@ -30,8 +30,9 @@ def spec_from_dict(doc: dict) -> InclusionSpec:
         sub = doc["sub_dims"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"missing field in spec document: {exc}")
-    # built first, so a row longer than sub_dims gets the column-count error
-    spec = InclusionSpec.from_matrix(mat, sub)
+    # built first, so a row longer than sub_dims gets the column-count error;
+    # a spec derives its super_dims, so a stated one is checked here alone
+    spec = InclusionSpec(mat, sub)
     if "super_dims" in doc and _ints(doc["super_dims"], "super_dims") != spec.super_dims:
         raise DimensionMismatch("super_dims inconsistent with inclusion_matrix @ sub_dims")
     return spec

@@ -58,7 +58,7 @@ class BasicConstruction:
     def gns_spec(self) -> InclusionSpec:
         """A in M_D by left multiplication: the row n with sub dims n."""
         n = self.spec.super_dims
-        return InclusionSpec.from_matrix([list(n)], n)
+        return InclusionSpec([list(n)], n)
 
     @cached_property
     def e1(self) -> np.ndarray:

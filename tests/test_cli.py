@@ -269,6 +269,22 @@ def test_main_parses_as_the_top_level_parser_does(monkeypatch, capsys, argv, env
     assert capsys.readouterr() == got
 
 
+def test_help_describes_commands_and_exit_codes_only(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert "Exit codes" in out and "``" not in out
+
+
+def test_a_key_error_inside_a_command_is_not_bad_input(monkeypatch):
+    # no input path raises KeyError, so one is a programming error and propagates
+    def broken(spec, method):
+        raise KeyError("slot")
+
+    monkeypatch.setattr(cli, "construct", broken)
+    with pytest.raises(KeyError):
+        main(["basis", "c_in_m2"])
+
+
 def test_unrecognized_arguments_are_reported_by_the_top_level_parser(capsys):
     assert main(["basis", "c_in_m2", "extra", "--bogus"]) == 2
     assert capsys.readouterr() == ("", "uob: error: unrecognized arguments: extra --bogus\n")

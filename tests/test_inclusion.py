@@ -9,7 +9,6 @@ from hypothesis import given
 from uob.bases import construct
 from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
 from uob.errors import DimensionMismatch, DisconnectedDiagram, EmptyColumn
-from uob.expectation import conditional_expectation
 from uob.inclusion import (
     InclusionSpec,
     check_spectral_condition,
@@ -18,7 +17,6 @@ from uob.inclusion import (
     spectral_d,
     unembed,
 )
-from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.verify import all_passed, verify_basis
 
 from spec_box import specs
@@ -43,23 +41,21 @@ EXPECTED_D = {
 def test_from_matrix_computes_super_dims():
     spec = InclusionSpec.from_matrix([[1], [2]], [2])
     assert spec.super_dims == (2, 4)
-    spec.validate()
-
-
-def test_validate_rejects_bad_dimension_count():
-    with pytest.raises(DimensionMismatch):
-        InclusionSpec(((1,),), (2,), (3,)).validate()
+    assert InclusionSpec([[1], [2]], [2]) == spec
 
 
 @pytest.mark.parametrize(
     "fields, error",
     [
-        ((((1, 1),), (1,), (1,)), DimensionMismatch),  # a row of the wrong length
-        ((((2, -1),), (1, 1), (1,)), DimensionMismatch),  # a negative entry
-        ((((1,),), (0,), (0,)), DimensionMismatch),  # a non-positive dimension
-        ((((1,),), (2,), (3,)), DimensionMismatch),  # A m != n
-        ((((1, 0), (2, 0)), (1, 1), (1, 2)), EmptyColumn),  # a zero column
-        (((), (), ()), DimensionMismatch),  # an empty matrix
+        ((((1, 1),), (1,)), DimensionMismatch),  # a row of the wrong length
+        ((((2, -1),), (1, 1)), DimensionMismatch),  # a negative entry
+        ((((1,),), (0,)), DimensionMismatch),  # a non-positive dimension
+        ((((2, -1), (1, 1, 1)), (1, 1)), DimensionMismatch),  # row 0 negative, row 1 too long
+        ((((1, 0), (2, 0)), (1, 1)), EmptyColumn),  # a zero column
+        (((), ()), DimensionMismatch),  # an empty matrix
+        ((((1,), (0,)), (1,)), DimensionMismatch),  # a zero row
+        ((((True,),), (1,)), DimensionMismatch),  # a boolean entry
+        ((((1,),), ("1",)), DimensionMismatch),  # a string dimension
     ],
 )
 def test_an_invalid_spec_cannot_be_constructed(fields, error):
@@ -67,37 +63,50 @@ def test_an_invalid_spec_cannot_be_constructed(fields, error):
         InclusionSpec(*fields)
 
 
-def test_no_expectation_of_an_invalid_spec():
-    # a spec with A m != n would give a non-unital E, with E(I) = diag(1, 1, 0)
-    phi = TracialState(MultiMatrixAlgebra((3,)), (1,))
-    with pytest.raises(DimensionMismatch):
-        conditional_expectation(InclusionSpec(((1,),), (2,), (3,)), phi)
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # row by row: row 0's fault is the one reported, whatever row 1 holds
+        ((((2, -1), (1, 1, 1)), (1, 1)), "inclusion matrix entries must be non-negative"),
+        ((((1, 1), (1, -1)), (1, 1, 1)), "inclusion matrix column count does not match sub_dims"),
+        # the row checks come before the dimension check
+        ((((1, 0), (1,)), (0, 1)), "inclusion matrix column count does not match sub_dims"),
+        # a zero row fails the dimension check before its zero column is seen
+        ((((0, 0), (1, 0)), (1, 1)), "dimension vectors must be positive"),
+        # both conversions come first, the matrix's before sub_dims'
+        ((((1.5,),), (0.5,)), "inclusion matrix must hold integers"),
+        ((((-1,),), (0.5,)), "sub_dims must hold integers"),
+    ],
+)
+def test_a_spec_is_checked_in_order(fields, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        InclusionSpec(*fields)
+
+
+def test_super_dims_is_derived_not_stated():
+    with pytest.raises(TypeError):
+        InclusionSpec(((1,),), (2,), (3,))
 
 
 def test_every_spec_is_validated_once_by_its_constructor(monkeypatch):
-    built, validated = [], []
-    post_init, validate = InclusionSpec.__post_init__, InclusionSpec.validate
+    built = []
+    post_init = InclusionSpec.__post_init__
 
     def counting_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counting_validate(self):
-        validated.append(self)
-        return validate(self)
-
     monkeypatch.setattr(InclusionSpec, "__post_init__", counting_post_init)
-    monkeypatch.setattr(InclusionSpec, "validate", counting_validate)
     counts = {}
     for name in ("c_in_m5", "c2_in_m4", "m2_in_m2_plus_m4", "c3_in_m3"):
         spec = catalog_spec(name)
-        del built[:], validated[:]
+        del built[:]
         assert all_passed(verify_basis(construct(spec, "auto"), seed=7))
-        counts[name] = (len(built), len(validated))
-    # an abelian basis builds no spec of its own, so nothing is validated again;
-    # a full_matrix_sub basis validates the specs it builds, each once
-    assert counts["c_in_m5"] == counts["c2_in_m4"] == (0, 0)
-    assert all(b == v for b, v in counts.values()) and counts["m2_in_m2_plus_m4"][0] > 0
+        counts[name] = len(built)
+    # the checks run in __post_init__ alone: an abelian basis builds no spec of
+    # its own, so nothing is checked again; a full_matrix_sub basis builds some
+    assert counts["c_in_m5"] == counts["c2_in_m4"] == 0
+    assert counts["m2_in_m2_plus_m4"] > 0
 
 
 def test_from_matrix_rejects_non_integer_entries():
@@ -108,12 +117,12 @@ def test_from_matrix_rejects_non_integer_entries():
     with pytest.raises(DimensionMismatch):
         InclusionSpec.from_matrix("x", [1])
     with pytest.raises(DimensionMismatch):
-        InclusionSpec(((2.0,),), (1,), (2,))
+        InclusionSpec(((2.0,),), (1,))
 
 
 def test_validate_rejects_empty_matrix():
     with pytest.raises(DimensionMismatch):
-        InclusionSpec.from_matrix([], []).validate()
+        InclusionSpec.from_matrix([], [])
 
 
 def test_spectral_d_is_the_report_d():
@@ -128,7 +137,7 @@ def test_spectral_d_is_the_report_d():
 
 def test_validate_rejects_empty_column():
     with pytest.raises(EmptyColumn):
-        InclusionSpec.from_matrix([[1, 0], [2, 0]], [1, 1]).validate()
+        InclusionSpec.from_matrix([[1, 0], [2, 0]], [1, 1])
 
 
 def test_spectral_condition_catalog():

@@ -22,7 +22,6 @@ from uob import tower
 from uob.algebra import MultiMatrixAlgebra, roots
 from uob.errors import (
     AlgebraMismatch,
-    DimensionMismatch,
     InvariantViolated,
     SingularGram,
     SpectralConditionFailed,
@@ -129,11 +128,6 @@ def test_trivial_inclusion_has_identity_e1():
 def test_build_requires_spectral_condition():
     with pytest.raises(SpectralConditionFailed):
         build_basic_construction(catalog_spec("c2_in_m3"))
-
-
-def test_build_validates_the_spec():
-    with pytest.raises(DimensionMismatch):
-        build_basic_construction(InclusionSpec(((1,),), (2,), (3,)))
 
 
 def test_failed_jones_relation_is_a_uob_error(monkeypatch):

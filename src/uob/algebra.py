@@ -19,12 +19,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, TooLarge
 
 DEFAULT_TOL = 1e-9
 # complex entries (64 KiB) per batch of operators; larger batches were no
 # faster and raised the peak resident memory
 CHUNK_ENTRIES = 1 << 12
+# the memory budget in complex entries (256 MiB); ``refuse_over_budget`` checks it
+MAX_ENTRIES = 1 << 24
 
 
 def exact_index(value) -> int:
@@ -32,6 +34,12 @@ def exact_index(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is a boolean, not an integer")
     return operator.index(value)
+
+
+def refuse_over_budget(entries: int, what: str) -> None:
+    """TooLarge when ``what`` would hold over MAX_ENTRIES entries; the cap is read at each call."""
+    if entries > MAX_ENTRIES:
+        raise TooLarge(f"{what} would hold {TooLarge.count(entries)} entries, over the cap of {MAX_ENTRIES}")
 
 
 def epsilon(x) -> complex:

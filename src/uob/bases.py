@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, circulant, epsilon, roots
+from .algebra import BlockOperator, MultiMatrixAlgebra, circulant, epsilon, refuse_over_budget, roots
 from .errors import (
     AlgebraMismatch,
     CardinalityMismatch,
@@ -28,9 +28,6 @@ from .errors import (
 from .inclusion import InclusionSpec, embed_batch, spectral_d
 
 METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
-# Largest basis ``construct`` and ``basic_model_basis`` build, in complex
-# entries d * sum_i n_i^2 over all block stacks: 2^24 entries are 256 MiB.
-MAX_BASIS_ENTRIES = 1 << 24
 # largest deviation of sum_k U_k e_1 U_k* from the identity a basic-construction
 # basis may show
 PARTITION_TOL = 1e-8
@@ -314,7 +311,7 @@ def basic_model_basis(sub_dims) -> UnitaryBasis:
     """
     spec0 = InclusionSpec([[m] for m in sub_dims], [1])
     D = spec0.super_algebra.vector_dim
-    _refuse_over_budget(D**3)
+    refuse_over_budget(D**3, "a basis")
     b0 = abelian_basis(spec0)
     # column k of V is v_k
     V = np.concatenate(
@@ -370,14 +367,6 @@ def _split_full_matrix(spec: InclusionSpec, g: int, provenance: str) -> UnitaryB
     return _relabel(tensor_basis(identity_basis(g), construct(inner)), spec, provenance)
 
 
-def _refuse_over_budget(entries: int) -> None:
-    """TooLarge when a basis would hold more than MAX_BASIS_ENTRIES complex entries."""
-    if entries > MAX_BASIS_ENTRIES:
-        raise TooLarge(
-            f"a basis would hold {TooLarge.count(entries)} entries, over the cap of {MAX_BASIS_ENTRIES}"
-        )
-
-
 def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     """A basis for ``spec`` from the named construction in ``METHODS``.
 
@@ -387,11 +376,12 @@ def construct(spec: InclusionSpec, method: str = "auto") -> UnitaryBasis:
     factor M_g and runs ``auto`` on the rest; ``basic`` is
     ``basic_model_basis``, for M_n containing B with a_j = m_j.  A forced
     construction that does not apply raises its own ``UobError``.  A spec
-    whose basis would hold more than MAX_BASIS_ENTRIES entries is refused with
-    ``TooLarge`` before any builder runs.  The table is built per call, so
-    rebound module names are used.
+    whose basis, d stacks of sum n_i^2 entries, is over the memory budget is
+    refused with ``TooLarge`` before any builder runs.  The table is built per
+    call, so rebound module names are used.
     """
-    _refuse_over_budget((spectral_d(spec) or 0) * spec.super_algebra.vector_dim)
+    # d = 0 where the condition fails: no basis is built, so each builder gives its own error
+    refuse_over_budget((spectral_d(spec) or 0) * spec.super_algebra.vector_dim, "a basis")
     builders = {
         "abelian": abelian_basis,
         "weyl": weyl_basis,

@@ -67,7 +67,7 @@ class InvariantViolated(UobError):
 
 
 class TooLarge(UobError):
-    """The requested object is over a documented size cap; nothing was allocated."""
+    """Over the memory budget (``uob.algebra.MAX_ENTRIES``) or a float's range; nothing was allocated."""
 
     @staticmethod
     def count(n: int) -> str:

@@ -15,7 +15,8 @@ called on each operand; the tower's dual expectation is one), and, when the
 preserved trace is the standard one, a mixed unitary channel.  Its unitaries
 are permutations of the copies (a cycle per sub block) times a phase per
 copy, read off ``spec.copies`` and kept as index arrays, so a conjugation is
-a gather and a product; a channel over MAX_CHANNEL_ENTRIES is refused first.
+a gather and a product; a channel over the memory budget
+(``uob.algebra.MAX_ENTRIES``) is refused before any copy is listed.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
-from .errors import AlgebraMismatch, NonStandardTrace, SingularGram, TooLarge
+from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_over_budget, roots
+from .errors import AlgebraMismatch, NonStandardTrace, SingularGram
 from .inclusion import InclusionSpec, embed_batch, markov_trace, spectral_d
 
 GRAM_COND_LIMIT = 1e12
-# Largest mixed-unitary channel, in N x N entries per conjugation and stacked
-# operand (see ``mixed_unitary_channel``): 2^24, the budget of MAX_BASIS_ENTRIES.
-MAX_CHANNEL_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -204,12 +202,7 @@ def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
     # N x N entries per conjugation and per stacked operand of ``uob channel``, which stacks
     # twenty; read off the column sums, so the T copies are listed only under the cap
     dec, N = MixedUnitaryDecomposition(spec), spec.super_algebra.ambient_dim
-    entries = (dec.unitary_count + 20) * N * N
-    if entries > MAX_CHANNEL_ENTRIES:
-        raise TooLarge(
-            f"the channel would take {TooLarge.count(entries)} entries,"
-            f" over the cap of {MAX_CHANNEL_ENTRIES}"
-        )
+    refuse_over_budget((dec.unitary_count + 20) * N * N, "the channel")
     return dec
 
 

@@ -199,17 +199,15 @@ def markov_trace(spec: InclusionSpec) -> TracialState:
     """The tracial state whose trace vector is the Perron eigenvector of A A^t.
 
     When the spectral condition holds the vector is returned exactly as the
-    dimension vector n; otherwise it is computed numerically.  Disconnected
-    diagrams are rejected because uniqueness fails.
+    dimension vector n; otherwise it is computed numerically, as the first
+    left singular vector of A: a thin SVD, so no s x s matrix is formed.
+    Disconnected diagrams are rejected because uniqueness fails.
     """
     if not spec.is_connected():
         raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
     if spectral_d(spec) is not None:
         return TracialState(spec.super_algebra, spec.super_dims)
-    A = _float_matrix(spec)
-    M = A @ A.T
-    vals, vecs = np.linalg.eigh(M)
-    v = vecs[:, -1]
+    v = np.linalg.svd(_float_matrix(spec), full_matrices=False)[0][:, 0]
     v = v * np.sign(v[np.argmax(np.abs(v))])
     if np.any(v <= 1e-12):
         raise DisconnectedDiagram("Perron eigenvector is not strictly positive")

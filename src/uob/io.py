@@ -7,8 +7,8 @@ import json
 
 import numpy as np
 
-from .algebra import exact_index
-from .bases import UnitaryBasis, _refuse_over_budget
+from .algebra import exact_index, refuse_over_budget
+from .bases import UnitaryBasis
 from .errors import DimensionMismatch, InputError, InvariantViolated, UobError
 from .inclusion import InclusionSpec, _ints, spectral_d
 
@@ -25,10 +25,12 @@ def spec_to_dict(spec: InclusionSpec, name: str = "") -> dict:
 
 
 def spec_from_dict(doc: dict) -> InclusionSpec:
+    if not isinstance(doc, dict):
+        raise DimensionMismatch("a spec document must be a JSON object")
     try:
         mat = doc["inclusion_matrix"]
         sub = doc["sub_dims"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise DimensionMismatch(f"missing field in spec document: {exc}")
     # built first, so a row longer than sub_dims gets the column-count error;
     # a spec derives its super_dims, so a stated one is checked here alone
@@ -101,8 +103,8 @@ def basis_from_dict(doc: dict) -> UnitaryBasis:
         if doc.get(key) is None:
             raise DimensionMismatch(f"basis document has no {key}")
     spec = spec_from_dict(doc["spec"])
-    # the budget ``construct`` applies, so that no check of an over-budget spec runs
-    _refuse_over_budget((spectral_d(spec) or 1) * spec.super_algebra.vector_dim)
+    # d = 1 where the condition fails: the document's blocks are allocated whatever d is
+    refuse_over_budget((spectral_d(spec) or 1) * spec.super_algebra.vector_dim, "a basis")
     alg = spec.super_algebra
     elements = doc["elements"]
     if not isinstance(elements, list) or not all(isinstance(W, list) for W in elements):

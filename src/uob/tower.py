@@ -15,21 +15,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, roots
+from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_over_budget, roots
 from .bases import PARTITION_TOL, UnitaryBasis
-from .errors import (
-    AlgebraMismatch,
-    InvariantViolated,
-    PartitionOfUnityFailed,
-    SpectralConditionFailed,
-    TooLarge,
-)
+from .errors import AlgebraMismatch, InvariantViolated, PartitionOfUnityFailed, SpectralConditionFailed
 from .expectation import _GramProjector, markov_expectation
 from .inclusion import InclusionSpec, embed, embed_batch, spectral_d
 
 JONES_TOL = 1e-9
-# largest GNS dimension D = sum n_i^2 that build_basic_construction accepts
-MAX_GNS_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -119,9 +111,8 @@ def build_basic_construction(spec: InclusionSpec) -> BasicConstruction:
     """
     if spectral_d(spec) is None:
         raise SpectralConditionFailed("basic construction requires the spectral condition")
-    D = spec.super_algebra.vector_dim
-    if D > MAX_GNS_DIM:
-        raise TooLarge(f"gns_dim {TooLarge.count(D)} exceeds cap {MAX_GNS_DIM}")
+    # the Gram projector's family, the left multiplications of A's D units, is a D x D^2 array
+    refuse_over_budget(spec.super_algebra.vector_dim**3, "the basic construction")
     bc = BasicConstruction(spec)
     # np.max keeps a NaN that Python's max drops, and a NaN fails the test
     worst_jones, worst_trace = (float(np.max(r)) for r in _validation_residuals(bc))

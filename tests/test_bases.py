@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from uob.algebra import MAX_ENTRIES
 from uob.bases import (
-    MAX_BASIS_ENTRIES,
     UnitaryBasis,
     abelian_basis,
     abelian_basis_entrywise,
@@ -322,7 +322,7 @@ def test_stacks_must_fit_the_spec_and_share_one_d():
 def test_construct_refuses_a_basis_over_the_entry_cap():
     # C in M_200: d = 40000 elements of 200 x 200, about 25.6 GB of stacks
     spec = InclusionSpec.from_matrix([[200]], [1])
-    assert 40000 * 200**2 > MAX_BASIS_ENTRIES
+    assert 40000 * 200**2 > MAX_ENTRIES
     for method in ("auto", "abelian", "tensor", "basic"):
         with pytest.raises(TooLarge):
             construct(spec, method)

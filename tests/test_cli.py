@@ -55,6 +55,22 @@ def test_check_malformed_spec_exits_1_with_one_line(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check", [1, 2]),
+        ("check", "x"),
+        ("verify", {"d": 1, "elements": [[[[1.0, 0.0]]]], "spec": [1]}),
+    ],
+    ids=["check_list", "check_string", "verify_list_spec"],
+)
+def test_a_spec_document_that_is_no_object_exits_1_with_one_line(tmp_path, capsys, command, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == "error: a spec document must be a JSON object\n"
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"inclusion_matrix": [[True, True]], "sub_dims": [1, 1]},
@@ -591,7 +607,7 @@ def test_verify_basis_without_a_field_exits_1_naming_it(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("method", ["auto", "basic"])
 def test_basis_over_the_size_cap_exits_1_with_one_line(tmp_path, capsys, method):
-    # d * sum n_i^2 = 288^3: refused before the GNS cap of the basic model is reached
+    # d * sum n_i^2 = 288^3: refused before the basic model's own D^3 check
     path = tmp_path / "s.json"
     save_spec(path, InclusionSpec.from_matrix([[12, 12]], [12, 12]))
     assert main(["basis", str(path), "--method", method]) == 1

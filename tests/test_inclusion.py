@@ -1,6 +1,7 @@
 """Spec validation, the integer spectral condition, Markov traces, embeddings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ def test_markov_trace_without_spectral_condition():
     v = np.array(phi.trace_vector, float)
     lam = np.linalg.norm(A, 2) ** 2
     assert np.allclose(A @ A.T @ v, lam * v, atol=1e-9)
+
+
+def test_markov_trace_of_a_tall_spec_forms_no_s_by_s_matrix():
+    # s = 2000: A A^t = 2 ones would be 32 MB, and its eigh more; a thin SVD holds O(s r)
+    spec = InclusionSpec([[1, 1]] * 2000, [1, 2])
+    tracemalloc.start()
+    try:
+        report = check_spectral_condition(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.holds
+    assert peak < 5e6
+    assert max(abs(x - 1.0) for x in report.markov_trace.trace_vector) <= 1e-12
 
 
 def test_markov_trace_rejects_disconnected():

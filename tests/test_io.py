@@ -148,7 +148,7 @@ def test_basis_from_dict_refuses_a_spec_over_the_budget(matrix, sub_dims):
 
 
 def test_basis_from_dict_loads_a_spec_at_the_budget():
-    # M_4096 in M_4096: d * sum n_i^2 = 2^24, exactly MAX_BASIS_ENTRIES
+    # M_4096 in M_4096: d * sum n_i^2 = 2^24, exactly MAX_ENTRIES
     doc = {"d": 0, "elements": [], "spec": {"inclusion_matrix": [[1]], "sub_dims": [4096]}}
     assert basis_from_dict(doc).stacks[0].shape == (0, 4096, 4096)
 

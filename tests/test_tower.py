@@ -18,7 +18,7 @@ from uob.bases import (
     weyl_basis,
 )
 from uob.catalog import catalog_spec
-from uob import tower
+from uob import algebra, tower
 from uob.algebra import MultiMatrixAlgebra, roots
 from uob.errors import (
     AlgebraMismatch,
@@ -27,8 +27,9 @@ from uob.errors import (
     SpectralConditionFailed,
     TooLarge,
 )
-from uob.expectation import _GramProjector, _rows, markov_expectation, slot_table
+from uob.expectation import _GramProjector, _rows, markov_expectation, mixed_unitary_channel, slot_table
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
+from uob.io import basis_from_dict
 from uob.tower import (
     basic_construction_basis,
     build_basic_construction,
@@ -210,7 +211,7 @@ def test_closed_form_basic_model_basis_equals_the_gns_model(sub_dims):
 
 
 def test_basic_model_basis_is_refused_over_the_basis_budget():
-    # C in M_17 has D = 289 > 256, so d * D^2 = 289^3 > MAX_BASIS_ENTRIES
+    # C in M_17 has D = 289 > 256, so d * D^2 = 289^3 > MAX_ENTRIES
     with pytest.raises(TooLarge, match="over the cap"):
         basic_model_basis((17,))
 
@@ -241,11 +242,31 @@ def test_gns_dimension_over_the_cap_is_too_large():
         build_basic_construction(InclusionSpec.from_matrix([[17]], [1]))
 
 
-def test_gns_cap_is_the_module_constant(monkeypatch):
-    monkeypatch.setattr(tower, "MAX_GNS_DIM", 4)
-    assert build_basic_construction(catalog_spec("c_in_m2")).gns_dim == 4
-    with pytest.raises(TooLarge, match="^gns_dim 5 exceeds cap 4$"):
-        build_basic_construction(catalog_spec("c_in_m1_plus_m2"))
+@pytest.mark.parametrize(
+    "build, arg, entries, what",
+    [
+        # M_2 in M_4: d * sum n_i^2 = 4 * 16
+        (construct, InclusionSpec([[2]], [2]), 64, "a basis"),
+        # D = 1 + 4, D^3 entries
+        (basic_model_basis, (1, 2), 125, "a basis"),
+        # no integer d (8 / 3), so d counts as 1: 1 * 8^2
+        (basis_from_dict, {"d": 0, "elements": [], "spec": {"inclusion_matrix": [[1, 1]], "sub_dims": [3, 5]}},
+         64, "a basis"),
+        # C in M_2: (T_0 * T + 20) * N^2 = (2 * 2 + 20) * 4
+        (mixed_unitary_channel, catalog_spec("c_in_m2"), 96, "the channel"),
+        # C in M_2: D = 4, D^3 entries
+        (build_basic_construction, catalog_spec("c_in_m2"), 64, "the basic construction"),
+    ],
+    ids=["construct", "basic_model_basis", "basis_from_dict", "mixed_unitary_channel", "build_basic_construction"],
+)
+def test_every_size_cap_is_the_one_memory_budget(monkeypatch, build, arg, entries, what):
+    # a count equal to the cap is accepted, one above it refused with the shared message
+    monkeypatch.setattr(algebra, "MAX_ENTRIES", entries)
+    build(arg)
+    monkeypatch.setattr(algebra, "MAX_ENTRIES", entries - 1)
+    with pytest.raises(TooLarge) as err:
+        build(arg)
+    assert str(err.value) == f"{what} would hold {entries} entries, over the cap of {entries - 1}"
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)

@@ -6,7 +6,6 @@ from .algebra import (
     TracialState,
     circulant,
     epsilon,
-    fourier_matrix,
     roots,
 )
 from .bases import (
@@ -64,7 +63,6 @@ __all__ = [
     "TracialState",
     "circulant",
     "epsilon",
-    "fourier_matrix",
     "roots",
     "UnitaryBasis",
     "abelian_basis",

@@ -5,14 +5,15 @@ indexing ``roots(n)``, the table of n-th roots of unity, so long phase sums
 cancel without drift.  ``epsilon`` does the same for a single rational
 (``fractions.Fraction``, understood mod 1).  Circulant matrices are
 parametrized by their eigenvalues and built from the entrywise formula, never
-by conjugating with Fourier matrices; ``fourier_matrix`` is the independent
-reference that the circulant tests conjugate with.  Batched work runs on
+by conjugating with Fourier matrices (the tests conjugate with one, as an
+independent reference).  Batched work runs on
 lists of (K, n_i, n_i) block stacks: the matrix units come that way
 (``unit_batches``), and a tracial state evaluates a batch (``batch``).
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,12 +54,6 @@ def roots(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     return np.exp(2j * np.pi * (np.arange(n) / n))
-
-
-def fourier_matrix(n: int) -> np.ndarray:
-    """The n x n finite Fourier matrix (1/sqrt(n)) [epsilon(jk/n)]."""
-    k = np.arange(n)
-    return roots(n)[np.outer(k, k) % n] / np.sqrt(n)
 
 
 def circulant(eigenvalues) -> np.ndarray:
@@ -152,14 +147,16 @@ class MultiMatrixAlgebra:
 
     def unit_batches(self, size: int, diagonal: bool = False):
         """Every matrix unit (i, a, b), by block then row-major, as (K, n_i, n_i)
-        block stacks with K <= size; only the units (i, a, a) when ``diagonal``."""
-        for i, n in enumerate(self.blocks):
-            flat = np.arange(n) * (n + 1) if diagonal else np.arange(n * n)
-            for lo in range(0, len(flat), size):
-                t = flat[lo : lo + size]
-                X = [np.zeros((len(t), n2, n2), dtype=complex) for n2 in self.blocks]
-                X[i].reshape(len(t), n * n)[np.arange(len(t)), t] = 1
-                yield X
+        block stacks with K <= size; only the units (i, a, a) when ``diagonal``.
+        A batch runs on across block boundaries, so only the last is short."""
+        units = (
+            (i, t) for i, n in enumerate(self.blocks) for t in range(0, n * n, n + 1 if diagonal else 1)
+        )
+        while batch := list(itertools.islice(units, size)):
+            X = [np.zeros((len(batch), n, n), dtype=complex) for n in self.blocks]
+            for row, (i, t) in enumerate(batch):
+                X[i].reshape(len(batch), -1)[row, t] = 1
+            yield X
 
     def unit_index(self, k: int) -> tuple[int, int, int]:
         """The matrix unit (i, a, b) at position k of the ``unit_batches`` order."""
@@ -266,7 +263,3 @@ class TracialState:
         """phi on every operator of a batch: ``blocks[i]`` is a (K, n_i, n_i) stack."""
         total = sum(p * np.trace(b, axis1=-2, axis2=-1) for p, b in zip(self.trace_vector, blocks))
         return total / float(self.weight)
-
-    def inner(self, X: BlockOperator, Y: BlockOperator) -> complex:
-        """GNS inner product <X, Y> = phi(X* Y)."""
-        return self(X.adjoint() @ Y)

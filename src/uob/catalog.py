@@ -1,10 +1,8 @@
-"""Named example inclusions shipped with the package, plus a random-spec generator."""
+"""Named example inclusions shipped with the package."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .inclusion import InclusionSpec, spectral_d
+from .inclusion import InclusionSpec
 
 # name -> (inclusion_matrix, sub_dims); every spec except c2_in_m3 satisfies
 # the integer spectral condition.
@@ -31,26 +29,3 @@ def catalog_names() -> list[str]:
 def catalog_spec(name: str) -> InclusionSpec:
     mat, sub = _CATALOG[name]
     return InclusionSpec(mat, sub)
-
-
-def random_abelian_specs(count: int, seed: int, max_d: int = 36) -> list[InclusionSpec]:
-    """Random abelian inclusions satisfying the integer spectral condition.
-
-    Draws small integer matrices with all m_j = 1, keeps those where the
-    column sums of n_i a_ij are constant (that constant is d) and d <= max_d.
-    """
-    rng = np.random.default_rng(seed)
-    found = []
-    while len(found) < count:
-        s = int(rng.integers(1, 4))
-        r = int(rng.integers(1, 4))
-        mat = rng.integers(0, 3, size=(s, r))
-        # no zero column, no zero row
-        if np.any(mat.sum(axis=0) == 0) or np.any(mat.sum(axis=1) == 0):
-            continue
-        spec = InclusionSpec(mat.tolist(), [1] * r)
-        d = spectral_d(spec)
-        if d is not None and d <= max_d:
-            found.append(spec)
-    return found
-

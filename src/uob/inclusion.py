@@ -110,21 +110,21 @@ class InclusionSpec:
         return tuple(out)
 
     def is_connected(self) -> bool:
-        """Connectivity of the Bratteli diagram viewed as a bipartite graph."""
-        nodes = self.s + self.r
-        adj = [[] for _ in range(nodes)]
-        for i in range(self.s):
-            for j in range(self.r):
-                if self.inclusion_matrix[i][j] > 0:
-                    adj[i].append(self.s + j)
-                    adj[self.s + j].append(i)
-        seen, stack = {0}, [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == nodes
+        """Connectivity of the Bratteli diagram viewed as a bipartite graph.
+
+        One search over the sub blocks: each round takes the super blocks
+        that hold a newly reached sub block and reaches every sub block they
+        hold.  Every super block holds some sub block (n_i >= 1), so the
+        diagram is connected when every sub block is reached.
+        """
+        rows = [{j for j, a in enumerate(row) if a} for row in self.inclusion_matrix]
+        reached, new = set(), {0}
+        while new:
+            reached |= new
+            hit = [row for row in rows if not row.isdisjoint(new)]
+            rows = [row for row in rows if row.isdisjoint(new)]
+            new = set().union(*hit) - reached
+        return len(reached) == self.r
 
     def transpose(self) -> "InclusionSpec":
         """Spec of the basic-construction inclusion: matrix A^t, sub dims = n."""
@@ -138,7 +138,6 @@ class SpectralReport:
     holds: bool
     d: int | None
     markov_trace: TracialState | None
-    quadratic_holds: bool
     entropy_value: float | None
     norm_sq: float
     connected: bool
@@ -150,62 +149,65 @@ class SpectralReport:
             "markov_trace_vector": list(self.markov_trace.trace_vector)
             if self.markov_trace is not None
             else None,
-            "quadratic_holds": self.quadratic_holds,
             "entropy_value": self.entropy_value,
             "norm_sq": self.norm_sq,
             "connected": self.connected,
         }
 
 
+def _atn(spec: InclusionSpec) -> list[int]:
+    """A^t n, in exact integers: entry j is sum_i a_ij n_i."""
+    A, n = spec.inclusion_matrix, spec.super_dims
+    return [sum(A[i][j] * n[i] for i in range(spec.s)) for j in range(spec.r)]
+
+
 def spectral_d(spec: InclusionSpec) -> int | None:
     """The integer d with A^t n = d m, decided in exact integer arithmetic; None if none."""
-    A, m, n = spec.inclusion_matrix, spec.sub_dims, spec.super_dims
-    d = None
-    for j in range(spec.r):
-        t = sum(A[i][j] * n[i] for i in range(spec.s))
-        if t % m[j] != 0 or (d is not None and t // m[j] != d):
-            return None
-        d = t // m[j]
-    return d
+    Atn, m = _atn(spec), spec.sub_dims
+    d = Atn[0] // m[0]
+    return d if all(t == d * mj for t, mj in zip(Atn, m)) else None
 
 
 def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
     """The spectral report: d from ``spectral_d``, cross-checked against ||A||^2.
 
-    A^t A m = d m and A A^t n = d n need no check: they follow exactly from
-    n = A m, which is how every spec derives n, and A^t n = d m.
+    A^t A m = d m, A A^t n = d n and sum n_i^2 = d sum m_j^2 need no check:
+    they follow exactly from n = A m, which is how every spec derives n, and
+    A^t n = d m.  ``spectral_d`` and ``is_connected`` run once each.
     """
     d = spectral_d(spec)
-    m, n = spec.sub_dims, spec.super_dims
     with np.errstate(over="ignore"):
         norm_sq = float(np.linalg.norm(_float_matrix(spec), ord=2) ** 2)
     if not norm_sq < math.inf or (d is not None and d > sys.float_info.max):
         raise TooLarge("||A||^2 is past the range of a float")
+    if d is not None and abs(norm_sq - d) > SPECTRAL_TOL:
+        raise InvariantViolated(f"numerical ||A||^2 = {norm_sq} disagrees with d = {d}")
     connected = spec.is_connected()
-    if d is not None:
-        if abs(norm_sq - d) > SPECTRAL_TOL:
-            raise InvariantViolated(f"numerical ||A||^2 = {norm_sq} disagrees with d = {d}")
-        quadratic = sum(ni * ni for ni in n) == d * sum(mj * mj for mj in m)
-        trace = TracialState(spec.super_algebra, n)
-        entropy = math.log(d)
-    else:
-        quadratic, entropy = False, None
-        # on a connected diagram the Perron vector is strictly positive
-        trace = markov_trace(spec) if connected else None
-    return SpectralReport(d is not None, d, trace, quadratic, entropy, norm_sq, connected)
+    # n is the trace vector wherever d exists; elsewhere the Perron vector,
+    # which is strictly positive on a connected diagram only
+    trace = _markov_trace(spec, d) if d is not None or connected else None
+    entropy = math.log(d) if d is not None else None
+    return SpectralReport(d is not None, d, trace, entropy, norm_sq, connected)
 
 
 def markov_trace(spec: InclusionSpec) -> TracialState:
     """The tracial state whose trace vector is the Perron eigenvector of A A^t.
 
-    When the spectral condition holds the vector is returned exactly as the
-    dimension vector n; otherwise it is computed numerically, as the first
-    left singular vector of A: a thin SVD, so no s x s matrix is formed.
     Disconnected diagrams are rejected because uniqueness fails.
     """
     if not spec.is_connected():
         raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
-    if spectral_d(spec) is not None:
+    return _markov_trace(spec, spectral_d(spec))
+
+
+def _markov_trace(spec: InclusionSpec, d: int | None) -> TracialState:
+    """The Markov trace, given d = ``spectral_d(spec)``.
+
+    When d exists the vector is returned exactly as the dimension vector n;
+    otherwise it is computed numerically, as the first left singular vector
+    of A: a thin SVD, so no s x s matrix is formed.
+    """
+    if d is not None:
         return TracialState(spec.super_algebra, spec.super_dims)
     v = np.linalg.svd(_float_matrix(spec), full_matrices=False)[0][:, 0]
     v = v * np.sign(v[np.argmax(np.abs(v))])

@@ -31,7 +31,7 @@ from .algebra import CHUNK_ENTRIES, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
 from .expectation import apply_each, markov_expectation, slot_table
-from .inclusion import InclusionSpec, spectral_d
+from .inclusion import InclusionSpec, _atn, spectral_d
 
 UNITARY_TOL = 1e-9
 ORTHO_TOL = 1e-9
@@ -290,26 +290,21 @@ def verify_expectation_axioms(
 def verify_trace_conditions(
     spec: InclusionSpec, E=None, tol: float = TRACE_TOL
 ) -> list[VerificationReport]:
-    """Exact integer trace conditions plus trace preservation of E.
+    """The exact integer condition plus trace preservation of E.
 
-    Checks A^t n = d m and sum n_i^2 = d sum m_j^2 in integer arithmetic, and
-    that E preserves the tracial state with trace vector n on matrix units,
-    batch by batch: on the sum n_i diagonal units through the slot table of a
-    compiled E, otherwise on all sum n_i^2 units with one E call per unit.
+    Checks A^t n = d m in integer arithmetic (sum n_i^2 = d sum m_j^2
+    follows from it, as n = A m), and that E preserves the tracial state with
+    trace vector n on matrix units, batch by batch: on the sum n_i diagonal
+    units through the slot table of a compiled E, otherwise on all sum n_i^2
+    units with one E call per unit.
     """
-    A, m, n = spec.inclusion_matrix, spec.sub_dims, spec.super_dims
-    d = spectral_d(spec)
-    ok = d is not None
-    Atn = [sum(A[i][j] * n[i] for i in range(spec.s)) for j in range(spec.r)]
-    reports = [_report("integer_eigenvector", 0.0 if ok else 1.0, 0.5, f"A^t n = {Atn}")]
-
-    quad = ok and sum(x * x for x in n) == d * sum(x * x for x in m)
-    reports.append(_report("quadratic_identity", 0.0 if quad else 1.0, 0.5))
+    ok = spectral_d(spec) is not None
+    reports = [_report("integer_eigenvector", 0.0 if ok else 1.0, 0.5, f"A^t n = {_atn(spec)}")]
 
     if E is None:
         E = markov_expectation(spec)
     alg = spec.super_algebra
-    phi = TracialState(alg, n)
+    phi = TracialState(alg, spec.super_dims)
     table = slot_table(E, alg)
     # SlotTable.apply copies square slots X_i[S, S] onto square slots, so it
     # maps an off-diagonal unit to an operator whose diagonal entries are all
@@ -329,8 +324,8 @@ def verify_necessary_conditions(
     """Necessary conditions a unitary orthonormal basis forces on its inclusion.
 
     Checks that the family really is orthonormal under E, that its size equals
-    the integer eigenvalue d from A^t n = d m, the exact quadratic identity
-    sum n_i^2 = d sum m_j^2, and that E preserves the trace with vector n.
+    the integer eigenvalue d from A^t n = d m, and that E preserves the trace
+    with vector n.
     """
     spec = basis.spec
     if spec is None:

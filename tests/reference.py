@@ -4,13 +4,19 @@
 ``tensor_block_perms`` and ``concat_block_perms`` each build the layout map
 of one combinator on their own, with the copy numbering written out.
 ``CONCAT`` lists composed pairs whose nested and canonical layouts differ.
+``fourier_matrix`` is the unitary the circulant tests conjugate with,
+``random_abelian_specs`` draws abelian specs that meet the spectral
+condition, ``connected_by_adjacency`` is the former connectivity test, a
+search over a two-way adjacency list of super and sub blocks, and
+``per_block_unit_batches`` the former matrix-unit batches, which end at
+every block boundary.
 """
 
 import numpy as np
 
-from uob.algebra import BlockOperator
+from uob.algebra import BlockOperator, roots
 from uob.expectation import markov_expectation
-from uob.inclusion import InclusionSpec, embed, unembed
+from uob.inclusion import InclusionSpec, embed, spectral_d, unembed
 
 # (inner spec, method, outer spec, method): the composed spec has several sub
 # blocks, and in the first two m_j = 2, so nested and canonical layouts differ
@@ -61,3 +67,62 @@ def concat_block_perms(s0, s1, spec):
                 c, m = starts[i, l, k], spec.sub_dims[l]
                 perms[i][c : c + m] = a + b + np.arange(m)
     return perms
+
+
+def fourier_matrix(n: int) -> np.ndarray:
+    """The n x n finite Fourier matrix (1/sqrt(n)) [epsilon(jk/n)]."""
+    k = np.arange(n)
+    return roots(n)[np.outer(k, k) % n] / np.sqrt(n)
+
+
+def random_abelian_specs(count: int, seed: int, max_d: int = 36) -> list[InclusionSpec]:
+    """Random abelian inclusions satisfying the integer spectral condition.
+
+    Draws small integer matrices with all m_j = 1, keeps those where the
+    column sums of n_i a_ij are constant (that constant is d) and d <= max_d.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        s = int(rng.integers(1, 4))
+        r = int(rng.integers(1, 4))
+        mat = rng.integers(0, 3, size=(s, r))
+        # no zero column, no zero row
+        if np.any(mat.sum(axis=0) == 0) or np.any(mat.sum(axis=1) == 0):
+            continue
+        spec = InclusionSpec(mat.tolist(), [1] * r)
+        d = spectral_d(spec)
+        if d is not None and d <= max_d:
+            found.append(spec)
+    return found
+
+
+def connected_by_adjacency(spec: InclusionSpec) -> bool:
+    """Connectivity of the Bratteli diagram as a bipartite graph: nodes 0..s-1
+    are the super blocks, s..s+r-1 the sub blocks, searched from node 0."""
+    nodes = spec.s + spec.r
+    adj = [[] for _ in range(nodes)]
+    for i in range(spec.s):
+        for j in range(spec.r):
+            if spec.inclusion_matrix[i][j] > 0:
+                adj[i].append(spec.s + j)
+                adj[spec.s + j].append(i)
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == nodes
+
+
+def per_block_unit_batches(alg, size: int, diagonal: bool = False):
+    """The matrix units of ``alg`` as (K, n_i, n_i) stacks, block by block:
+    K <= size, and each batch holds the units of one block only."""
+    for i, n in enumerate(alg.blocks):
+        flat = np.arange(n) * (n + 1) if diagonal else np.arange(n * n)
+        for lo in range(0, len(flat), size):
+            t = flat[lo : lo + size]
+            X = [np.zeros((len(t), n2, n2), dtype=complex) for n2 in alg.blocks]
+            X[i].reshape(len(t), n * n)[np.arange(len(t)), t] = 1
+            yield X

@@ -21,7 +21,7 @@ from uob.bases import (
     weyl_basis,
 )
 from uob.bases import UnitaryBasis
-from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
+from uob.catalog import catalog_names, catalog_spec
 from uob.cli import main
 from uob.expectation import markov_expectation, mixed_unitary_channel
 from uob.inclusion import InclusionSpec, check_spectral_condition, markov_trace
@@ -40,7 +40,7 @@ from uob.verify import (
     verify_unitary,
 )
 
-from reference import composed_expectation
+from reference import composed_expectation, random_abelian_specs
 
 EXPECTED_D = {
     "c_in_m2": 4,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uob.algebra import (
@@ -13,10 +13,12 @@ from uob.algebra import (
     TracialState,
     circulant,
     epsilon,
-    fourier_matrix,
     roots,
 )
 from uob.errors import AlgebraMismatch
+
+from reference import fourier_matrix, per_block_unit_batches
+from spec_box import specs
 
 fractions = st.fractions(max_denominator=60)
 
@@ -185,3 +187,19 @@ def test_random_batches_give_the_draws_of_random_bit_for_bit(blocks, count, size
             assert ref[k][i].tobytes() == ones[k][i].tobytes() == stacked[i][k].tobytes()
     state = ref_rng.bit_generator.state
     assert one_rng.bit_generator.state == state == batch_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs(), size=st.integers(1, 12), diagonal=st.booleans())
+def test_unit_batches_run_across_blocks_with_the_per_block_units(spec, size, diagonal):
+    for alg in (spec.super_algebra, spec.sub_algebra):
+        batches = list(alg.unit_batches(size, diagonal))
+        counts = [len(X[0]) for X in batches]
+        total = sum(n if diagonal else n * n for n in alg.blocks)
+        # every batch but the last is full, so none exceeds size
+        assert counts == [min(size, total - lo) for lo in range(0, total, size)]
+        ref = list(per_block_unit_batches(alg, size, diagonal))
+        for i in range(alg.num_blocks):
+            new, old = (np.concatenate([X[i] for X in b]) for b in (batches, ref))
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()

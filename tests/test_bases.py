@@ -22,7 +22,7 @@ from uob.bases import (
     tensor_spec,
     weyl_basis,
 )
-from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
+from uob.catalog import catalog_names, catalog_spec
 from uob.errors import (
     AlgebraMismatch,
     CardinalityMismatch,
@@ -43,7 +43,7 @@ from uob.verify import (
     verify_unitary,
 )
 
-from reference import CONCAT, composed_expectation, concat_block_perms, tensor_block_perms
+from reference import CONCAT, composed_expectation, concat_block_perms, random_abelian_specs, tensor_block_perms
 
 ABELIAN = ["c_in_m2", "c_in_m1_plus_m2", "c_in_m1_m1_m2", "c2_in_m4", "c3_in_m3"]
 

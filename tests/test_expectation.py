@@ -199,8 +199,8 @@ def test_projection_expectation_rejects_degenerate_family():
 
 def _projection_reference(phi, family, X):
     """The projection written out: solve G c = (<S_a, X>)_a, then sum c_a S_a."""
-    G = np.array([[phi.inner(S, T) for T in family] for S in family])
-    c = np.linalg.solve(G, [phi.inner(S, X) for S in family])
+    G = np.array([[phi(S.adjoint() @ T) for T in family] for S in family])
+    c = np.linalg.solve(G, [phi(S.adjoint() @ X) for S in family])
     out = phi.algebra.zero()
     for ca, S in zip(c, family):
         out = out + ca * S

@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from uob.bases import construct
-from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
+from uob import inclusion
+from uob.catalog import catalog_names, catalog_spec
 from uob.errors import DimensionMismatch, DisconnectedDiagram, EmptyColumn
 from uob.inclusion import (
     InclusionSpec,
@@ -20,6 +21,7 @@ from uob.inclusion import (
 )
 from uob.verify import all_passed, verify_basis
 
+from reference import connected_by_adjacency, random_abelian_specs
 from spec_box import specs
 
 # hand integer arithmetic for the shipped catalog: name -> expected d (None = fails)
@@ -150,7 +152,9 @@ def test_spectral_condition_catalog():
         else:
             assert report.holds and report.d == EXPECTED_D[name]
             assert abs(report.norm_sq - report.d) < 1e-9
-            assert report.quadratic_holds
+            n, m = spec.super_dims, spec.sub_dims
+            assert sum(x * x for x in n) == report.d * sum(x * x for x in m)
+            assert "quadratic_holds" not in report.to_dict()
             assert abs(report.entropy_value - math.log(report.d)) < 1e-12
 
 
@@ -193,6 +197,36 @@ def test_markov_trace_of_a_tall_spec_forms_no_s_by_s_matrix():
     assert not report.holds
     assert peak < 5e6
     assert max(abs(x - 1.0) for x in report.markov_trace.trace_vector) <= 1e-12
+
+
+@given(specs())
+@example(InclusionSpec([[1, 1]] * 2000, [1, 2]))  # tall
+@example(InclusionSpec([[1, 0, 0], [0, 1, 1], [0, 0, 1]], [1, 1, 1]))  # sub block 0 alone
+@example(InclusionSpec([[0, 1, 1], [0, 0, 1], [1, 1, 0]], [1, 1, 1]))  # a path: three rounds
+@example(InclusionSpec([[2**70, 0], [1, 3**50]], [1, 2]))  # huge entries, connected
+@example(InclusionSpec([[2**70, 0], [0, 3**50]], [2**40, 1]))  # huge entries, disconnected
+def test_connectivity_is_the_adjacency_search(spec):
+    assert spec.is_connected() == connected_by_adjacency(spec)
+
+
+@pytest.mark.parametrize("A, m", [([[1, 2]], [1, 1]), ([[1, 1]] * 2000, [1, 2])])
+def test_a_failing_connected_check_decides_d_and_connectivity_once(monkeypatch, A, m):
+    calls = {"spectral_d": 0, "is_connected": 0}
+    spectral, connected = inclusion.spectral_d, InclusionSpec.is_connected
+
+    def counting_spectral_d(spec):
+        calls["spectral_d"] += 1
+        return spectral(spec)
+
+    def counting_is_connected(spec):
+        calls["is_connected"] += 1
+        return connected(spec)
+
+    monkeypatch.setattr(inclusion, "spectral_d", counting_spectral_d)
+    monkeypatch.setattr(InclusionSpec, "is_connected", counting_is_connected)
+    report = check_spectral_condition(InclusionSpec(A, m))
+    assert not report.holds and report.connected and report.markov_trace is not None
+    assert calls == {"spectral_d": 1, "is_connected": 1}
 
 
 def test_markov_trace_rejects_disconnected():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.bases import UnitaryBasis, construct
-from uob.catalog import catalog_names, catalog_spec, random_abelian_specs
+from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
 from uob.expectation import _GramProjector, conditional_expectation, markov_expectation
 from uob import verify
@@ -32,6 +32,7 @@ from uob.verify import (
     verify_unitary,
 )
 
+from reference import random_abelian_specs
 from spec_box import specs
 
 MATCH_TOL = 1e-15

@@ -7,7 +7,7 @@ from uob.algebra import TracialState
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_spec
 from uob.errors import NoExpectation
-from uob.expectation import conditional_expectation, markov_expectation
+from uob.expectation import SlotTable, conditional_expectation, markov_expectation
 from uob.inclusion import InclusionSpec
 from uob.verify import (
     all_passed,
@@ -208,3 +208,21 @@ def test_a_nan_from_one_middle_call_fails_its_axiom_report(call, report):
     reports = verify_expectation_axioms(poisoned, E.phi, seed=3)
     assert len(calls) == 111
     assert [r.name for r in reports if not r.passed] == [report]
+
+
+@pytest.mark.parametrize("N", [1, 40, 41, 100, 300])
+def test_the_trace_check_on_c_in_cn_applies_e_once_per_batch(monkeypatch, N):
+    # C in C^N: N blocks of size 1, whose N diagonal units fill batches across blocks
+    spec = InclusionSpec([[1]] * N, [1])
+    calls = []
+    apply = SlotTable.apply
+
+    def counting_apply(self, blocks):
+        calls.append(len(blocks[0]))
+        return apply(self, blocks)
+
+    monkeypatch.setattr(SlotTable, "apply", counting_apply)
+    reports = {r.name: r for r in verify_trace_conditions(spec)}
+    assert reports["markov_preservation"].passed
+    size = spec.super_algebra.batch_size
+    assert len(calls) == -(-N // size) and sum(calls) == N

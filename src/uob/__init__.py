@@ -48,7 +48,6 @@ from .verify import (
     all_passed,
     verify_basis,
     verify_expectation_axioms,
-    verify_necessary_conditions,
     verify_orthonormality,
     verify_reconstruction,
     verify_trace_conditions,
@@ -95,7 +94,6 @@ __all__ = [
     "all_passed",
     "verify_basis",
     "verify_expectation_axioms",
-    "verify_necessary_conditions",
     "verify_orthonormality",
     "verify_reconstruction",
     "verify_trace_conditions",

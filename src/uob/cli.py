@@ -21,7 +21,7 @@ from .errors import InputError, NoKnownConstruction, UobError
 from .expectation import markov_expectation, mixed_unitary_channel
 from .inclusion import InclusionSpec, check_spectral_condition
 from .io import load_basis, load_spec, save_basis
-from .verify import all_passed, verify_basis
+from .verify import RECON_TOL, all_passed, verify_basis
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -136,24 +136,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The process's parser for the current ``UOB_TOL``; shared, so do not modify it."""
-    return _parser(os.environ.get("UOB_TOL", "1e-8"))
-
-
-# The argument parser is built once per process and per UOB_TOL value. A call
-# that names a command is parsed by that command's own parser (``_parse``),
-# into a fresh namespace, so no option carries over; any other call goes to
-# the top-level parser.
+# The argument parser is built once per process. A call that names a command
+# is parsed by that command's own parser (``_parse``), into a fresh namespace,
+# so no option carries over; any other call goes to the top-level parser.
 @functools.cache
-def _parser(tol_default: str) -> argparse.ArgumentParser:
-    # a string default: argparse converts it with type=_tolerance at parse
-    # time, so a bad UOB_TOL is reported like a bad --tol
+def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; shared, so do not modify it."""
     p = _Parser(prog="uob", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=_tolerance, default=tol_default)
+        sp.add_argument("--tol", type=_tolerance, default=RECON_TOL)
         sp.add_argument("--seed", type=_seed, default=0)
 
     sp = sub.add_parser("check", help="test the integer spectral condition")

@@ -1,7 +1,8 @@
 """Acceptance gate: eight end-to-end criteria, one printed pass/fail line each.
 
-Each criterion is a separate test with its tolerances pinned in the body, so a
-red line here means the corresponding guarantee of the package is broken.
+Each criterion is a separate test with its tolerances pinned, in the body or
+by the verify suite's named constants, so a red line here means the
+corresponding guarantee of the package is broken.
 """
 
 import json
@@ -34,7 +35,6 @@ from uob.tower import (
 from uob.verify import (
     all_passed,
     verify_basis,
-    verify_necessary_conditions,
     verify_orthonormality,
     verify_reconstruction,
     verify_unitary,
@@ -67,8 +67,8 @@ def _structural_ok(basis, E=None, seed=0):
     if E is None:
         E = markov_expectation(basis.spec)
     return (
-        verify_unitary(basis, 1e-9).passed
-        and verify_orthonormality(basis, E, 1e-9).passed
+        verify_unitary(basis).passed
+        and verify_orthonormality(basis, E).passed
         and verify_reconstruction(basis, E, 1e-8, seed=seed).passed
     )
 
@@ -153,8 +153,8 @@ def test_acceptance_5_basic_construction():
         ok = ok and (total - bc.gns_algebra.identity()).norm_inf() <= 1e-8
         b1 = basic_construction_basis(bc, b0)
         sampler = generated_algebra_sampler(bc)
-        ok = ok and verify_unitary(b1, 1e-9).passed
-        ok = ok and verify_orthonormality(b1, E1, 1e-9).passed
+        ok = ok and verify_unitary(b1).passed
+        ok = ok and verify_orthonormality(b1, E1).passed
         ok = ok and verify_reconstruction(b1, E1, 1e-8, seed=5, sampler=sampler).passed
         # entropy line: ln d = ln ||A||^2
         report = check_spectral_condition(spec)
@@ -168,14 +168,14 @@ def test_acceptance_6_necessary_conditions_and_defects():
         weyl_basis(catalog_spec("c2_in_m4")),
         full_matrix_sub_basis(catalog_spec("m2_in_m2_plus_m4")),
     ]
-    ok = all(all_passed(verify_necessary_conditions(b)) for b in good)
+    ok = all(all_passed(verify_basis(b)) for b in good)
 
     b = good[0]
     duplicate = UnitaryBasis.from_elements(b.spec, (b.elements[0],) + b.elements[:-1], "defect")
-    ok = ok and not all_passed(verify_necessary_conditions(duplicate))
+    ok = ok and not all_passed(verify_basis(duplicate))
 
     short = UnitaryBasis.from_elements(b.spec, b.elements[:-1], "defect")
-    ok = ok and not all_passed(verify_necessary_conditions(short))
+    ok = ok and not all_passed(verify_basis(short))
 
     from uob.algebra import TracialState
     from uob.expectation import conditional_expectation
@@ -185,7 +185,7 @@ def test_acceptance_6_necessary_conditions_and_defects():
     E_bad = conditional_expectation(spec, wrong_phi)
     # rejected on the stacked path and on the per-element path
     for expectation in (E_bad, lambda X: E_bad(X)):
-        bad_reports = verify_necessary_conditions(full_matrix_sub_basis(spec), E=expectation)
+        bad_reports = verify_basis(full_matrix_sub_basis(spec), E=expectation)
         ok = ok and not all_passed(bad_reports)
     _line(6, "necessary conditions pass on bases, fail on defects", ok)
 

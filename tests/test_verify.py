@@ -10,10 +10,14 @@ from uob.errors import NoExpectation
 from uob.expectation import SlotTable, conditional_expectation, markov_expectation
 from uob.inclusion import InclusionSpec
 from uob.verify import (
+    ORTHO_TOL,
+    POSITIVITY_FLOOR,
+    RECON_TOL,
+    TRACE_TOL,
+    UNITARY_TOL,
     all_passed,
     verify_basis,
     verify_expectation_axioms,
-    verify_necessary_conditions,
     verify_orthonormality,
     verify_reconstruction,
     verify_trace_conditions,
@@ -24,13 +28,54 @@ from uob.verify import (
 def test_good_bases_pass_everything():
     for b in (abelian_basis(catalog_spec("c_in_m1_plus_m2")), weyl_basis(catalog_spec("c2_in_m4"))):
         assert all_passed(verify_basis(b, seed=0))
-        assert all_passed(verify_necessary_conditions(b))
+
+
+def test_each_check_reports_its_pinned_tolerance():
+    # only reconstruction takes a tolerance from its caller; no other check can be loosened
+    b = abelian_basis(catalog_spec("c_in_m1_plus_m2"))
+    pinned = {
+        "unitary": UNITARY_TOL,
+        "orthonormality": ORTHO_TOL,
+        "reconstruction": RECON_TOL,
+        "integer_eigenvector": 0.5,
+        "markov_preservation": TRACE_TOL,
+        "cardinality": 0.5,
+    }
+    assert {r.name: r.tolerance for r in verify_basis(b)} == pinned
+    loose = {r.name: r.tolerance for r in verify_basis(b, recon_tol=1e-3)}
+    assert loose == {**pinned, "reconstruction": 1e-3}
+    E = markov_expectation(b.spec)
+    assert {r.name: r.tolerance for r in verify_expectation_axioms(E, E.phi)} == {
+        "idempotence": ORTHO_TOL,
+        "unitality": ORTHO_TOL,
+        "positivity": -POSITIVITY_FLOOR,
+        "trace_preservation": TRACE_TOL,
+        "bimodule": ORTHO_TOL,
+    }
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verify_unitary, verify_orthonormality, verify_trace_conditions, verify_expectation_axioms],
+    ids=lambda check: check.__name__,
+)
+def test_a_pinned_check_takes_no_tolerance(check):
+    b = abelian_basis(catalog_spec("c_in_m1_plus_m2"))
+    E = markov_expectation(b.spec)
+    args = {
+        verify_unitary: (b,),
+        verify_orthonormality: (b, E),
+        verify_trace_conditions: (b.spec, E),
+        verify_expectation_axioms: (E, E.phi),
+    }[check]
+    with pytest.raises(TypeError, match="tol"):
+        check(*args, tol=1.0)
 
 
 def test_defect_duplicate_element():
     b = abelian_basis(catalog_spec("c_in_m2"))
     bad = UnitaryBasis.from_elements(b.spec, (b.elements[0],) + b.elements[:-1], "defect")
-    reports = verify_necessary_conditions(bad)
+    reports = verify_basis(bad)
     failed = {r.name for r in reports if not r.passed}
     assert "orthonormality" in failed
 
@@ -38,7 +83,7 @@ def test_defect_duplicate_element():
 def test_defect_wrong_cardinality():
     b = abelian_basis(catalog_spec("c_in_m3"))
     bad = UnitaryBasis.from_elements(b.spec, b.elements[:-2], "defect")
-    reports = verify_necessary_conditions(bad)
+    reports = verify_basis(bad)
     failed = {r.name for r in reports if not r.passed}
     assert "cardinality" in failed
     # too few elements also break reconstruction
@@ -152,7 +197,7 @@ def test_empty_basis_fails_without_crashing():
     for r in reports:
         if r.name in ("unitary", "orthonormality", "reconstruction", "cardinality"):
             assert not r.passed, r.name
-    assert not all_passed(verify_necessary_conditions(empty))
+    assert not all_passed(reports)
 
 
 def test_an_empty_test_family_fails_reconstruction():
@@ -182,8 +227,6 @@ def test_spec_less_basis_without_expectation_is_a_uob_error():
     bare = UnitaryBasis(None, b.stacks, "bare")
     with pytest.raises(NoExpectation):
         verify_basis(bare)
-    with pytest.raises(NoExpectation):
-        verify_necessary_conditions(bare)
 
 
 # E is called 30 times for idempotence (E(X), E(E(X)), E(X) per draw), once

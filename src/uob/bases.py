@@ -28,9 +28,7 @@ from .errors import (
 from .inclusion import InclusionSpec, embed_batch, spectral_d
 
 METHODS = ("auto", "abelian", "weyl", "tensor", "full_matrix_sub", "full_matrix_super", "basic")
-# largest deviation of sum_k U_k e_1 U_k* from the identity a basic-construction
-# basis may show
-PARTITION_TOL = 1e-8
+PARTITION_TOL = 1e-8  # the largest |sum_k U_k e_1 U_k* - I| that ``twisted_stack`` accepts
 
 
 @dataclass(frozen=True)
@@ -298,31 +296,45 @@ def full_matrix_sub_basis(spec: InclusionSpec) -> UnitaryBasis:
     return _split_full_matrix(spec, spec.sub_dims[0], "full_matrix_sub")
 
 
+def twisted_stack(spec: InclusionSpec, b: UnitaryBasis) -> np.ndarray:
+    """W_j = sum_k epsilon(jk/d) U_k e_1 U_k* for a basis {U_k} of ``spec``: one
+    (d, D, D) stack on the GNS space of A, D = sum n_i^2, in closed form.
+
+    e_1 projects onto the orthogonal GNS vectors xi(u) of B's embedded units
+    (xi as in ``uob.tower.BasicConstruction.coeff``), |xi(u)|^2 = (A^t n)_j / D
+    = d m_j / D in sub block j.  So U_k e_1 U_k* = sum_u v v*, v = xi(U_k u) /
+    |xi(u)|: column s + c of U_k u is column s + a of U_k for unit (a, c) of sub
+    block j at each copy start s.  The v are the D columns of one V, W_j =
+    V diag(epsilon(jk/d)) V*, and a W_0 farther than ``PARTITION_TOL`` from the
+    identity, or not finite, raises ``PartitionOfUnityFailed``.
+    """
+    n, m, d, D = spec.super_dims, spec.sub_dims, b.d, spec.super_algebra.vector_dim
+    if [U.shape[2] for U in b.stacks] != [*n]:
+        raise AlgebraMismatch("basis does not belong to the spec's super-algebra")
+    first = [sum(x * x for x in m[:j]) for j in range(len(m) + 1)]  # unit (j, a, c) is first[j] + a m_j + c
+    Y = [np.zeros((d, first[-1], x, x), dtype=complex) for x in n]  # block i of v by k, unit, column, row
+    for i, j, t, s in spec.copies:
+        if t == 0:  # copy t of sub block j in block i starts at s + t m_j
+            mj, end, f = m[j], s + spec.a(i, j) * m[j], math.sqrt(n[i] / (d * m[j]))
+            X = (f * b.stacks[i][:, :, s:end]).reshape(d, n[i], -1, mj).transpose(0, 3, 2, 1)
+            for c in range(mj):  # X by k, a, t, row: f times column s + t m_j + a of U_k
+                Y[i][:, first[j] + c : first[j + 1] : mj, s + c : end : mj] = X
+    V = np.concatenate([y.reshape(d * first[-1], -1) for y in Y], axis=1).T  # column (k, unit) is v
+    W = (V * roots(d)[np.arange(d)[:, None] * np.arange(d).repeat(first[-1]) % d][:, None, :]) @ V.conj().T
+    if not (d and np.abs(W[0] - np.eye(D)).max() <= PARTITION_TOL):
+        raise PartitionOfUnityFailed("sum of U e1 U* deviates from the identity")
+    return W
+
+
 def basic_model_basis(sub_dims) -> UnitaryBasis:
     """Basis for ((+)_j M_{m_j} in M_D), D = sum_j m_j^2: the basic construction of C in B.
 
-    The twisted basis W_j = sum_k epsilon(jk/d) U_k e_1 U_k* of the abelian
-    basis {U_k} of C in B, d = D, in closed form.  On the GNS space L^2(B) of
-    the Markov trace, e_1 projects onto the GNS vector of 1, so U_k e_1 U_k*
-    is v_k v_k* with v_k the GNS vector of U_k: block i of v_k is
-    sqrt(m_i / D) U_k,i read column by column, as in
-    ``uob.tower.BasicConstruction.coeff``.  No model of A_1 is formed; the
-    tower's ``basic_construction_basis`` is the reference it is tested against.
-    """
+    ``twisted_stack`` of the abelian basis of C in B, d = D: with sub-algebra C,
+    U_k e_1 U_k* = v_k v_k* for v_k the GNS vector of U_k.  No GNS model is
+    formed; ``uob.tower``'s per-element product is its test reference."""
     spec0 = InclusionSpec([[m] for m in sub_dims], [1])
-    D = spec0.super_algebra.vector_dim
-    refuse_over_budget(D**3, "a basis")
-    b0 = abelian_basis(spec0)
-    # column k of V is v_k
-    V = np.concatenate(
-        [np.sqrt(n / D) * U.swapaxes(1, 2).reshape(D, n * n) for n, U in zip(spec0.super_dims, b0.stacks)],
-        axis=1,
-    ).T
-    j = np.arange(D)
-    W = (V * roots(D)[np.outer(j, j) % D][:, None, :]) @ V.conj().T
-    # W_0 = sum_k v_k v_k* = sum_k U_k e_1 U_k*
-    if not np.abs(W[0] - np.eye(D)).max() <= PARTITION_TOL:
-        raise PartitionOfUnityFailed("sum of U e1 U* deviates from the identity")
+    refuse_over_budget(spec0.super_algebra.vector_dim**3, "a basis")
+    W = twisted_stack(spec0, abelian_basis(spec0))
     return UnitaryBasis(spec0.transpose(), (W,), "basic_construction")
 
 

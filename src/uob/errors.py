@@ -76,5 +76,5 @@ class TooLarge(UobError):
 
 
 class NoExpectation(UobError):
-    """A check needs the inclusion spec that the basis does not carry: to build E
-    when none is given, or for the trace conditions."""
+    """``verify_basis`` was given a basis without an inclusion spec: it has no
+    Markov E, trace conditions or cardinality to certify against."""

@@ -212,9 +212,10 @@ class _GramProjector:
     Compiled once: the family is flattened into the rows of one (k, N) array
     S, N = sum n_i^2, and phi's inner product becomes the per-entry weight w
     (p_i / weight on every entry of block i), so <X, Y> = sum conj(x) w y and
-    the Gram matrix is G = conj(S) diag(w) S^T.  The projector keeps
-    P = G^-1 conj(S) diag(w), a (k, N) array, and S on its support only: the
-    columns where some member of the family is nonzero.  So a call is two
+    the Gram matrix is G = conj(S) diag(w) S^T.  The projector keeps S on its
+    support only (the columns where some member is nonzero), drops the dense
+    S, and forms G and P = G^-1 conj(S) diag(w) on the support, P a (k, N)
+    array zero off it.  So a call is two
     matrix-vector products, the coefficients c = P x over all N entries and
     then c S over the support only, scattered into zeros.  Each kept entry is
     the length-k dot product of the dense c S; BLAS may sum it in another
@@ -227,16 +228,17 @@ class _GramProjector:
     def __init__(self, phi: TracialState, basis):
         self.algebra = phi.algebra
         S = _rows(basis, self.algebra.vector_dim)
-        sizes = [n * n for n in self.algebra.blocks]
-        w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)
-        T = S * w
-        G = np.conj(T, out=T) @ S.T
         self._support = np.flatnonzero(S.any(axis=0))
         self._S = S.take(self._support, axis=1)  # C-ordered like S, so c @ S takes the same BLAS kernel
-        del S  # so the dense S, T and P are never all alive at once
+        del S  # so the family and P are never alive at once
+        sizes = [n * n for n in self.algebra.blocks]
+        w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)[self._support]
+        T = self._S * w
+        G = np.conj(T, out=T) @ self._S.T
         if np.linalg.cond(G) > GRAM_COND_LIMIT:
             raise SingularGram("projection basis is numerically degenerate")
-        self._P = np.linalg.inv(G) @ T
+        self._P = np.zeros((len(G), self.algebra.vector_dim), dtype=complex)
+        self._P[:, self._support] = np.linalg.inv(G) @ T
         ends = np.cumsum(sizes)
         self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
 

@@ -1,11 +1,12 @@
-"""Concrete Jones basic construction on L^2(A, tau) and its twisted bases.
+"""Concrete Jones basic construction on L^2(A, tau): E_1, e_1, Jones check, sampler.
 
 A_1 = <A, e_1> is represented by operators on the GNS space of the Markov
 trace: left multiplication becomes a unital *-homomorphism into M_D with
 D = sum n_i^2, and e_1 is the orthogonal projection onto the copy of the
 sub-algebra.  The GNS basis is ordered per super block by (column, row), so
 left multiplication restricted to block i is I_{n_i} (x) X_i: the embedding
-``gns_spec`` of A in M_D, the row (n_0 ... n_{s-1}) with sub dims n.
+``gns_spec`` of A in M_D, the row (n_0 ... n_{s-1}) with sub dims n.  Its
+twisted bases are the closed form ``uob.bases.twisted_stack``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_over_budget, roots
-from .bases import PARTITION_TOL, UnitaryBasis
-from .errors import AlgebraMismatch, InvariantViolated, PartitionOfUnityFailed, SpectralConditionFailed
+from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_over_budget
+from .bases import UnitaryBasis, twisted_stack
+from .errors import AlgebraMismatch, InvariantViolated, SpectralConditionFailed
 from .expectation import _GramProjector, markov_expectation
 from .inclusion import InclusionSpec, embed, embed_batch, spectral_d
 
@@ -175,21 +176,8 @@ def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):
 
 
 def basic_construction_basis(bc: BasicConstruction, b: UnitaryBasis) -> UnitaryBasis:
-    """Fourier-twisted basis W_j = sum_k epsilon(jk/d) U_k e1 U_k* for (A in A_1, E_1)."""
-    e1, size = bc.e1, bc.gns_algebra.batch_size
-    terms = np.empty((b.d, bc.gns_dim, bc.gns_dim), dtype=complex)
-    for lo in range(0, b.d, size):
-        L = bc.left_reps([Ws[lo : lo + size] for Ws in b.stacks])
-        terms[lo : lo + size] = L @ e1 @ L.conj().swapaxes(-1, -2)
-    if np.abs(terms.sum(axis=0) - np.eye(bc.gns_dim)).max() > PARTITION_TOL:
-        raise PartitionOfUnityFailed("sum of U e1 U* deviates from the identity")
-    j = np.arange(b.d)
-    twisted = np.tensordot(roots(b.d)[np.outer(j, j) % b.d], terms, axes=1)
-
-    # When B = C the model A_1 = M_D carries the canonical transpose spec; its
-    # one super block is sum_i a_i n_i = sum_i n_i^2 = gns_dim, as n_i = a_i.
-    out_spec = None
-    if bc.spec.r == 1 and bc.spec.sub_dims == (1,):
-        out_spec = bc.spec.transpose()
-    return UnitaryBasis(out_spec, (twisted,), "basic_construction")
-
+    """Fourier-twisted basis W_j = sum_k epsilon(jk/d) U_k e1 U_k* for (A in A_1, E_1),
+    ``uob.bases.twisted_stack`` of a basis ``b`` of ``bc.spec``.  For B = C, A_1 = M_D
+    carries the transpose spec: its one block is sum_i a_i n_i = sum_i n_i^2 = gns_dim."""
+    spec = bc.spec.transpose() if bc.spec.sub_dims == (1,) else None
+    return UnitaryBasis(spec, (twisted_stack(bc.spec, b),), "basic_construction")

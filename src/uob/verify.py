@@ -334,22 +334,20 @@ def verify_basis(
 
     ``recon_tol`` moves the reconstruction tolerance; every other check keeps
     its pinned constant.  NaN or infinite entries give non-finite residuals, which fail; numpy's
-    warnings about them are silenced here.
+    warnings about them are silenced here.  A basis without a spec, which has
+    no trace conditions and needs its own test family, raises ``NoExpectation``.
     """
-    if E is None:
-        if basis.spec is None:
-            raise NoExpectation("no expectation given and the basis carries no spec")
-        E = markov_expectation(basis.spec)
+    if basis.spec is None:
+        raise NoExpectation("a basis without a spec gets no certificate: use verify_unitary, "
+                            "verify_orthonormality and verify_reconstruction(sampler=)")
+    E = markov_expectation(basis.spec) if E is None else E
     with np.errstate(invalid="ignore", over="ignore"):
         reports = [
             verify_unitary(basis),
             verify_orthonormality(basis, E),
             verify_reconstruction(basis, E, tol=recon_tol, seed=seed),
         ]
-    if basis.spec is not None:
-        reports.extend(verify_trace_conditions(basis.spec, E))
-        reports.append(_cardinality_report(basis.spec, basis))
-    return reports
+    return reports + verify_trace_conditions(basis.spec, E) + [_cardinality_report(basis.spec, basis)]
 
 
 def all_passed(reports) -> bool:

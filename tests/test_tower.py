@@ -11,6 +11,7 @@ import pytest
 from uob.bases import (
     UnitaryBasis,
     _to_layout,
+    METHODS,
     abelian_basis,
     basic_model_basis,
     construct,
@@ -23,9 +24,11 @@ from uob.algebra import MultiMatrixAlgebra, roots
 from uob.errors import (
     AlgebraMismatch,
     InvariantViolated,
+    PartitionOfUnityFailed,
     SingularGram,
     SpectralConditionFailed,
     TooLarge,
+    UobError,
 )
 from uob.expectation import _GramProjector, _rows, markov_expectation, mixed_unitary_channel, slot_table
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
@@ -203,10 +206,10 @@ def test_basic_model_basis_carries_canonical_spec():
 def test_closed_form_basic_model_basis_equals_the_gns_model(sub_dims):
     # the closed form v_k v_k* against U_k e1 U_k* on the GNS model of C in B
     spec0 = InclusionSpec.from_matrix([[m] for m in sub_dims], [1])
-    ref = basic_construction_basis(build_basic_construction(spec0), abelian_basis(spec0))
+    ref = _per_element_twist(build_basic_construction(spec0), abelian_basis(spec0))
     b = basic_model_basis(sub_dims)
-    assert (b.spec, b.provenance) == (ref.spec, ref.provenance)
-    assert np.abs(b.stacks[0] - ref.stacks[0]).max() <= 1e-15
+    assert (b.spec, b.provenance) == (spec0.transpose(), "basic_construction")
+    assert np.abs(b.stacks[0] - ref).max() <= 1e-15
     assert all_passed(verify_basis(b, seed=2))
 
 
@@ -605,7 +608,8 @@ def test_stacked_left_rep_equals_the_per_operand_one(name):
 
 
 def _per_element_twist(bc, b0):
-    """The twisted basis stack as the loop the chunked, batched products replaced."""
+    """The twisted basis stack from U_k e1 U_k* formed element by element on the
+    GNS model: the reference for the closed form ``uob.bases.twisted_stack``."""
     terms = np.empty((b0.d, bc.gns_dim, bc.gns_dim), dtype=complex)
     for k, U in enumerate(b0.elements):
         L = bc.left_rep(U).data[0]
@@ -616,10 +620,37 @@ def _per_element_twist(bc, b0):
 
 @pytest.mark.parametrize("name", STACKED)
 def test_basic_construction_basis_equals_the_per_element_loop(name):
+    # the closed form against U_k e1 U_k* on the GNS model, for every basis
+    # of the spec that ``construct`` builds, B = C or not
     spec = STACKED[name]
     bc = build_basic_construction(spec)
-    b0 = construct(spec, "auto")
-    assert np.array_equal(basic_construction_basis(bc, b0).stacks[0], _per_element_twist(bc, b0))
+    built = []
+    for method in METHODS:
+        try:
+            b0 = construct(spec, method)
+        except UobError:
+            continue
+        built.append(method)
+        got = basic_construction_basis(bc, b0).stacks[0]
+        assert np.abs(got - _per_element_twist(bc, b0)).max() <= 1e-15, (name, method)
+    assert "auto" in built
+
+
+def test_a_nan_in_the_basis_fails_the_partition_of_unity():
+    # W_0 = sum_k U_k e1 U_k* carries the NaN, and the check refuses it
+    spec = catalog_spec("c_in_m2")
+    b0 = abelian_basis(spec)
+    W = b0.stacks[0].copy()
+    W[1, 0, 1] = np.nan
+    with pytest.raises(PartitionOfUnityFailed):
+        basic_construction_basis(build_basic_construction(spec), UnitaryBasis(spec, (W,), "nan"))
+
+
+def test_a_basis_of_another_algebra_is_refused():
+    bc = build_basic_construction(catalog_spec("c_in_m1_plus_m2"))
+    for spec in (catalog_spec("c_in_m2"), catalog_spec("c_in_m5")):
+        with pytest.raises(AlgebraMismatch):
+            basic_construction_basis(bc, abelian_basis(spec))
 
 
 def _per_unit_residuals(bc):
@@ -671,9 +702,10 @@ def _traced_peak(fn):
 
 
 def test_chunked_products_keep_the_peak_of_the_per_element_loops():
-    # C in M_10, D = 100: stacking every unit or element at once would hold
-    # D^3 entries per array; the chunks keep the peak at the loops' own, which
-    # the twisted basis and its terms dominate (2 d D^2 entries)
+    # C in M_10, D = 100: stacking every unit at once would hold D^3 entries
+    # per array; the validation's chunks and the closed form keep the peak at
+    # the loops' own, which the twisted basis and its terms dominate (2 d D^2
+    # entries: the phased copy of V and W)
     spec = InclusionSpec.from_matrix([[10]], [1])
     b0 = abelian_basis(spec)
     build_basic_construction(spec)  # warm the caches outside the traced runs
@@ -703,3 +735,31 @@ def test_the_projector_reads_its_family_once_without_a_second_copy():
     assert peak <= 1.5 * rows[0].nbytes
     ref = np.stack([X.data[0].ravel() for X in family()])
     assert rows[0].view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+
+def test_the_projector_is_built_on_its_support_within_one_and_a_half_families():
+    # C in M_10, D = 100: the family is 16 MB and its support a tenth of it.
+    # Dropping the dense family before P is formed keeps S, conj(S) diag(w)
+    # and P from being dense together, which would peak at 34.0 MB (2.13x)
+    bc = build_basic_construction(InclusionSpec.from_matrix([[10]], [1]))
+    family = lambda: (bc.gns_algebra.operator([L]) for L in bc.unit_reps())
+    list(family())  # warm the caches outside the traced run
+    built = []
+    peak = _traced_peak(lambda: built.append(_GramProjector(bc.tr1_state, family())))
+    S = _rows(family(), bc.gns_dim**2)
+    assert peak <= 1.5 * S.nbytes
+    assert built[0]._P.shape == S.shape and not built[0]._P[:, ~S.any(axis=0)].any()
+
+
+@pytest.mark.parametrize("name", ["c_in_m10", *BENCH_TOWER])
+def test_the_projector_on_its_support_is_the_dense_one(name):
+    # against G^-1 conj(S) diag(w) with every column formed: G is diagonal, as
+    # the units' supports are disjoint, and each entry sums n_i weights 1 / D,
+    # which BLAS may add in another order for D^2 columns than for the
+    # support's; with OpenBLAS that is one ulp on C in M_10, none on the rest
+    spec = InclusionSpec.from_matrix([[10]], [1]) if name == "c_in_m10" else ALL_TOWER[name]
+    bc = build_basic_construction(spec)
+    S = _rows((bc.gns_algebra.operator([L]) for L in bc.unit_reps()), bc.gns_dim**2)
+    T = np.conj(S) * (1 / bc.gns_dim)
+    P = np.linalg.inv(T @ S.T) @ T
+    assert (np.abs(bc._proj._P - P) <= 2 * np.spacing(np.abs(P))).all()

@@ -1,5 +1,7 @@
 """The verify suite must accept genuine bases and reject injected defects."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from uob.catalog import catalog_spec
 from uob.errors import NoExpectation
 from uob.expectation import SlotTable, conditional_expectation, markov_expectation
 from uob.inclusion import InclusionSpec
+from uob.tower import basic_construction_basis, build_basic_construction, dual_expectation
 from uob.verify import (
     ORTHO_TOL,
     POSITIVITY_FLOOR,
@@ -227,6 +230,31 @@ def test_spec_less_basis_without_expectation_is_a_uob_error():
     bare = UnitaryBasis(None, b.stacks, "bare")
     with pytest.raises(NoExpectation):
         verify_basis(bare)
+
+
+def _spec_less_cases():
+    """(name, basis, E): the tower's spec-less bases with their dual
+    expectation, and a spec-less copy of an abelian basis with its Markov E."""
+    for A, m in (([[1, 1], [1, 1]], [1, 1]), ([[1, 1, 1]], [1, 1, 1])):
+        spec = InclusionSpec(A, m)
+        bc = build_basic_construction(spec)
+        b1 = basic_construction_basis(bc, abelian_basis(spec))
+        yield f"tower {A}", b1, functools.partial(dual_expectation, bc)
+    b = abelian_basis(catalog_spec("c_in_m5"))
+    yield "bare c_in_m5", UnitaryBasis(None, b.stacks, "bare"), markov_expectation(b.spec)
+
+
+@pytest.mark.parametrize("case", list(_spec_less_cases()), ids=lambda c: c[0])
+def test_a_spec_less_basis_is_refused_also_with_an_expectation(case):
+    # the ambient matrix units a tower basis would be tested on lie outside
+    # A_1, and a bare basis has no trace or cardinality check: no certificate
+    # is given, and the message names the three checks that do apply
+    _, basis, E = case
+    assert basis.spec is None
+    with pytest.raises(NoExpectation) as err:
+        verify_basis(basis, E, seed=0)
+    for check in ("verify_unitary", "verify_orthonormality", "verify_reconstruction(sampler=)"):
+        assert check in str(err.value)
 
 
 # E is called 30 times for idempotence (E(X), E(E(X)), E(X) per draw), once

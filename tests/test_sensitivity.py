@@ -1,0 +1,184 @@
+"""A sensitivity gauge for the verifier: equivalence moves pass, small defects fail.
+
+A unitary orthonormal basis of B in A stays one under W_k -> u W_sigma(k) b_k,
+for u a unitary of A, b_k unitaries of B (embedded) and sigma a permutation,
+since E is B-bimodular: E(b_j* W_j* u* u W_k b_k) = b_j* E(W_j* W_k) b_k.
+Those moves must pass every check, with every residual at most 1e-13.  Two
+defects ten times the pinned tolerances must fail: W_0 -> W_0 exp(i delta H),
+with H a seeded Hermitian element of A of norm 1 not in B, keeps W_0 unitary
+and must fail orthonormality; one seeded entry moved by delta must fail
+unitarity.
+
+The catalog bases run under their compiled Markov E; the benchmark's tower
+bases (A in A_1) run on the generic path, against the dual expectation and
+the generated-algebra sampler, with A_1 in the role of A and left_rep(A) in
+that of B.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from uob.bases import UnitaryBasis, construct
+from uob.catalog import catalog_names, catalog_spec
+from uob.errors import UobError
+from uob.expectation import markov_expectation
+from uob.inclusion import InclusionSpec, embed_batch
+from uob.tower import basic_construction_basis, build_basic_construction, dual_expectation, generated_algebra_sampler
+from uob.verify import (
+    verify_basis,
+    verify_orthonormality,
+    verify_reconstruction,
+    verify_unitary,
+)
+
+MOVE_TOL = 1e-13
+# ten times the pinned ORTHO_TOL and UNITARY_TOL (1e-9), written out, so that a
+# loosened tolerance fails the gauge instead of moving the defects with it
+ROTATION = 1e-8
+ENTRY_MOVE = 1e-8
+
+# the inclusions whose basic construction the benchmark's tower workload builds
+TOWER = {
+    "c_in_m5": ([[5]], [1]),
+    "c_in_m2_plus_m3": ([[2], [3]], [1]),
+    "c_in_m1_m1_m2": ([[1], [1], [2]], [1]),
+    "c2_in_m2_plus_m2": ([[1, 1], [1, 1]], [1, 1]),
+    "c3_in_m3": ([[1, 1, 1]], [1, 1, 1]),
+}
+
+
+def _catalog_cases():
+    for name in catalog_names():
+        try:
+            yield name, construct(catalog_spec(name), "auto")
+        except UobError:
+            pass
+
+
+CATALOG = dict(_catalog_cases())
+
+
+def _unitaries(blocks, rng, count):
+    """``count`` random unitaries of the algebra with these blocks, as one
+    (count, n, n) stack per block: the Q of a complex Gaussian's QR."""
+    return [
+        np.linalg.qr(rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))[0]
+        for n in blocks
+    ]
+
+
+def _unit_norm_hermitian(X):
+    """The Hermitian part of the block stacks X, scaled to operator norm 1."""
+    H = [(x + x.conj().swapaxes(-1, -2)) / 2 for x in X]
+    return [h / max(np.abs(np.linalg.eigvalsh(h)).max() for h in H) for h in H]
+
+
+def _moved(basis, u, b, sigma):
+    """W_k -> u W_sigma(k) b_k on every block: u one unitary, b a stack of d."""
+    stacks = tuple(ui @ Ws[sigma] @ bi for ui, Ws, bi in zip(u, basis.stacks, b))
+    return UnitaryBasis(basis.spec, stacks, "moved")
+
+
+def _rotated(basis, H, delta):
+    """W_0 -> W_0 exp(i delta H), exp taken blockwise through H's eigenvectors."""
+    stacks = [Ws.copy() for Ws in basis.stacks]
+    for Ws, h in zip(stacks, H):
+        lam, V = np.linalg.eigh(h)
+        Ws[0] = Ws[0] @ (V * np.exp(1j * delta * lam)) @ V.conj().T
+    return UnitaryBasis(basis.spec, tuple(stacks), "rotated")
+
+
+def _entry_moved(basis, rng, delta):
+    """One seeded entry w moved by delta, radially (by delta when w = 0)."""
+    stacks = [Ws.copy() for Ws in basis.stacks]
+    i = int(rng.integers(len(stacks)))
+    j, a, c = (int(rng.integers(k)) for k in stacks[i].shape)
+    w = stacks[i][j, a, c]
+    stacks[i][j, a, c] = w + delta * (w / abs(w) if w else 1)
+    return UnitaryBasis(basis.spec, tuple(stacks), "entry")
+
+
+def _catalog_moves(spec, d, rng):
+    """u in U(A), b_k in U(B) embedded, sigma: the equivalence move's parts."""
+    u = [U[0] for U in _unitaries(spec.super_dims, rng, 1)]
+    b = embed_batch(spec, _unitaries(spec.sub_dims, rng, d))
+    return u, b, rng.permutation(d)
+
+
+def _tower(name):
+    bc = build_basic_construction(InclusionSpec.from_matrix(*TOWER[name]))
+    b1 = basic_construction_basis(bc, construct(bc.spec, "auto"))
+    return bc, b1, functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+
+
+def _tower_unitary(bc, rng):
+    """A unitary of A_1 = <L(A), e1>: L(v) times I + (z - 1) e1, |z| = 1."""
+    v = bc.left_reps(_unitaries(bc.spec.super_dims, rng, 1))[0]
+    z = np.exp(2j * np.pi * rng.random())
+    return v @ (np.eye(bc.gns_dim) + (z - 1) * bc.e1)
+
+
+def _tower_hermitian(bc, b1, rng):
+    """A Hermitian element of A_1 of norm 1, off L(A): the Hermitian part of
+    W_s L(v) for a seeded s != 0 and a random unitary v of A.  It lies along
+    one basis direction, so its rotation moves some E(W_0* W_k) by order
+    delta; a fully random H of norm 1 spreads over all d directions of M_D,
+    and on C in M_5 (D = 25) moves the residual by only 0.05 delta."""
+    s = int(rng.integers(1, b1.d))
+    v = bc.left_reps(_unitaries(bc.spec.super_dims, rng, 1))[0]
+    return _unit_norm_hermitian([b1.stacks[0][s] @ v])
+
+
+def _tower_reports(b, E, sampler, seed):
+    return [
+        verify_unitary(b),
+        verify_orthonormality(b, E),
+        verify_reconstruction(b, E, seed=seed, sampler=sampler),
+    ]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_equivalence_moves_pass(name):
+    basis = CATALOG[name]
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        moved = _moved(basis, *_catalog_moves(basis.spec, basis.d, rng))
+        for r in verify_basis(moved, seed=2):
+            assert r.passed and r.residual <= MOVE_TOL, (name, r)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_small_defects_fail(name):
+    basis = CATALOG[name]
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        H = _unit_norm_hermitian(basis.algebra.random(rng).data)
+        rotated = _rotated(basis, H, ROTATION)
+        assert verify_unitary(rotated).passed, name
+        assert not verify_orthonormality(rotated, markov_expectation(basis.spec)).passed, name
+        assert not verify_unitary(_entry_moved(basis, rng, ENTRY_MOVE)).passed, name
+
+
+@pytest.mark.parametrize("name", TOWER)
+def test_tower_equivalence_moves_pass_on_the_generic_path(name):
+    bc, b1, E, sampler = _tower(name)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        u = [_tower_unitary(bc, rng)]
+        b = [bc.left_reps(_unitaries(bc.spec.super_dims, rng, b1.d))]
+        moved = _moved(b1, u, b, rng.permutation(b1.d))
+        for r in _tower_reports(moved, E, sampler, seed=5):
+            assert r.passed and r.residual <= MOVE_TOL, (name, r)
+
+
+@pytest.mark.parametrize("name", TOWER)
+def test_tower_small_defects_fail_on_the_generic_path(name):
+    bc, b1, E, _ = _tower(name)
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        rotated = _rotated(b1, _tower_hermitian(bc, b1, rng), ROTATION)
+        assert verify_unitary(rotated).passed, name
+        assert not verify_orthonormality(rotated, E).passed, name
+        assert not verify_unitary(_entry_moved(b1, rng, ENTRY_MOVE)).passed, name

@@ -107,6 +107,14 @@ class MultiMatrixAlgebra:
             acc += n
         return offs
 
+    def check_stacks(self, blocks) -> None:
+        """AlgebraMismatch unless ``blocks`` is a list of one (K, n_i, n_i)
+        stack per block of this algebra, all with one K."""
+        ok = isinstance(blocks, (list, tuple)) and len(blocks) == self.num_blocks
+        lead = getattr(blocks[0], "shape", ())[:1] if ok else ()
+        if not ok or any(getattr(b, "shape", None) != lead + (n, n) for b, n in zip(blocks, self.blocks)):
+            raise AlgebraMismatch("operand stacks do not belong to the algebra")
+
     def operator(self, data) -> "BlockOperator":
         return BlockOperator(self, tuple(np.asarray(d, dtype=complex) for d in data))
 

@@ -11,7 +11,7 @@ i, start, q_ij), read off ``spec.copies``) and returns it as a callable;
 Two other forms of the same map stay as independent references: the
 phi-orthogonal projection onto the span of a family such as the embedded
 matrix units of B (``_GramProjector(phi, family)``, compiled once and then
-called on each operand; the tower's dual expectation is one), and, when the
+applied to stacks of operands; the tower's dual expectation is one), and, when the
 preserved trace is the standard one, a mixed unitary channel.  Its unitaries
 are permutations of the copies (a cycle per sub block) times a phase per
 copy, read off ``spec.copies`` and kept as index arrays, so a conjugation is
@@ -68,7 +68,8 @@ class SlotTable:
 
 
 def conditional_expectation(spec: InclusionSpec, phi: TracialState):
-    """Callable E for the phi-preserving expectation onto B, in embedded form.
+    """Callable E for the phi-preserving expectation onto B, in embedded form,
+    on one ``BlockOperator`` or on a list of (K, n_i, n_i) block stacks.
 
     ``E.slots`` holds the compiled ``SlotTable``; the verify checks read it to
     work on whole basis stacks.  ``E.phi`` and ``E.spec`` are the arguments.
@@ -78,7 +79,12 @@ def conditional_expectation(spec: InclusionSpec, phi: TracialState):
         raise AlgebraMismatch("trace does not belong to the super-algebra")
     table = SlotTable.compile(spec, phi.trace_vector)
 
-    def E(X: BlockOperator) -> BlockOperator:
+    def E(X):
+        """E of one operator of the super-algebra, or of block stacks: a list
+        with one (K, n_i, n_i) stack per block, answered the same way."""
+        if not isinstance(X, BlockOperator):
+            sup.check_stacks(X)
+            return table.apply(X)
         if X.algebra != sup:
             raise AlgebraMismatch("operand does not belong to the super-algebra")
         return sup.operator(table.apply(X.data))
@@ -96,21 +102,6 @@ def slot_table(E, alg: MultiMatrixAlgebra) -> SlotTable | None:
     if table is not None and table.spec.super_dims != alg.blocks:
         raise AlgebraMismatch("expectation and basis live on different algebras")
     return table
-
-
-def apply_each(E, alg: MultiMatrixAlgebra, operands) -> list[np.ndarray]:
-    """E on (K, n_i, n_i) block stacks, one call per operand: out[i][c] is block
-    i of E(operand c).  An output that is not an operator of ``alg`` is
-    refused, so a block of the wrong size never lands (or broadcasts) in a stack.
-    """
-    out = [np.empty_like(p) for p in operands]
-    for c, blocks in enumerate(zip(*operands)):
-        Y = E(BlockOperator(alg, blocks))
-        if getattr(Y, "algebra", None) != alg:
-            raise AlgebraMismatch("expectation output does not belong to the basis's algebra")
-        for o, blk in zip(out, Y.data):
-            o[c] = blk
-    return out
 
 
 def markov_expectation(spec: InclusionSpec):
@@ -215,14 +206,19 @@ class _GramProjector:
     the Gram matrix is G = conj(S) diag(w) S^T.  The projector keeps S on its
     support only (the columns where some member is nonzero), drops the dense
     S, and forms G and P = G^-1 conj(S) diag(w) on the support, P a (k, N)
-    array zero off it.  So a call is two
-    matrix-vector products, the coefficients c = P x over all N entries and
-    then c S over the support only, scattered into zeros.  Each kept entry is
-    the length-k dot product of the dense c S; BLAS may sum it in another
-    order for another column count, but where each support column holds a
-    single 1, as for the tower's left multiplications, it is exact either
-    way.  P is zero off the support, so a NaN or Inf anywhere in x makes
-    every c non-finite, and with it the output on the support.
+    array zero off it.  ``apply`` takes a list of (K, n_i, n_i) block stacks
+    and answers with the same shapes; each operand x (a row of the stacked,
+    flattened blocks) gets two matrix-vector products, the coefficients
+    c = P x over all N entries and then c S over the support only, scattered
+    into zeros.  Both are stacked mat-vecs (``P @ x[..., None]``, then
+    ``c[..., None, :] @ S``), so every operand gets the bits it gets alone;
+    one (K, N) @ P^T product would sum in another order.  ``__call__`` is
+    ``apply`` on one ``BlockOperator``.  Each kept entry is the length-k dot
+    product of the dense c S; BLAS may sum it in another order for another
+    column count, but where each support column holds a single 1, as for the
+    tower's left multiplications, it is exact either way.  P is zero off the
+    support, so a NaN or Inf anywhere in x makes every c non-finite, and with
+    it the output on the support.
     """
 
     def __init__(self, phi: TracialState, basis):
@@ -242,14 +238,22 @@ class _GramProjector:
         ends = np.cumsum(sizes)
         self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
 
+    def apply(self, blocks) -> list[np.ndarray]:
+        """The projection of every operand of a batch: ``blocks[i]`` is a
+        (K, n_i, n_i) stack, and so is block i of the answer."""
+        self.algebra.check_stacks(blocks)
+        K = len(blocks[0])
+        x = np.concatenate([b.reshape(K, -1) for b in blocks], axis=1) if len(blocks) > 1 else blocks[0]
+        x = np.ascontiguousarray(x).reshape(K, -1, 1)  # contiguous, so matmul takes BLAS's gemv
+        c = (self._P @ x)[..., None, :, 0]
+        flat = np.zeros((K, self._P.shape[1]), dtype=complex)
+        flat[:, self._support] = (c @ self._S)[:, 0]
+        return [flat[:, lo:hi].reshape(K, n, n) for lo, hi, n in self._cuts]
+
     def __call__(self, X: BlockOperator) -> BlockOperator:
         if X.algebra != self.algebra:
             raise AlgebraMismatch("operand does not belong to the projector's algebra")
-        flat = np.zeros(self._P.shape[1], dtype=complex)
-        flat[self._support] = (self._P @ _flatten(X)) @ self._S
-        if len(self._cuts) == 1:
-            return BlockOperator(self.algebra, (flat.reshape(self._cuts[0][2], -1),))
-        return BlockOperator(self.algebra, tuple(flat[lo:hi].reshape(n, n) for lo, hi, n in self._cuts))
+        return BlockOperator(self.algebra, tuple(y[0] for y in self.apply([b[None] for b in X.data])))
 
 
 def _rows(family, N: int) -> np.ndarray:

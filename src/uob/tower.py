@@ -143,11 +143,13 @@ def _validation_residuals(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(jones), np.concatenate(trace)
 
 
-def dual_expectation(bc: BasicConstruction, X: BlockOperator) -> BlockOperator:
-    """tr1-preserving projection of a GNS-space operator onto left_rep(A)."""
+def dual_expectation(bc: BasicConstruction, X):
+    """tr1-preserving projection onto left_rep(A): of one GNS-space operator
+    (a ``BlockOperator`` or a (D, D) array), or of block stacks, a list with
+    one (K, D, D) stack, answered the same way."""
     if isinstance(X, np.ndarray):
         X = bc.gns_algebra.operator([X])
-    return bc._proj(X)
+    return bc._proj(X) if isinstance(X, BlockOperator) else bc._proj.apply(X)
 
 
 def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):

@@ -1,30 +1,33 @@
 """Independent numerical checks for bases, expectations, and the trace conditions.
 
-Every checker takes an expectation as a plain callable E mapping a block
-operator to a block operator of the same algebra (embedded form), so the
-same code verifies both multi-matrix inclusions and concrete
-basic-construction models.  All checks work on the basis's per-block
-(d, n_i, n_i) stacks; unitarity forms its products in chunks of each block's
-own size.  When E carries the compiled slot table of ``markov_expectation``,
-E itself is applied as matrix products over the stacks, and one sweep of the
-sub blocks gives every reconstruction residual.  Any other E (the tower's
-Gram projector, a plain callable) goes through one helper, ``_conjugated``:
-E(W_c* X) for every c, one call per operand through ``apply_each``.
-Orthonormality takes X = W_k for each k (d^2 calls), reconstruction each
-test operator (d calls each), and trace preservation calls E once per matrix
-unit.  No linearity of E is assumed on that path, the reference the compiled
-checks are tested against; a reconstruction check given its own test family
-(a ``sampler``) always takes it.  A compiled E preserves the trace on every
-off-diagonal matrix unit exactly (both traces are 0.0), so trace
-preservation runs it on the sum n_i diagonal units only.  A residual that is
-NaN or infinite fails.  Every check holds its residual to a pinned constant
-below; reconstruction alone takes a tolerance from its caller (``--tol``,
+Every check of a basis takes an expectation as a plain callable E on block
+stacks: a list with one (K, n_i, n_i) stack per block of the basis's
+algebra, answered with the same shapes (embedded form), so the same code
+verifies both multi-matrix inclusions and concrete basic-construction
+models; ``verify_expectation_axioms`` alone calls E on one block operator at
+a time.  All checks work on the basis's per-block (d, n_i, n_i) stacks;
+unitarity forms its products in chunks of each block's own size.  When E
+carries the compiled slot table of ``markov_expectation``, E itself is
+applied as matrix products over the stacks, and one sweep of the sub blocks
+gives every reconstruction residual.  Any other E (the tower's Gram
+projector, a plain callable) is called once per chunk of operands, and an
+answer that is not a list of stacks of the operands' shapes is an
+``AlgebraMismatch``.  One helper, ``_conjugated``, gives E(W_c* X) for every
+c in one call.  Orthonormality takes X = W_k for each k (d calls of d
+operands), reconstruction each test operator (one call of d operands each),
+and trace preservation calls E once per batch of matrix units.  No linearity
+of E is assumed on that path, the reference the compiled checks are tested
+against; a reconstruction check given its own test family (a ``sampler``)
+always takes it.  A compiled E preserves the trace on every off-diagonal
+matrix unit exactly (both traces are 0.0), so trace preservation runs it on
+the sum n_i diagonal units only.  A residual that is NaN or infinite fails.
+Every check holds its residual to a pinned constant below; reconstruction
+alone takes a tolerance from its caller (``--tol``,
 ``verify_basis(recon_tol=)``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +35,7 @@ import numpy as np
 from .algebra import CHUNK_ENTRIES, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
-from .expectation import apply_each, markov_expectation, slot_table
+from .expectation import markov_expectation, slot_table
 from .inclusion import InclusionSpec, _atn, spectral_d
 
 UNITARY_TOL = 1e-9
@@ -139,12 +142,22 @@ def _adjoints(basis: UnitaryBasis) -> list[np.ndarray]:
     return [H.reshape(-1, H.shape[-1]) for H in adj]
 
 
+def _expected(E, operands) -> list[np.ndarray]:
+    """E of a list of (K, n_i, n_i) block stacks, in one call.  An output that
+    is not a list of stacks of the operands' shapes is refused, so a block of
+    the wrong size never lands (or broadcasts) in a residual."""
+    out = E(operands)
+    shapes = [getattr(o, "shape", None) for o in out] if isinstance(out, (list, tuple)) else None
+    if shapes != [p.shape for p in operands]:
+        raise AlgebraMismatch("expectation output is not a list of stacks of the operands' shapes")
+    return out
+
+
 def _conjugated(E, basis: UnitaryBasis, adj, X) -> list[np.ndarray]:
-    """E(W_c* X) for every c, one E call per c through ``apply_each``: out[i][c]
-    is block i.  With ``adj`` the ``_adjoints`` and ``X`` the blocks of one
-    operator, all W_c* X of a block are one (d n, n) @ (n, n) product."""
-    operands = [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, basis.stacks, X)]
-    return apply_each(E, basis.algebra, operands)
+    """E(W_c* X) for every c, in one E call on d operands: out[i][c] is block
+    i.  With ``adj`` the ``_adjoints`` and ``X`` the blocks of one operator,
+    all W_c* X of a block are one (d n, n) @ (n, n) product."""
+    return _expected(E, [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, basis.stacks, X)])
 
 
 def verify_orthonormality(basis: UnitaryBasis, E) -> VerificationReport:
@@ -165,9 +178,9 @@ def verify_orthonormality(basis: UnitaryBasis, E) -> VerificationReport:
         adj, resid = _adjoints(basis), np.empty((d, d))
         for k in range(d):  # column k: E(W_j* W_k) for every j
             out = _conjugated(E, basis, adj, [Ws[k] for Ws in stacks])
-            for o in out:
-                o[k] -= np.eye(o.shape[-1])
-            resid[:, k] = np.max([_entry_max(o) for o in out], axis=0)
+            r = np.array([_entry_max(o) for o in out])  # E's output is read, never written
+            r[:, k] = [_entry_max(o[k] - np.eye(len(o[k]))) for o in out]
+            resid[:, k] = r.max(axis=0)
     return _worst("orthonormality", resid, ORTHO_TOL, lambda t: f"pair {divmod(t, d)}")
 
 
@@ -181,7 +194,7 @@ def verify_reconstruction(
     and no sampler, one ``_compiled_reconstruction`` sweep gives every
     residual, the random operators drawn in one generator call and streamed
     in batches of at most ``uob.algebra.CHUNK_ENTRIES`` entries.  Otherwise
-    each X takes one E call per W_c* X, and sum_c W_c E(W_c* X) is a batched
+    each X takes one E call on the stack of every W_c* X, and sum_c W_c E(W_c* X) is a batched
     matmul summed over c in the per-element loop's order (numpy reorders it
     only on 1 x 1 blocks); one (n, d n) @ (d n, n) product would reorder it
     on every block, which moved tower residuals by 1.2e-15.
@@ -298,7 +311,7 @@ def verify_trace_conditions(spec: InclusionSpec, E=None) -> list[VerificationRep
     follows from it, as n = A m), and that E preserves the tracial state with
     trace vector n on matrix units within ``TRACE_TOL``, batch by batch: on
     the sum n_i diagonal units through the slot table of a compiled E,
-    otherwise on all sum n_i^2 units with one E call per unit.
+    otherwise on all sum n_i^2 units with one E call per batch.
     """
     ok = spectral_d(spec) is not None
     reports = [_report("integer_eigenvector", 0.0 if ok else 1.0, 0.5, f"A^t n = {_atn(spec)}")]
@@ -313,7 +326,7 @@ def verify_trace_conditions(spec: InclusionSpec, E=None) -> list[VerificationRep
     # exactly 0 (a finite q times 0, summed).  Both traces are then exactly
     # 0.0, and so is that unit's residual: the diagonal units alone give the
     # same maximum, bit for bit.  Any other E is tested on every unit.
-    apply = table.apply if table is not None else functools.partial(apply_each, E, alg)
+    apply = table.apply if table is not None else lambda X: _expected(E, X)
     units = alg.unit_batches(alg.batch_size, diagonal=table is not None)
     resid = np.concatenate([np.abs(phi.batch(apply(X)) - phi.batch(X)) for X in units])
     reports.append(_report("markov_preservation", np.max(resid), TRACE_TOL))

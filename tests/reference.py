@@ -1,6 +1,7 @@
 """Independent references that the tests compare the library against.
 
-``composed_expectation`` is E1 o E0 written with ``embed`` and ``unembed``;
+``composed_expectation`` is E1 o E0 on block stacks, written with
+``embed_batch`` and a first-copy read of each sub block;
 ``tensor_block_perms`` and ``concat_block_perms`` each build the layout map
 of one combinator on their own, with the copy numbering written out.
 ``CONCAT`` lists composed pairs whose nested and canonical layouts differ.
@@ -14,9 +15,9 @@ every block boundary.
 
 import numpy as np
 
-from uob.algebra import BlockOperator, roots
+from uob.algebra import roots
 from uob.expectation import markov_expectation
-from uob.inclusion import InclusionSpec, embed, spectral_d, unembed
+from uob.inclusion import InclusionSpec, embed_batch, spectral_d
 
 # (inner spec, method, outer spec, method): the composed spec has several sub
 # blocks, and in the first two m_j = 2, so nested and canonical layouts differ
@@ -28,12 +29,19 @@ CONCAT = [
 
 
 def composed_expectation(inner_spec: InclusionSpec, outer_spec: InclusionSpec):
-    """E1 o E0 for a two-step inclusion, as an embedded-form callable on A0."""
+    """E1 o E0 for a two-step inclusion, as an embedded-form callable on
+    (K, n_i, n_i) block stacks of A0: E0, then each sub block read off its
+    first copy, then E1, embedded back."""
     E0 = markov_expectation(inner_spec)
     E1 = markov_expectation(outer_spec)
+    first = {}  # sub block j -> (super block, start, m_j) of its first copy
+    for i, j, _, s in inner_spec.copies:
+        first.setdefault(j, (i, s, inner_spec.sub_dims[j]))
 
-    def E(X: BlockOperator) -> BlockOperator:
-        return embed(inner_spec, E1(unembed(inner_spec, E0(X))))
+    def E(X):
+        Y = E0(X)
+        B = [Y[i][:, s : s + m, s : s + m] for i, s, m in map(first.get, range(inner_spec.r))]
+        return embed_batch(inner_spec, E1(B))
 
     return E
 

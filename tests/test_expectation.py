@@ -14,7 +14,6 @@ from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, NonStandardTrace, SingularGram
 from uob.expectation import (
     _GramProjector,
-    apply_each,
     conditional_expectation,
     markov_expectation,
     mixed_unitary_channel,
@@ -323,9 +322,31 @@ def test_an_equal_algebra_built_apart_is_accepted_and_an_unequal_one_refused(blo
         assert Y.algebra == alg and np.array_equal(_flat(Y), _flat(proj(twin.operator(X.data))))
     with pytest.raises(AlgebraMismatch):
         proj(other.random(rng))
-    operands = [np.stack(blks) for blks in zip(*(X.data for X in Xs))]
-    out = apply_each(proj, alg, operands)
+    # on a stack, each operand gets the bits it gets alone; a stack of another
+    # algebra is refused
+    stack = lambda ops: [np.stack(blks) for blks in zip(*(X.data for X in ops))]  # noqa: E731
+    out = proj.apply(stack(Xs))
     for c, X in enumerate(Xs):
-        assert all(np.array_equal(o[c], y) for o, y in zip(out, proj(X).data))
+        assert all(o[c].tobytes() == y.tobytes() for o, y in zip(out, proj(X).data))
     with pytest.raises(AlgebraMismatch):
-        apply_each(lambda X: other.zero(), alg, operands)
+        proj.apply(stack([other.random(rng) for _ in range(2)]))
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_the_compiled_E_takes_block_stacks_and_refuses_other_shapes(name):
+    # on a list of (K, n_i, n_i) stacks each operand gets the bits of E alone;
+    # a stack too few, an unstacked block or a mixed K is refused
+    spec = catalog_spec(name)
+    E = markov_expectation(spec)
+    rng = np.random.default_rng(8)
+    Xs = [spec.super_algebra.random(rng) for _ in range(3)]
+    stacks = [np.stack(blks) for blks in zip(*(X.data for X in Xs))]
+    out = E(stacks)
+    for c, X in enumerate(Xs):
+        assert all(o[c].tobytes() == y.tobytes() for o, y in zip(out, E(X).data))
+    bad = [stacks[:-1], [s[0] for s in stacks]]
+    if len(stacks) > 1:
+        bad.append([s[: 1 + (i > 0)] for i, s in enumerate(stacks)])
+    for blocks in bad:
+        with pytest.raises(AlgebraMismatch):
+            E(blocks)

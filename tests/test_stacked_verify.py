@@ -1,7 +1,8 @@
 """The compiled E and the stacked verify checks against the per-element reference.
 
 The reference path is the same E wrapped in a plain lambda: it carries no
-slot table, so every check calls it once per element, pair or test operator.
+slot table, so every check calls it on block stacks, once per column of
+pairs, test operator or batch of matrix units.
 """
 
 import functools
@@ -213,35 +214,59 @@ def test_a_wide_basis_takes_one_unitary_product_per_block(name, monkeypatch):
     assert report.witness == f"element {int(np.argmax(per_element))}"
 
 
-@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
-def test_generic_path_calls_E_once_per_operand(name, basis):
-    E = markov_expectation(basis.spec)
-    calls = []
+def _stack_lengths(E):
+    """E wrapped without its slot table, so the generic path takes it, and the
+    list of the stack length K of every call."""
+    sizes = []
 
-    def counted(X):  # no slot table: the generic path
-        calls.append(1)
+    def counted(X):
+        sizes.append(len(X[0]))
         return E(X)
 
+    return counted, sizes
+
+
+def _assert_each_operand_reaches_E_once(basis):
+    # E takes stacks: one call per column k (d operands), one per test operator
+    # (d operands) and one per unit batch, so the summed lengths are d^2,
+    # d (sum n_i^2 + N_RANDOM) and sum n_i^2
+    d, alg = basis.d, basis.algebra
+    counted, sizes = _stack_lengths(markov_expectation(basis.spec))
     assert verify_orthonormality(basis, counted).passed
-    assert len(calls) == basis.d**2
-    calls.clear()
+    assert sizes == [d] * d and sum(sizes) == d**2
+    sizes.clear()
     assert verify_reconstruction(basis, counted, seed=2).passed
-    assert len(calls) == basis.d * (basis.algebra.vector_dim + N_RANDOM)
-    calls.clear()
+    assert sizes == [d] * (alg.vector_dim + N_RANDOM)
+    sizes.clear()
     assert all_passed(verify_trace_conditions(basis.spec, counted))
-    assert len(calls) == basis.algebra.vector_dim  # one per matrix unit, sum n_i^2
+    assert sizes == [len(X[0]) for X in alg.unit_batches(alg.batch_size)] and sum(sizes) == alg.vector_dim
+
+
+@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
+def test_generic_path_passes_each_operand_to_E_once(name, basis):
+    _assert_each_operand_reaches_E_once(basis)
+
+
+def test_generic_path_on_a_wide_basis_calls_E_once_per_column():
+    # C in C^100 under a plain-lambda Markov E: 100 orthonormality calls of 100
+    # operands each, where one call per operand made 10^4 (3.7 s against 0.15 s)
+    _assert_each_operand_reaches_E_once(construct(WIDE["c_in_c100"], "auto"))
 
 
 @pytest.mark.parametrize("name", ["c_in_m2", "m2_in_m2_plus_m4"])
 def test_an_output_of_another_algebra_is_an_algebra_mismatch(name):
-    # a (1, 1) block must not broadcast into the basis's (n, n) slots
+    # a (1, 1) block must not broadcast into the basis's (n, n) slots, and an
+    # answer that is no list of stacks (one operator, a stack too few) is refused
     basis = dict(BASES)[name]
     other = MultiMatrixAlgebra((1,) * basis.algebra.num_blocks)
-    E = lambda X: other.identity()  # noqa: E731
-    with pytest.raises(AlgebraMismatch):
-        verify_orthonormality(basis, E)
-    with pytest.raises(AlgebraMismatch):
-        verify_reconstruction(basis, E)
+    for E in (
+        lambda X: [np.ones(x.shape[:1] + (1, 1)) for x in X],
+        lambda X: other.identity(),
+        lambda X: X[:-1],
+    ):
+        for check in (verify_orthonormality, verify_reconstruction, verify_trace_conditions):
+            with pytest.raises(AlgebraMismatch):
+                check(basis.spec if check is verify_trace_conditions else basis, E)
 
 
 def _unit_parity(basis):

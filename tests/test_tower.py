@@ -369,20 +369,21 @@ def _tower_basis(name):
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)
-def test_generic_checks_call_the_dual_expectation_once_per_operand(name):
+def test_generic_checks_pass_each_operand_to_the_dual_expectation_once(name):
+    # E1 takes stacks: one call per column k of pairs and one per test operator,
+    # each of d operands, so the summed lengths are d^2 and d (D + 10)
     bc, b1 = _tower_basis(name)
-    calls = []
+    sizes = []
 
     def E1(X):
-        calls.append(1)
+        sizes.append(len(X[0]))
         return dual_expectation(bc, X)
 
     assert verify_orthonormality(b1, E1).passed
-    assert len(calls) == b1.d**2
-    calls.clear()
-    samples = generated_algebra_sampler(bc)(np.random.default_rng(5))
+    assert sizes == [b1.d] * b1.d and sum(sizes) == b1.d**2
+    sizes.clear()
     assert verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc)).passed
-    assert len(calls) == b1.d * len(samples)
+    assert sizes == [b1.d] * (bc.gns_dim + 10) and sum(sizes) == b1.d * (bc.gns_dim + 10)
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)
@@ -719,6 +720,20 @@ def test_chunked_products_keep_the_peak_of_the_per_element_loops():
         _per_element_twist(bc, b0)
 
     assert _traced_peak(batched) <= 1.1 * _traced_peak(per_element)
+
+
+def test_the_generic_checks_keep_the_peak_of_one_call_per_operand():
+    # c_in_m5's tower basis (d = D = 25): one E call per column or test operator
+    # holds the operand stack, the flattened copy and E's answer, where one call
+    # per operand held the operand stack and the answers copied out; the bounds
+    # are 1.05 times the peaks of that form (1030.0 and 1389.5 kB over start)
+    bc, b1 = _tower_basis("c_in_m5")
+    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
+    recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
+    ortho(), recon()  # warm the caches outside the traced runs
+    assert _traced_peak(ortho) <= 1.05 * 1_029_976
+    assert _traced_peak(recon) <= 1.05 * 1_389_486
 
 
 def test_the_projector_reads_its_family_once_without_a_second_copy():

@@ -242,11 +242,12 @@ class _GramProjector:
         """The projection of every operand of a batch: ``blocks[i]`` is a
         (K, n_i, n_i) stack, and so is block i of the answer."""
         self.algebra.check_stacks(blocks)
-        K = len(blocks[0])
-        x = np.concatenate([b.reshape(K, -1) for b in blocks], axis=1) if len(blocks) > 1 else blocks[0]
-        x = np.ascontiguousarray(x).reshape(K, -1, 1)  # contiguous, so matmul takes BLAS's gemv
+        K, N = len(blocks[0]), self._P.shape[1]
+        rows = [b.reshape(K, b.shape[-1] ** 2) for b in blocks]
+        # contiguous, so matmul takes BLAS's gemv for every operand
+        x = np.ascontiguousarray(rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)).reshape(K, N, 1)
         c = (self._P @ x)[..., None, :, 0]
-        flat = np.zeros((K, self._P.shape[1]), dtype=complex)
+        flat = np.zeros((K, N), dtype=complex)
         flat[:, self._support] = (c @ self._S)[:, 0]
         return [flat[:, lo:hi].reshape(K, n, n) for lo, hi, n in self._cuts]
 

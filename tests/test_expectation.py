@@ -330,6 +330,8 @@ def test_an_equal_algebra_built_apart_is_accepted_and_an_unequal_one_refused(blo
         assert all(o[c].tobytes() == y.tobytes() for o, y in zip(out, proj(X).data))
     with pytest.raises(AlgebraMismatch):
         proj.apply(stack([other.random(rng) for _ in range(2)]))
+    empty = [np.zeros((0, n, n), dtype=complex) for n in blocks]
+    assert [o.shape for o in proj.apply(empty)] == [e.shape for e in empty]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -344,6 +346,7 @@ def test_the_compiled_E_takes_block_stacks_and_refuses_other_shapes(name):
     out = E(stacks)
     for c, X in enumerate(Xs):
         assert all(o[c].tobytes() == y.tobytes() for o, y in zip(out, E(X).data))
+    assert [o.shape for o in E([s[:0] for s in stacks])] == [s[:0].shape for s in stacks]
     bad = [stacks[:-1], [s[0] for s in stacks]]
     if len(stacks) > 1:
         bad.append([s[: 1 + (i > 0)] for i, s in enumerate(stacks)])

@@ -724,9 +724,10 @@ def test_chunked_products_keep_the_peak_of_the_per_element_loops():
 
 def test_the_generic_checks_keep_the_peak_of_one_call_per_operand():
     # c_in_m5's tower basis (d = D = 25): one E call per column or test operator
-    # holds the operand stack, the flattened copy and E's answer, where one call
-    # per operand held the operand stack and the answers copied out; the bounds
-    # are 1.05 times the peaks of that form (1030.0 and 1389.5 kB over start)
+    # holds the operand stack, E's answer and the d products on the projector's
+    # support, where one call per operand held the operand stack and the answers
+    # copied out; the bounds are 1.05 times the peaks of that form (1030.0 and
+    # 1389.5 kB over start)
     bc, b1 = _tower_basis("c_in_m5")
     E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
     ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731

@@ -42,10 +42,6 @@ class NonStandardTrace(UobError):
     """Mixed-unitary form is only available for the standard (equal-weight) trace."""
 
 
-class SingularGram(UobError):
-    """Gram matrix of the projection basis is numerically degenerate."""
-
-
 class MiddleAlgebraMismatch(UobError):
     """Concatenation requires the inner sub-algebra to equal the outer super-algebra."""
 

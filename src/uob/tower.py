@@ -5,8 +5,9 @@ trace: left multiplication becomes a unital *-homomorphism into M_D with
 D = sum n_i^2, and e_1 is the orthogonal projection onto the copy of the
 sub-algebra.  The GNS basis is ordered per super block by (column, row), so
 left multiplication restricted to block i is I_{n_i} (x) X_i: the embedding
-``gns_spec`` of A in M_D, the row (n_0 ... n_{s-1}) with sub dims n.  Its
-twisted bases are the closed form ``uob.bases.twisted_stack``.
+``gns_spec`` of A in M_D, the row (n_0 ... n_{s-1}) with sub dims n.  So the
+dual expectation E_1 onto left_rep(A) is the compiled Markov E of that spec,
+and its twisted bases are the closed form ``uob.bases.twisted_stack``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_over_budget
 from .bases import UnitaryBasis, twisted_stack
 from .errors import AlgebraMismatch, InvariantViolated, SpectralConditionFailed
-from .expectation import _GramProjector, markov_expectation
+from .expectation import markov_expectation
 from .inclusion import InclusionSpec, embed, embed_batch, spectral_d
 
 JONES_TOL = 1e-9
@@ -65,9 +66,9 @@ class BasicConstruction:
         return e1
 
     @cached_property
-    def _proj(self) -> _GramProjector:
-        """The Gram projector onto left_rep(A), compiled at the first dual_expectation."""
-        return _GramProjector(self.tr1_state, (self.gns_algebra.operator([L]) for L in self.unit_reps()))
+    def _E(self):
+        """The Markov E of ``gns_spec``, compiled at the first dual_expectation."""
+        return markov_expectation(self.gns_spec)
 
     def unit_reps(self):
         """``left_rep`` of every matrix unit of A in ``matrix_units`` order, as
@@ -112,7 +113,7 @@ def build_basic_construction(spec: InclusionSpec) -> BasicConstruction:
     """
     if spectral_d(spec) is None:
         raise SpectralConditionFailed("basic construction requires the spectral condition")
-    # the Gram projector's family, the left multiplications of A's D units, is a D x D^2 array
+    # the sampler's left multiplications of A's D matrix units hold D^2 entries each
     refuse_over_budget(spec.super_algebra.vector_dim**3, "the basic construction")
     bc = BasicConstruction(spec)
     # np.max keeps a NaN that Python's max drops, and a NaN fails the test
@@ -144,12 +145,14 @@ def _validation_residuals(bc: BasicConstruction) -> tuple[np.ndarray, np.ndarray
 
 
 def dual_expectation(bc: BasicConstruction, X):
-    """tr1-preserving projection onto left_rep(A): of one GNS-space operator
-    (a ``BlockOperator`` or a (D, D) array), or of block stacks, a list with
-    one (K, D, D) stack, answered the same way."""
+    """tr1-preserving expectation E_1 onto left_rep(A), the compiled Markov E of
+    ``bc.gns_spec``: of one GNS-space operator (a ``BlockOperator`` or a (D, D)
+    array), or of block stacks, a list with one (K, D, D) stack, answered the
+    same way.  Like every compiled E it reads only the diagonal copies
+    I_{n_i} (x) X_i; entries off them do not reach the answer."""
     if isinstance(X, np.ndarray):
         X = bc.gns_algebra.operator([X])
-    return bc._proj(X) if isinstance(X, BlockOperator) else bc._proj.apply(X)
+    return bc._E(X)
 
 
 def generated_algebra_sampler(bc: BasicConstruction, count: int = 10):

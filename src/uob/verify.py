@@ -9,10 +9,10 @@ a time.  All checks work on the basis's per-block (d, n_i, n_i) stacks;
 unitarity forms its products in chunks of each block's own size.  When E
 carries the compiled slot table of ``markov_expectation``, E itself is
 applied as matrix products over the stacks, and one sweep of the sub blocks
-gives every reconstruction residual.  Any other E (the tower's Gram
-projector, a plain callable) is called once per chunk of operands, and an
-answer that is not a list of stacks of the operands' shapes is an
-``AlgebraMismatch``.  One helper, ``_conjugated``, gives E(W_c* X) for every
+gives every reconstruction residual.  Any other E (one without a slot table:
+the tower's ``partial(dual_expectation, bc)``, a plain callable) is called
+once per chunk of operands, and an answer that is not a list of stacks of the
+operands' shapes is an ``AlgebraMismatch``.  One helper, ``_conjugated``, gives E(W_c* X) for every
 c in one call.  Orthonormality takes X = W_k for each k (d calls of d
 operands), reconstruction each test operator (one call of d operands each),
 and trace preservation calls E once per batch of matrix units.  No linearity

@@ -10,14 +10,22 @@ of one combinator on their own, with the copy numbering written out.
 condition, ``connected_by_adjacency`` is the former connectivity test, a
 search over a two-way adjacency list of super and sub blocks, and
 ``per_block_unit_batches`` the former matrix-unit batches, which end at
-every block boundary.
+every block boundary.  ``_GramProjector(phi, family)`` is the phi-orthogonal
+projection onto the span of a family, formed from its Gram matrix: onto B's
+embedded matrix units it is the conditional expectation, and onto the tower's
+left multiplications the dual expectation E_1, so it is the reference that
+both compiled forms are tested against; a numerically degenerate family
+raises ``SingularGram``.
 """
 
 import numpy as np
 
-from uob.algebra import roots
+from uob.algebra import BlockOperator, TracialState, roots
+from uob.errors import AlgebraMismatch, UobError
 from uob.expectation import markov_expectation
 from uob.inclusion import InclusionSpec, embed_batch, spectral_d
+
+GRAM_COND_LIMIT = 1e12
 
 # (inner spec, method, outer spec, method): the composed spec has several sub
 # blocks, and in the first two m_j = 2, so nested and canonical layouts differ
@@ -134,3 +142,81 @@ def per_block_unit_batches(alg, size: int, diagonal: bool = False):
             X = [np.zeros((len(t), n2, n2), dtype=complex) for n2 in alg.blocks]
             X[i].reshape(len(t), n * n)[np.arange(len(t)), t] = 1
             yield X
+
+
+class SingularGram(UobError):
+    """Gram matrix of the projection basis is numerically degenerate."""
+
+
+class _GramProjector:
+    """Orthogonal projection onto the span of a fixed operator family.
+
+    Compiled once: the family is flattened into the rows of one (k, N) array
+    S, N = sum n_i^2, and phi's inner product becomes the per-entry weight w
+    (p_i / weight on every entry of block i), so <X, Y> = sum conj(x) w y and
+    the Gram matrix is G = conj(S) diag(w) S^T.  The projector keeps S on its
+    support only (the columns where some member is nonzero), drops the dense
+    S, and forms G and P = G^-1 conj(S) diag(w) on the support, P a (k, N)
+    array zero off it.  ``apply`` takes a list of (K, n_i, n_i) block stacks
+    and answers with the same shapes; each operand x (a row of the stacked,
+    flattened blocks) gets two matrix-vector products, the coefficients
+    c = P x over all N entries and then c S over the support only, scattered
+    into zeros.  Both are stacked mat-vecs (``P @ x[..., None]``, then
+    ``c[..., None, :] @ S``), so every operand gets the bits it gets alone;
+    one (K, N) @ P^T product would sum in another order.  ``__call__`` is
+    ``apply`` on one ``BlockOperator``.  Each kept entry is the length-k dot
+    product of the dense c S; BLAS may sum it in another order for another
+    column count, but where each support column holds a single 1, as for the
+    tower's left multiplications, it is exact either way.  P is zero off the
+    support, so a NaN or Inf anywhere in x makes every c non-finite, and with
+    it the output on the support.
+    """
+
+    def __init__(self, phi: TracialState, basis):
+        self.algebra = phi.algebra
+        S = _rows(basis, self.algebra.vector_dim)
+        self._support = np.flatnonzero(S.any(axis=0))
+        self._S = S.take(self._support, axis=1)  # C-ordered like S, so c @ S takes the same BLAS kernel
+        del S  # so the family and P are never alive at once
+        sizes = [n * n for n in self.algebra.blocks]
+        w = np.repeat([float(p / phi.weight) for p in phi.trace_vector], sizes)[self._support]
+        T = self._S * w
+        G = np.conj(T, out=T) @ self._S.T
+        if np.linalg.cond(G) > GRAM_COND_LIMIT:
+            raise SingularGram("projection basis is numerically degenerate")
+        self._P = np.zeros((len(G), self.algebra.vector_dim), dtype=complex)
+        self._P[:, self._support] = np.linalg.inv(G) @ T
+        ends = np.cumsum(sizes)
+        self._cuts = [(e - n * n, e, n) for e, n in zip(ends, self.algebra.blocks)]
+
+    def apply(self, blocks) -> list[np.ndarray]:
+        """The projection of every operand of a batch: ``blocks[i]`` is a
+        (K, n_i, n_i) stack, and so is block i of the answer."""
+        self.algebra.check_stacks(blocks)
+        K, N = len(blocks[0]), self._P.shape[1]
+        rows = [b.reshape(K, b.shape[-1] ** 2) for b in blocks]
+        # contiguous, so matmul takes BLAS's gemv for every operand
+        x = np.ascontiguousarray(rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)).reshape(K, N, 1)
+        c = (self._P @ x)[..., None, :, 0]
+        flat = np.zeros((K, N), dtype=complex)
+        flat[:, self._support] = (c @ self._S)[:, 0]
+        return [flat[:, lo:hi].reshape(K, n, n) for lo, hi, n in self._cuts]
+
+    def __call__(self, X: BlockOperator) -> BlockOperator:
+        if X.algebra != self.algebra:
+            raise AlgebraMismatch("operand does not belong to the projector's algebra")
+        return BlockOperator(self.algebra, tuple(y[0] for y in self.apply([b[None] for b in X.data])))
+
+
+def _rows(family, N: int) -> np.ndarray:
+    """The members of ``family`` flattened into the rows of one (k, N) array,
+    one at a time: a list of them, each maybe a view of its whole batch, would
+    hold the family twice."""
+    return np.fromiter(map(_flatten, family), dtype=np.dtype((complex, N)))
+
+
+def _flatten(X: BlockOperator) -> np.ndarray:
+    """The blocks of X, each row-major, one after another: N = sum n_i^2 entries."""
+    if len(X.data) == 1:
+        return X.data[0].ravel()
+    return np.concatenate([b.ravel() for b in X.data])

@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from reference import SingularGram, _GramProjector
 from spec_box import specs
 
 from uob.algebra import MultiMatrixAlgebra, TracialState, epsilon
 from uob.catalog import catalog_names, catalog_spec
-from uob.errors import AlgebraMismatch, DisconnectedDiagram, NonStandardTrace, SingularGram
+from uob.errors import AlgebraMismatch, DisconnectedDiagram, NonStandardTrace
 from uob.expectation import (
-    _GramProjector,
     conditional_expectation,
     markov_expectation,
     mixed_unitary_channel,

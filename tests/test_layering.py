@@ -54,3 +54,30 @@ def test_bases_does_not_import_expectation():
     # building a basis needs no E; the composed E1 o E0 is a test reference
     assert "uob.expectation" in _imports("verify")
     assert not any(n == "uob.expectation" or n.startswith("uob.expectation.") for n in _imports("bases"))
+
+
+GRAM_FORK = {"_GramProjector", "SingularGram", "GRAM_COND_LIMIT"}
+
+
+def _defines(path: Path) -> set[str]:
+    """Names a module binds at any depth: classes, functions and assignment targets."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_the_gram_projector_is_seen_in_the_test_reference():
+    # the parser finds the three names where they live, so the check below is not vacuous
+    assert _defines(Path(__file__).parent / "reference.py") >= GRAM_FORK
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_defines_a_second_expectation(path):
+    # the tower's E_1 is the compiled Markov E of its GNS layout; the Gram
+    # projector stays a test reference only
+    assert not _defines(path) & GRAM_FORK

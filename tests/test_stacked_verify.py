@@ -16,7 +16,7 @@ from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
-from uob.expectation import _GramProjector, conditional_expectation, markov_expectation
+from uob.expectation import conditional_expectation, markov_expectation
 from uob import verify
 from uob.inclusion import InclusionSpec, embed
 from uob.verify import (
@@ -33,7 +33,7 @@ from uob.verify import (
     verify_unitary,
 )
 
-from reference import random_abelian_specs
+from reference import _GramProjector, random_abelian_specs
 from spec_box import specs
 
 MATCH_TOL = 1e-15

@@ -25,12 +25,11 @@ from uob.errors import (
     AlgebraMismatch,
     InvariantViolated,
     PartitionOfUnityFailed,
-    SingularGram,
     SpectralConditionFailed,
     TooLarge,
     UobError,
 )
-from uob.expectation import _GramProjector, _rows, markov_expectation, mixed_unitary_channel, slot_table
+from uob.expectation import markov_expectation, mixed_unitary_channel, slot_table
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.io import basis_from_dict
 from uob.tower import (
@@ -46,6 +45,8 @@ from uob.verify import (
     verify_reconstruction,
     verify_unitary,
 )
+
+from reference import SingularGram, _GramProjector, _rows
 
 TOWER_SPECS = ["c_in_m2", "c_in_m1_plus_m2", "c2_in_m2", "c2_in_m2_plus_m2", "m2_in_m4"]
 # the inclusions whose basic construction the benchmark's tower workload builds
@@ -313,36 +314,46 @@ def test_left_rep_equals_the_kron_form(name):
         assert np.array_equal(bc.left_rep(x).data[0], M)
 
 
+def _reference_projector(bc):
+    """The tr1-orthogonal projection onto the span of left_rep(A), formed from the
+    Gram matrix of the left multiplications of A's matrix units."""
+    return _GramProjector(bc.tr1_state, (bc.gns_algebra.operator([L]) for L in bc.unit_reps()))
+
+
 @pytest.mark.parametrize("name", ALL_TOWER)
-def test_dual_expectation_is_the_markov_expectation_of_the_gns_layout(name):
-    # left_rep puts block i of x on the diagonal as I_{n_i} (x) x_i, which is
-    # the embedding layout of the inclusion [n] with sub dims n
-    spec = ALL_TOWER[name]
-    n = spec.super_dims
-    bc = build_basic_construction(spec)
-    E = markov_expectation(InclusionSpec.from_matrix([list(n)], n))
+def test_dual_expectation_is_the_projector_onto_the_left_multiplications(name):
+    # dual_expectation is the compiled Markov E of the GNS layout, where left_rep
+    # puts block i of x on the diagonal as I_{n_i} (x) x_i; the reference projects
+    # with the Gram matrix: on one operand, on stacks, and on an empty stack
+    bc = build_basic_construction(ALL_TOWER[name])
+    P, D = _reference_projector(bc), bc.gns_dim
     rng = np.random.default_rng(10)
     for _ in range(3):
         X = bc.gns_algebra.random(rng)
-        assert dual_expectation(bc, X).allclose(E(X), 1e-14)
+        assert dual_expectation(bc, X).allclose(P(X), 1e-14)
+        assert dual_expectation(bc, X.data[0]).allclose(P(X), 1e-14)
+    for K in (0, 1, 4):
+        X = [rng.standard_normal((K, D, D)) + 1j * rng.standard_normal((K, D, D))]
+        got, want = dual_expectation(bc, X), P.apply(X)
+        assert len(got) == 1 and got[0].shape == want[0].shape == (K, D, D)
+        assert np.abs(got[0] - want[0]).max(initial=0) <= 1e-14
 
 
-def test_dual_expectation_compiles_its_projector_once(monkeypatch):
+def test_dual_expectation_builds_its_compiled_expectation_once(monkeypatch):
     built = []
 
-    class Counting(_GramProjector):
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
+    def counting(spec):
+        built.append(spec)
+        return markov_expectation(spec)
 
-    monkeypatch.setattr(tower, "_GramProjector", Counting)
     bc = build_basic_construction(catalog_spec("c_in_m1_plus_m2"))
+    monkeypatch.setattr(tower, "markov_expectation", counting)
     rng = np.random.default_rng(11)
     for _ in range(4):
         dual_expectation(bc, bc.gns_algebra.random(rng))
     dual_expectation(bc, bc.e1)
-    assert len(built) == 1
-    assert isinstance(bc._proj, Counting)
+    dual_expectation(bc, [np.zeros((3, bc.gns_dim, bc.gns_dim))])
+    assert built == [bc.gns_spec]
 
 
 @pytest.mark.parametrize("blocks", [(1, 2, 7), (1,)])
@@ -418,7 +429,7 @@ B_IS_C = [name for name, (_, m) in BENCH_TOWER.items() if m == [1]]
 
 
 @pytest.mark.parametrize("name", B_IS_C)
-def test_the_tower_basis_verifies_alike_against_the_projector_and_the_compiled_E(name):
+def test_the_tower_basis_verifies_alike_on_the_generic_and_the_stacked_path(name):
     bc, b1 = _tower_basis(name)
     assert b1.spec == ALL_TOWER[name].transpose()
     W = b1.stacks[0].copy()
@@ -466,7 +477,7 @@ def test_the_layout_map_gives_the_canonical_frame_of_the_tower_basis(name):
 @pytest.mark.parametrize("name", ALL_TOWER)
 def test_the_tower_basis_verifies_in_the_canonical_frame_of_the_transpose(name):
     # the paper's basis for A in A_1, checked against the compiled Markov E of
-    # (A^t, n) as well as the Gram projector; for B = C the map is the identity
+    # (A^t, n) as well as the dual expectation; for B = C the map is the identity
     spec = ALL_TOWER[name]
     bc, b1 = _tower_basis(name)
     E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
@@ -520,8 +531,9 @@ def test_sampler_matches_the_per_operand_loop(name, seed, count):
 
 @pytest.mark.parametrize("entry", [(0, 0, 0), (5, 2, 11), (12, 12, 0)])
 def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
-    # one NaN entry (element, row, column) of the twisted basis: the Gram
-    # projector's output is NaN on its support, so both checks report NaN
+    # one NaN entry (element, row, column) of the twisted basis: it fills a row
+    # of W* W and W* X, and with it a diagonal copy that E_1 reads, so both
+    # checks report NaN
     bc, b1 = _tower_basis("c_in_m2_plus_m3")
     W = b1.stacks[0].copy()
     W[entry] = np.nan
@@ -532,6 +544,41 @@ def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
     recon = verify_reconstruction(bad, E1, seed=5, sampler=generated_algebra_sampler(bc))
     for report in (ortho, recon):
         assert not report.passed and np.isnan(report.residual), report
+
+
+def _on_copies(bc):
+    """Mask of the (D, D) entries that lie on a diagonal copy of ``bc.gns_spec``,
+    the only entries that the compiled E_1 reads."""
+    on = np.zeros((bc.gns_dim, bc.gns_dim), dtype=bool)
+    for _, j, _, start in bc.gns_spec.copies:
+        end = start + bc.gns_spec.sub_dims[j]
+        on[start:end, start:end] = True
+    return on
+
+
+@pytest.mark.parametrize("on_copy", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_a_nan_on_or_off_the_diagonal_copies_fails_every_tower_check(name, seed, on_copy):
+    # E_1 ignores entries off its diagonal copies, yet a NaN anywhere in W_j
+    # fills a whole row of W_j* W_k and of W_j* X, which crosses a copy: the
+    # unitarity, orthonormality and reconstruction checks all fail
+    bc, b1 = _tower_basis(name)
+    rng = np.random.default_rng(seed)
+    on = _on_copies(bc)
+    assert on.any() and not on.all()
+    rows, cols = np.nonzero(on if on_copy else ~on)
+    t = rng.integers(len(rows))
+    W = b1.stacks[0].copy()
+    W[rng.integers(b1.d), rows[t], cols[t]] = np.nan
+    bad = UnitaryBasis(b1.spec, (W,), b1.provenance)
+    E1 = functools.partial(dual_expectation, bc)
+    reports = [
+        verify_unitary(bad),
+        verify_orthonormality(bad, E1),
+        verify_reconstruction(bad, E1, seed=5, sampler=generated_algebra_sampler(bc)),
+    ]
+    assert not any(r.passed for r in reports), reports
 
 
 def _tamper_one(sampler, k, entry, bad):
@@ -559,7 +606,7 @@ def _catalog_sampler(alg):
 
 def _generic_cases():
     """(name, basis, E, sampler, (k, entry)s): the tower's C in M_5 basis (one
-    block) against its Gram projector, and a multi-block catalog basis under a
+    block) against its dual expectation, and a multi-block catalog basis under a
     plain-lambda Markov E; each k a left or matrix unit and a random operator."""
     bc, b1 = _tower_basis("c_in_m5")
     yield "c_in_m5", b1, functools.partial(dual_expectation, bc), generated_algebra_sampler(bc), [
@@ -778,4 +825,4 @@ def test_the_projector_on_its_support_is_the_dense_one(name):
     S = _rows((bc.gns_algebra.operator([L]) for L in bc.unit_reps()), bc.gns_dim**2)
     T = np.conj(S) * (1 / bc.gns_dim)
     P = np.linalg.inv(T @ S.T) @ T
-    assert (np.abs(bc._proj._P - P) <= 2 * np.spacing(np.abs(P))).all()
+    assert (np.abs(_reference_projector(bc)._P - P) <= 2 * np.spacing(np.abs(P))).all()

@@ -15,7 +15,10 @@ projection onto the span of a family, formed from its Gram matrix: onto B's
 embedded matrix units it is the conditional expectation, and onto the tower's
 left multiplications the dual expectation E_1, so it is the reference that
 both compiled forms are tested against; a numerically degenerate family
-raises ``SingularGram``.
+raises ``SingularGram``.  ``per_column_orthonormality`` and
+``per_operator_reconstruction`` are verify's former generic path, one E call
+per column of pairs or per test operator, each of d operands: the grouped
+calls must give their reports bit for bit.
 """
 
 import numpy as np
@@ -24,6 +27,7 @@ from uob.algebra import BlockOperator, TracialState, roots
 from uob.errors import AlgebraMismatch, UobError
 from uob.expectation import markov_expectation
 from uob.inclusion import InclusionSpec, embed_batch, spectral_d
+from uob.verify import N_RANDOM, ORTHO_TOL, RECON_TOL, _adjoints, _entry_max, _expected, _report, _worst
 
 GRAM_COND_LIMIT = 1e12
 
@@ -220,3 +224,37 @@ def _flatten(X: BlockOperator) -> np.ndarray:
     if len(X.data) == 1:
         return X.data[0].ravel()
     return np.concatenate([b.ravel() for b in X.data])
+
+
+def _conjugated_one(E, basis, adj, X) -> list[np.ndarray]:
+    """E(W_c* X) for every c of one operator X, in one E call on d operands."""
+    return _expected(E, [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, basis.stacks, X)])
+
+
+def per_column_orthonormality(basis, E):
+    """verify_orthonormality's generic path, one E call per column k."""
+    d, stacks = basis.d, basis.stacks
+    adj, resid = _adjoints(basis), np.empty((d, d))
+    for k in range(d):  # column k: E(W_j* W_k) for every j
+        out = _conjugated_one(E, basis, adj, [Ws[k] for Ws in stacks])
+        r = np.array([_entry_max(o) for o in out])
+        r[:, k] = [_entry_max(o[k] - np.eye(len(o[k]))) for o in out]
+        resid[:, k] = r.max(axis=0)
+    return _worst("orthonormality", resid, ORTHO_TOL, lambda t: f"pair {divmod(t, d)}")
+
+
+def per_operator_reconstruction(basis, E, tol=RECON_TOL, seed=0, sampler=None):
+    """verify_reconstruction's generic path, one E call per test operator."""
+    alg, rng = basis.algebra, np.random.default_rng(seed)
+    if sampler is None:
+        samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
+        samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
+    else:
+        samples = list(sampler(rng))
+    if not samples:
+        return _report("reconstruction", np.inf, tol, "no test operators", seed=seed)
+    adj, resid = _adjoints(basis), np.empty(len(samples))
+    for t, (_, X) in enumerate(samples):
+        blocks = zip(basis.stacks, _conjugated_one(E, basis, adj, X.data), X.data)
+        resid[t] = np.max([np.abs((Ws @ o).sum(axis=0) - x).max() for Ws, o, x in blocks])
+    return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)

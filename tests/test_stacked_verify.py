@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uob.algebra import MultiMatrixAlgebra, TracialState
+from uob.algebra import CHUNK_ENTRIES, MultiMatrixAlgebra, TracialState
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
@@ -33,7 +33,12 @@ from uob.verify import (
     verify_unitary,
 )
 
-from reference import _GramProjector, random_abelian_specs
+from reference import (
+    _GramProjector,
+    per_column_orthonormality,
+    per_operator_reconstruction,
+    random_abelian_specs,
+)
 from spec_box import specs
 
 MATCH_TOL = 1e-15
@@ -226,20 +231,30 @@ def _stack_lengths(E):
     return counted, sizes
 
 
+def _assert_grouped(sizes, g, d, operators):
+    # every call holds the g d operands of g operators (columns or test
+    # operators), and only the last call may be short
+    assert all(k == g * d for k in sizes[:-1]) and 0 < sizes[-1] <= g * d, (sizes, g, d)
+    assert sum(sizes) == d * operators
+
+
 def _assert_each_operand_reaches_E_once(basis):
-    # E takes stacks: one call per column k (d operands), one per test operator
-    # (d operands) and one per unit batch, so the summed lengths are d^2,
-    # d (sum n_i^2 + N_RANDOM) and sum n_i^2
+    # E takes stacks: one call per group of g = max(1, batch_size // d) columns k
+    # or test operators (g d operands, at most CHUNK_ENTRIES entries) and one per
+    # unit batch, so the summed lengths are d^2, d (sum n_i^2 + N_RANDOM) and sum n_i^2
     d, alg = basis.d, basis.algebra
+    g = max(1, alg.batch_size // d)
+    assert g * d * alg.vector_dim <= CHUNK_ENTRIES or g == 1
     counted, sizes = _stack_lengths(markov_expectation(basis.spec))
     assert verify_orthonormality(basis, counted).passed
-    assert sizes == [d] * d and sum(sizes) == d**2
+    _assert_grouped(sizes, g, d, d)
     sizes.clear()
     assert verify_reconstruction(basis, counted, seed=2).passed
-    assert sizes == [d] * (alg.vector_dim + N_RANDOM)
+    _assert_grouped(sizes, g, d, alg.vector_dim + N_RANDOM)
     sizes.clear()
     assert all_passed(verify_trace_conditions(basis.spec, counted))
     assert sizes == [len(X[0]) for X in alg.unit_batches(alg.batch_size)] and sum(sizes) == alg.vector_dim
+    return g
 
 
 @pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
@@ -249,8 +264,27 @@ def test_generic_path_passes_each_operand_to_E_once(name, basis):
 
 def test_generic_path_on_a_wide_basis_calls_E_once_per_column():
     # C in C^100 under a plain-lambda Markov E: 100 orthonormality calls of 100
-    # operands each, where one call per operand made 10^4 (3.7 s against 0.15 s)
-    _assert_each_operand_reaches_E_once(construct(WIDE["c_in_c100"], "auto"))
+    # operands each (g = 1: d = 100 operands of 100 entries fill a batch of 40
+    # operators), where one call per operand made 10^4 (3.7 s against 0.15 s)
+    assert _assert_each_operand_reaches_E_once(construct(WIDE["c_in_c100"], "auto")) == 1
+
+
+@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
+def test_grouped_generic_path_gives_the_reports_of_one_call_per_operator(name, basis):
+    # under a plain-lambda E, the basis and its tampered copies (an entry moved
+    # by 1e-6, a NaN, ...) get the verdict, residual bits and witness of one E
+    # call per column or test operator, also where 1 x 1 blocks sum in numpy's
+    # own order; a NaN's witness stays the first NaN
+    compiled = markov_expectation(basis.spec)
+    E = lambda X: compiled(X)  # noqa: E731
+    bits = lambda r: (r.passed, r.residual.hex(), r.witness)  # noqa: E731
+    copies = {"basis": basis} | {
+        kind: UnitaryBasis.from_elements(basis.spec, els, kind) for kind, els in _tampered(basis).items()
+    }
+    for kind, b in copies.items():
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert bits(verify_orthonormality(b, E)) == bits(per_column_orthonormality(b, E)), kind
+            assert bits(verify_reconstruction(b, E, seed=2)) == bits(per_operator_reconstruction(b, E, seed=2)), kind
 
 
 @pytest.mark.parametrize("name", ["c_in_m2", "m2_in_m2_plus_m4"])
@@ -442,12 +476,15 @@ def test_moved_units_and_phi_on_the_spec_box(spec, data):
 
 
 def test_a_sampled_operator_of_another_algebra_is_an_algebra_mismatch():
-    # one more block than the basis's algebra: zip would drop it unchecked
+    # one more block than the basis's algebra: zip would drop it unchecked; every
+    # operator is checked before E is first called, so E never sees the group
     basis = construct(catalog_spec("c_in_m1_plus_m2"), "auto")
     other = MultiMatrixAlgebra(basis.algebra.blocks + (1,))
     sampler = lambda rng: [("identity", basis.algebra.identity()), ("other", other.identity())]  # noqa: E731
+    counted, sizes = _stack_lengths(markov_expectation(basis.spec))
     with pytest.raises(AlgebraMismatch):
-        verify_reconstruction(basis, markov_expectation(basis.spec), sampler=sampler)
+        verify_reconstruction(basis, counted, sampler=sampler)
+    assert sizes == []
 
 
 def test_a_compiled_expectation_of_another_spec_is_an_algebra_mismatch():

@@ -46,7 +46,13 @@ from uob.verify import (
     verify_unitary,
 )
 
-from reference import SingularGram, _GramProjector, _rows
+from reference import (
+    SingularGram,
+    _GramProjector,
+    _rows,
+    per_column_orthonormality,
+    per_operator_reconstruction,
+)
 
 TOWER_SPECS = ["c_in_m2", "c_in_m1_plus_m2", "c2_in_m2", "c2_in_m2_plus_m2", "m2_in_m4"]
 # the inclusions whose basic construction the benchmark's tower workload builds
@@ -379,22 +385,33 @@ def _tower_basis(name):
     return bc, basic_construction_basis(bc, construct(spec, "auto"))
 
 
+# reconstruction's call lengths, pinned: c3_in_m3 groups its 19 test operators
+# 16 + 3 (g = 50 // 3), c_in_m5 takes one call of d = 25 per operator (g = 1)
+RECON_CALLS = {"c3_in_m3": [48, 9], "c_in_m5": [25] * 35}
+
+
 @pytest.mark.parametrize("name", ALL_TOWER)
 def test_generic_checks_pass_each_operand_to_the_dual_expectation_once(name):
-    # E1 takes stacks: one call per column k of pairs and one per test operator,
-    # each of d operands, so the summed lengths are d^2 and d (D + 10)
+    # E1 takes stacks: one call per group of g = max(1, batch_size // d) columns
+    # k of pairs or test operators, g d operands each but the last, so the
+    # summed lengths are d^2 and d (D + 10)
     bc, b1 = _tower_basis(name)
+    d, g = b1.d, max(1, b1.algebra.batch_size // b1.d)
     sizes = []
 
     def E1(X):
         sizes.append(len(X[0]))
         return dual_expectation(bc, X)
 
+    def grouped(operators):
+        return all(k == g * d for k in sizes[:-1]) and 0 < sizes[-1] <= g * d and sum(sizes) == d * operators
+
     assert verify_orthonormality(b1, E1).passed
-    assert sizes == [b1.d] * b1.d and sum(sizes) == b1.d**2
+    assert grouped(d), sizes
     sizes.clear()
     assert verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc)).passed
-    assert sizes == [b1.d] * (bc.gns_dim + 10) and sum(sizes) == b1.d * (bc.gns_dim + 10)
+    assert grouped(bc.gns_dim + 10), sizes
+    assert sizes == RECON_CALLS.get(name, sizes)
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)
@@ -421,6 +438,41 @@ def test_generic_checks_match_the_per_element_loop(name):
     fast = verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc))
     assert abs(fast.residual - max(recon)) <= 1e-15
     assert fast.witness == samples[int(np.argmax(recon))][0]
+
+
+def _bits(report):
+    return report.passed, report.residual.hex(), report.witness
+
+
+def _bad_copies(basis, rng):
+    """The basis, a copy with one seeded entry moved by 1e-6 and a copy with
+    two seeded NaN entries, as (kind, basis) pairs."""
+    yield "basis", basis
+    for kind, spots in (("moved", 1), ("nan", 2)):
+        stacks = [Ws.copy() for Ws in basis.stacks]
+        for _ in range(spots):
+            i = int(rng.integers(len(stacks)))
+            entry = tuple(int(rng.integers(k)) for k in stacks[i].shape)
+            stacks[i][entry] = stacks[i][entry] + 1e-6 if kind == "moved" else np.nan
+        yield kind, UnitaryBasis(basis.spec, tuple(stacks), kind)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_grouped_generic_checks_give_the_reports_of_one_call_per_operator(name, seed):
+    # g columns or test operators per E1 call give the bits of one call each:
+    # verdict, residual and witness, which for a NaN stays the first NaN
+    bc, b1 = _tower_basis(name)
+    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    for kind, b in _bad_copies(b1, np.random.default_rng(seed)):
+        with np.errstate(invalid="ignore"):
+            ortho = verify_orthonormality(b, E1)
+            recon = verify_reconstruction(b, E1, seed=seed, sampler=sampler)
+            assert _bits(ortho) == _bits(per_column_orthonormality(b, E1)), (kind, ortho)
+            assert _bits(recon) == _bits(per_operator_reconstruction(b, E1, seed=seed, sampler=sampler)), kind
+        if kind != "moved":  # E1 reads only its diagonal copies, so a moved entry may pass either check
+            assert ortho.passed == recon.passed == (kind == "basis"), (kind, ortho, recon)
+            assert np.isnan(ortho.residual) == np.isnan(recon.residual) == (kind == "nan"), (kind, ortho, recon)
 
 
 # the benchmark's tower inclusions with B = C: their twisted bases carry the
@@ -782,6 +834,21 @@ def test_the_generic_checks_keep_the_peak_of_one_call_per_operand():
     ortho(), recon()  # warm the caches outside the traced runs
     assert _traced_peak(ortho) <= 1.05 * 1_029_976
     assert _traced_peak(recon) <= 1.05 * 1_389_486
+
+
+def test_grouped_generic_checks_peak_within_three_chunks_of_one_call_per_operand():
+    # c3_in_m3's tower basis (d = 3, D = 9, g = 16): a group's operand stack,
+    # E's answer and the products each hold at most CHUNK_ENTRIES entries; the
+    # bounds are the peaks of one call per column or test operator (17.7 and
+    # 90.9 kB over start) plus three complex stacks of CHUNK_ENTRIES entries
+    bc, b1 = _tower_basis("c3_in_m3")
+    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
+    recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
+    ortho(), recon()  # warm the caches outside the traced runs
+    chunks = 3 * algebra.CHUNK_ENTRIES * np.dtype(complex).itemsize
+    assert _traced_peak(ortho) <= 17_696 + chunks
+    assert _traced_peak(recon) <= 90_908 + chunks
 
 
 def test_the_projector_reads_its_family_once_without_a_second_copy():

@@ -7,21 +7,23 @@ verifies both multi-matrix inclusions and concrete basic-construction
 models; ``verify_expectation_axioms`` alone calls E on one block operator at
 a time.  All checks work on the basis's per-block (d, n_i, n_i) stacks;
 unitarity forms its products in chunks of each block's own size.  When E
-carries the compiled slot table of ``markov_expectation``, E itself is
-applied as matrix products over the stacks, and one sweep of the sub blocks
-gives every reconstruction residual.  Any other E (one without a slot table:
-the tower's ``partial(dual_expectation, bc)``, a plain callable) is called
-once per chunk of operands, and an answer that is not a list of stacks of the
-operands' shapes is an ``AlgebraMismatch``.  One helper, ``_conjugated``, gives
-E(W_c* X_t) for every c and every X_t of a group of g = max(1, batch_size // d)
-operators in one call of g d operands (at most ``CHUNK_ENTRIES`` entries, and
-never fewer than d operands): orthonormality groups the columns X = W_k (d^2
-operands in all), reconstruction the test operators, and trace preservation
-calls E once per batch of matrix units.  No linearity of E is assumed on that
-path, the reference the compiled checks are tested against; a reconstruction
-check given its own test family (a ``sampler``) always takes it.  A compiled
-E preserves the trace on every off-diagonal matrix unit exactly (both traces
-are 0.0), so trace preservation runs it on the sum n_i diagonal units only.  A residual that is NaN or infinite fails.
+carries the compiled slot table of ``markov_expectation``, or is the tower's
+``partial(dual_expectation, bc)`` (read as the compiled Markov E of
+``bc.gns_spec`` that it calls), E itself is applied as matrix products over
+the stacks, and one sweep of the sub blocks gives every reconstruction
+residual, a sampler's test operators included.  Any other E (one without a
+slot table: a plain callable, such as the dual expectation wrapped in a
+lambda) is called once per chunk of operands, and an answer that is not a
+list of stacks of the operands' shapes is an ``AlgebraMismatch``.  One helper,
+``_conjugated``, gives E(W_c* X_t) for every c and every X_t of a group of
+g = max(1, batch_size // d) operators in one call of g d operands (at most
+``CHUNK_ENTRIES`` entries, and never fewer than d operands): orthonormality
+groups the columns X = W_k (d^2 operands in all), reconstruction the test
+operators, and trace preservation calls E once per batch of matrix units.  No
+linearity of E is assumed on that path, the reference the compiled checks are
+tested against.  A compiled E preserves the trace on every off-diagonal matrix
+unit exactly (both traces are 0.0), so trace preservation runs it on the sum
+n_i diagonal units only.  A residual that is NaN or infinite fails.
 Every check holds its residual to a pinned constant below; reconstruction
 alone takes a tolerance from its caller (``--tol``,
 ``verify_basis(recon_tol=)``).
@@ -30,6 +32,7 @@ alone takes a tolerance from its caller (``--tol``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
 from .expectation import markov_expectation, slot_table
 from .inclusion import InclusionSpec, _atn, spectral_d
+from .tower import dual_expectation
 
 UNITARY_TOL = 1e-9
 ORTHO_TOL = 1e-9
@@ -95,6 +99,15 @@ def _worst(name, residuals, tol, label, seed=None) -> VerificationReport:
     r = np.asarray(residuals, dtype=float).ravel()
     k = int(np.argmax(r))  # argmax returns the first NaN, if any
     return _report(name, r[k], tol, label(k) if r[k] != 0 else "", seed)
+
+
+def _slot_table(E, alg):
+    """The compiled ``SlotTable`` that E applies, or None: ``slot_table`` of E,
+    where ``partial(dual_expectation, bc)`` is read as the compiled Markov E of
+    ``bc.gns_spec`` that it calls (``bc._E``)."""
+    if isinstance(E, partial) and E.func is dual_expectation and len(E.args) == 1 and not E.keywords:
+        E = E.args[0]._E
+    return slot_table(E, alg)
 
 
 def _entry_max(stack: np.ndarray) -> np.ndarray:
@@ -172,7 +185,7 @@ def verify_orthonormality(basis: UnitaryBasis, E) -> VerificationReport:
     if not basis.d:
         return _report("orthonormality", np.inf, ORTHO_TOL, "empty basis")
     d, stacks = basis.d, basis.stacks
-    table = slot_table(E, basis.algebra)
+    table = _slot_table(E, basis.algebra)
     if table is not None:
         resid = 0.0
         for m, _, L, R in _weighted_columns(basis, table):
@@ -201,17 +214,20 @@ def verify_reconstruction(
     and no sampler, one ``_compiled_reconstruction`` sweep gives every
     residual, the random operators drawn in one generator call and streamed
     in batches of at most ``uob.algebra.CHUNK_ENTRIES`` entries.  Otherwise
-    every test operator's algebra is checked, then each group of them takes
-    one E call on every W_c* X, and sum_c W_c E(W_c* X) is a batched matmul
-    summed over c in the per-element loop's order (numpy reorders it only on
-    1 x 1 blocks); one (n, d n) @ (d n, n) product would reorder it on every
-    block, which moved tower residuals by 1.2e-15.
+    every test operator's algebra is checked first.  A compiled E then takes
+    the sampled operators through that sweep's batch half (the ambient matrix
+    units may lie outside the algebra the sampler spans), each batch of at
+    most ``batch_size`` operators stacked only when it is checked.  Any other
+    E takes one call per group of them on every W_c* X, and sum_c W_c E(W_c* X)
+    is a batched matmul summed over c in the per-element loop's order (numpy
+    reorders it only on 1 x 1 blocks); one (n, d n) @ (d n, n) product would
+    reorder it on every block, which moved tower residuals by 1.2e-15.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
     alg = basis.algebra
     rng = np.random.default_rng(seed)
-    table = slot_table(E, alg)
+    table = _slot_table(E, alg)
     if table is not None and sampler is None:
         resid = _compiled_reconstruction(basis, table, alg.random_batches(rng, N_RANDOM, alg.batch_size))
         D = alg.vector_dim  # the matrix units first, then the random draws
@@ -226,34 +242,39 @@ def verify_reconstruction(
         return _report("reconstruction", np.inf, tol, "no test operators", seed=seed)
     if any(X.algebra != alg for _, X in samples):
         raise AlgebraMismatch("test operator does not belong to the basis's algebra")
-    adj, resid, g = _adjoints(basis), np.empty(len(samples)), max(1, alg.batch_size // basis.d)
-    for lo in range(0, len(samples), g):
-        ops = [X.data for _, X in samples[lo : lo + g]]
+    if table is not None:
+        size, columns = alg.batch_size, list(_weighted_columns(basis, table))
+    else:
+        size, adj = max(1, alg.batch_size // basis.d), _adjoints(basis)
+    resid = np.empty(len(samples))
+    for lo in range(0, len(samples), size):
+        ops = [X.data for _, X in samples[lo : lo + size]]
         X = [b[0][None] if len(ops) == 1 else np.stack(b) for b in zip(*ops)]
-        blocks = zip(basis.stacks, _conjugated(E, basis, adj, X), X)
-        # o[t] holds E(W_c* X_t) for every c, and sum_c W_c o[t, c] is a batched matmul summed over c
-        r = [_entry_max((Ws @ o.reshape(-1, *Ws.shape)).sum(axis=1) - x) for Ws, o, x in blocks]
-        resid[lo : lo + len(ops)] = np.max(r, axis=0)  # keeps a NaN
+        if table is not None:
+            resid[lo : lo + len(ops)] = _batch_residuals(columns, X)
+        else:
+            blocks = zip(basis.stacks, _conjugated(E, basis, adj, X), X)
+            # o[t] holds E(W_c* X_t) for every c, and sum_c W_c o[t, c] is a batched matmul summed over c
+            r = [_entry_max((Ws @ o.reshape(-1, *Ws.shape)).sum(axis=1) - x) for Ws, o, x in blocks]
+            resid[lo : lo + len(ops)] = np.max(r, axis=0)  # keeps a NaN
     return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)
 
 
 def _compiled_reconstruction(basis: UnitaryBasis, table, batches) -> np.ndarray:
     """max |sum_c W_c E(W_c* X) - X| for every matrix unit X (matrix_units()
-    order), then every X of every (K, n_i, n_i) batch: one ``_weighted_columns`` sweep.
+    order), then every X of every (K, n_i, n_i) batch: one ``_weighted_columns``
+    sweep, the batches read one at a time by ``_batch_residuals``.
 
     For the unit e at row a, column s + l of copy (i, s) of sub block j, the
     sum is column x of R @ L (x the row of (i, a) in R) written into column
     s + l of block i.  So every unit (i, a, s..s+m) has the residual
     max_x' |(R @ L - I)[x', x]|.  A non-finite entry anywhere in the basis
     makes every unit residual NaN, as it does in the batched products, where
-    it meets the zeros of every unit.  A batch compares each copy's column
-    slice of the sum with that slice of X, where it is formed; the copies tile
-    every super block's columns, so each entry of X is compared once.
+    it meets the zeros of every unit.
     """
-    batches = list(batches)
+    columns = list(_weighted_columns(basis, table))
     units = [np.empty((n, n)) for n in basis.algebra.blocks]
-    worst = [[] for _ in batches]
-    for m, copies, L, R in _weighted_columns(basis, table):
+    for m, copies, L, R in columns:
         F = R @ L
         F[np.diag_indices(len(F))] -= 1
         col, x = np.abs(F).max(axis=0), 0
@@ -261,17 +282,29 @@ def _compiled_reconstruction(basis: UnitaryBasis, table, batches) -> np.ndarray:
             n = len(units[i])
             units[i][:, s : s + m] = col[x : x + n, None]
             x += n
-        for w, X in zip(worst, batches):
-            # Xcols[(x, a), k, b] = X_k[a, s + b] over the copies (i, s) of the
-            # sub block; L @ Xcols gives block j of every E(W_c* X_k), and R @
-            # that the column slices of sum_c W_c E(W_c* X_k), copy after copy.
-            Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
-            Xcols = Xcols.transpose(1, 0, 2)
-            out = (R @ (L @ Xcols.reshape(-1, len(X[0]) * m))).reshape(Xcols.shape)
-            w.append(np.abs(out - Xcols).max(axis=0).max(axis=1))
     if not all(np.isfinite(Ws).all() for Ws in basis.stacks):
         units = [np.full(n * n, np.nan) for n in basis.algebra.blocks]
-    return np.concatenate([u.ravel() for u in units] + [np.max(w, axis=0) for w in worst])
+    return np.concatenate([u.ravel() for u in units] + [_batch_residuals(columns, X) for X in batches])
+
+
+def _batch_residuals(columns, X) -> np.ndarray:
+    """max |sum_c W_c E(W_c* X_k) - X_k| for every X_k of one batch, X[i] the
+    (K, n_i, n_i) stack of block i and ``columns`` the ``_weighted_columns``.
+
+    Each copy's column slice of the sum is compared with that slice of X,
+    where it is formed; the copies tile every super block's columns, so each
+    entry of X is compared once.
+    """
+    worst = []
+    for m, copies, L, R in columns:
+        # Xcols[(x, a), k, b] = X_k[a, s + b] over the copies (i, s) of the
+        # sub block; L @ Xcols gives block j of every E(W_c* X_k), and R @
+        # that the column slices of sum_c W_c E(W_c* X_k), copy after copy.
+        Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
+        Xcols = Xcols.transpose(1, 0, 2)
+        out = (R @ (L @ Xcols.reshape(-1, len(X[0]) * m))).reshape(Xcols.shape)
+        worst.append(np.abs(out - Xcols).max(axis=0).max(axis=1))
+    return np.max(worst, axis=0)  # keeps a NaN
 
 
 def verify_expectation_axioms(E, phi: TracialState, seed: int = 0) -> list[VerificationReport]:
@@ -332,7 +365,7 @@ def verify_trace_conditions(spec: InclusionSpec, E=None) -> list[VerificationRep
         E = markov_expectation(spec)
     alg = spec.super_algebra
     phi = TracialState(alg, spec.super_dims)
-    table = slot_table(E, alg)
+    table = _slot_table(E, alg)
     # SlotTable.apply copies square slots X_i[S, S] onto square slots, so it
     # maps an off-diagonal unit to an operator whose diagonal entries are all
     # exactly 0 (a finite q times 0, summed).  Both traces are then exactly

@@ -19,7 +19,7 @@ from uob.bases import (
     weyl_basis,
 )
 from uob.catalog import catalog_spec
-from uob import algebra, tower
+from uob import algebra, tower, verify
 from uob.algebra import MultiMatrixAlgebra, roots
 from uob.errors import (
     AlgebraMismatch,
@@ -29,7 +29,7 @@ from uob.errors import (
     TooLarge,
     UobError,
 )
-from uob.expectation import markov_expectation, mixed_unitary_channel, slot_table
+from uob.expectation import markov_expectation, mixed_unitary_channel
 from uob.inclusion import InclusionSpec, check_spectral_condition, embed
 from uob.io import basis_from_dict
 from uob.tower import (
@@ -39,6 +39,7 @@ from uob.tower import (
     generated_algebra_sampler,
 )
 from uob.verify import (
+    _slot_table,
     all_passed,
     verify_basis,
     verify_orthonormality,
@@ -463,7 +464,7 @@ def test_grouped_generic_checks_give_the_reports_of_one_call_per_operator(name, 
     # g columns or test operators per E1 call give the bits of one call each:
     # verdict, residual and witness, which for a NaN stays the first NaN
     bc, b1 = _tower_basis(name)
-    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    E1, sampler = lambda X: dual_expectation(bc, X), generated_algebra_sampler(bc)  # noqa: E731
     for kind, b in _bad_copies(b1, np.random.default_rng(seed)):
         with np.errstate(invalid="ignore"):
             ortho = verify_orthonormality(b, E1)
@@ -486,15 +487,75 @@ def test_the_tower_basis_verifies_alike_on_the_generic_and_the_stacked_path(name
     assert b1.spec == ALL_TOWER[name].transpose()
     W = b1.stacks[0].copy()
     W[-1, 0, 0] += 1e-6
-    generic = functools.partial(dual_expectation, bc)
+    generic = lambda X: dual_expectation(bc, X)  # noqa: E731
     compiled = markov_expectation(b1.spec)
-    assert slot_table(generic, b1.algebra) is None and slot_table(compiled, b1.algebra) is not None
+    assert _slot_table(generic, b1.algebra) is None and _slot_table(compiled, b1.algebra) is not None
     for b in (b1, UnitaryBasis(b1.spec, (W,), "perturbed")):
         g, c = verify_basis(b, generic, seed=3), verify_basis(b, compiled, seed=3)
         assert [r.name for r in g] == [r.name for r in c]
         assert [r.passed for r in g] == [r.passed for r in c], (name, b.provenance)
         assert g[1].name == "orthonormality" and abs(g[1].residual - c[1].residual) <= 1e-15, (g[1], c[1])
         assert all_passed(g) == (b is b1)
+
+
+def _generic_path_taken(*args):
+    raise AssertionError("the generic path called E")
+
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_the_partial_dual_expectation_never_calls_E_in_verify(name, monkeypatch):
+    # partial(dual_expectation, bc) is read as the compiled Markov E of
+    # bc.gns_spec: orthonormality, reconstruction with the sampler and, where
+    # the basis has a spec (B = C), the whole certificate run on its slot table
+    bc, b1 = _tower_basis(name)
+    E1 = functools.partial(dual_expectation, bc)
+    monkeypatch.setattr(verify, "_conjugated", _generic_path_taken)
+    monkeypatch.setattr(verify, "_expected", _generic_path_taken)
+    sampler = generated_algebra_sampler(bc)
+    reports = [verify_orthonormality(b1, E1), verify_reconstruction(b1, E1, seed=5, sampler=sampler)]
+    if b1.spec is not None:
+        reports += verify_basis(b1, E1, seed=5)
+    assert all_passed(reports), reports
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_the_partial_dual_expectation_gives_the_reports_of_its_compiled_E(name, seed):
+    # bit for bit the reports of markov_expectation(bc.gns_spec), and the
+    # generic path's verdicts with residuals within 2e-15 of its own, on the
+    # basis, a copy with one entry moved by 1e-6 and a copy with NaN entries
+    bc, b1 = _tower_basis(name)
+    sampler = generated_algebra_sampler(bc)
+    forms = {
+        "partial": functools.partial(dual_expectation, bc),
+        "compiled": markov_expectation(bc.gns_spec),
+        "generic": lambda X: dual_expectation(bc, X),
+    }
+    for kind, b in _bad_copies(b1, np.random.default_rng(seed)):
+        with np.errstate(invalid="ignore"):
+            got = {
+                form: [verify_orthonormality(b, E), verify_reconstruction(b, E, seed=seed, sampler=sampler)]
+                for form, E in forms.items()
+            }
+        assert list(map(_bits, got["partial"])) == list(map(_bits, got["compiled"])), kind
+        for fast, ref in zip(got["partial"], got["generic"]):
+            assert fast.passed == ref.passed, (kind, fast, ref)
+            assert np.isnan(fast.residual) == np.isnan(ref.residual), (kind, fast, ref)
+            assert np.isnan(ref.residual) or abs(fast.residual - ref.residual) <= 2e-15, (kind, fast, ref)
+
+
+@pytest.mark.parametrize("extra_block", [False, True])
+def test_a_sampled_operator_of_another_algebra_is_refused_before_the_compiled_sweep(extra_block, monkeypatch):
+    # M_{D - 1}, or M_D plus one more block, which zip would drop: refused
+    # before the basis's weighted columns are formed
+    bc, b1 = _tower_basis("c3_in_m3")
+    D = bc.gns_dim
+    other = MultiMatrixAlgebra((D, 1) if extra_block else (D - 1,))
+    sampler = generated_algebra_sampler(bc)
+    with_other = lambda rng: [*sampler(rng), ("other", other.identity())]  # noqa: E731
+    monkeypatch.setattr(verify, "_weighted_columns", _generic_path_taken)
+    with pytest.raises(AlgebraMismatch):
+        verify_reconstruction(b1, functools.partial(dual_expectation, bc), sampler=with_other)
 
 
 def _canonical_stacks(spec, W):
@@ -590,8 +651,8 @@ def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
     W = b1.stacks[0].copy()
     W[entry] = np.nan
     bad = UnitaryBasis(b1.spec, (W,), b1.provenance)
-    E1 = functools.partial(dual_expectation, bc)
-    assert slot_table(E1, bad.algebra) is None  # the generic path
+    E1 = lambda X: dual_expectation(bc, X)  # noqa: E731
+    assert _slot_table(E1, bad.algebra) is None  # the generic path
     ortho = verify_orthonormality(bad, E1)
     recon = verify_reconstruction(bad, E1, seed=5, sampler=generated_algebra_sampler(bc))
     for report in (ortho, recon):
@@ -656,32 +717,36 @@ def _catalog_sampler(alg):
     return sampler
 
 
-def _generic_cases():
+def _generic_cases(compiled=False):
     """(name, basis, E, sampler, (k, entry)s): the tower's C in M_5 basis (one
     block) against its dual expectation, and a multi-block catalog basis under a
-    plain-lambda Markov E; each k a left or matrix unit and a random operator."""
+    Markov E; each k a left or matrix unit and a random operator.  Both E are
+    wrapped in a plain lambda, or with ``compiled`` are the partial and the
+    compiled E themselves, named "compiled ..."."""
     bc, b1 = _tower_basis("c_in_m5")
-    yield "c_in_m5", b1, functools.partial(dual_expectation, bc), generated_algebra_sampler(bc), [
+    E1 = functools.partial(dual_expectation, bc) if compiled else lambda X: dual_expectation(bc, X)
+    prefix = "compiled " if compiled else ""
+    yield prefix + "c_in_m5", b1, E1, generated_algebra_sampler(bc), [
         (7, (0, 3, 11)),
         (30, (0, 24, 0)),
     ]
     spec = catalog_spec("m2_in_m2_plus_m4")
     b = construct(spec, "auto")
     E = markov_expectation(spec)
-    yield "m2_in_m2_plus_m4", b, lambda X: E(X), _catalog_sampler(b.algebra), [
+    yield prefix + "m2_in_m2_plus_m4", b, E if compiled else lambda X: E(X), _catalog_sampler(b.algebra), [
         (2, (0, 1, 0)),
         (21, (1, 2, 3)),
     ]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("case", list(_generic_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("case", [*_generic_cases(), *_generic_cases(compiled=True)], ids=lambda c: c[0])
 def test_a_bad_entry_in_one_test_operator_fails_with_its_label(case, bad):
-    # each W_c* X of a block is one product over the whole adjoint stack; a NaN
-    # or Inf in one X must still fail the check on the generic path, with that X
-    # as the witness
+    # each W_c* X of a block is one product over the whole adjoint stack, and
+    # each batch of X one product over the weighted columns; a NaN or Inf in one
+    # X must still fail the check on either path, with that X as the witness
     name, basis, E, sampler, spots = case
-    assert slot_table(E, basis.algebra) is None
+    assert (_slot_table(E, basis.algebra) is None) == (not name.startswith("compiled"))
     labels = [label for label, _ in sampler(np.random.default_rng(5))]
     assert verify_reconstruction(basis, E, seed=5, sampler=sampler).passed
     for k, entry in spots:
@@ -828,12 +893,30 @@ def test_the_generic_checks_keep_the_peak_of_one_call_per_operand():
     # copied out; the bounds are 1.05 times the peaks of that form (1030.0 and
     # 1389.5 kB over start)
     bc, b1 = _tower_basis("c_in_m5")
-    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    E1, sampler = lambda X: dual_expectation(bc, X), generated_algebra_sampler(bc)  # noqa: E731
     ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
     recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
     ortho(), recon()  # warm the caches outside the traced runs
     assert _traced_peak(ortho) <= 1.05 * 1_029_976
     assert _traced_peak(recon) <= 1.05 * 1_389_486
+
+
+def test_the_compiled_tower_checks_keep_the_peak_of_the_generic_ones():
+    # the partial on c_in_m5 (d = D = 25) keeps the generic path's bounds above.
+    # With the family built beforehand, the peak is the weighted columns' own
+    # (four arrays of the basis's size) plus one batch: each batch of sampled
+    # operators is stacked only when it is checked, where stacking all 35 of
+    # them first read 1,095,856 B
+    bc, b1 = _tower_basis("c_in_m5")
+    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    family = sampler(np.random.default_rng(5))
+    ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
+    recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
+    prebuilt = lambda: verify_reconstruction(b1, E1, seed=5, sampler=lambda rng: family)  # noqa: E731
+    ortho(), recon()  # warm the caches outside the traced runs
+    assert _traced_peak(ortho) <= 1.05 * 1_029_976
+    assert _traced_peak(recon) <= 1.05 * 1_389_486
+    assert _traced_peak(prebuilt) <= 4 * b1.stacks[0].nbytes + algebra.CHUNK_ENTRIES * np.dtype(complex).itemsize
 
 
 def test_grouped_generic_checks_peak_within_three_chunks_of_one_call_per_operand():
@@ -842,7 +925,7 @@ def test_grouped_generic_checks_peak_within_three_chunks_of_one_call_per_operand
     # bounds are the peaks of one call per column or test operator (17.7 and
     # 90.9 kB over start) plus three complex stacks of CHUNK_ENTRIES entries
     bc, b1 = _tower_basis("c3_in_m3")
-    E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
+    E1, sampler = lambda X: dual_expectation(bc, X), generated_algebra_sampler(bc)  # noqa: E731
     ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
     recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
     ortho(), recon()  # warm the caches outside the traced runs

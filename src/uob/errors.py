@@ -72,5 +72,6 @@ class TooLarge(UobError):
 
 
 class NoExpectation(UobError):
-    """``verify_basis`` was given a basis without an inclusion spec: it has no
-    Markov E, trace conditions or cardinality to certify against."""
+    """Nothing to certify against: a basis without an inclusion spec (no Markov
+    E, trace conditions or cardinality for ``verify_basis``), or an E without a
+    compiled slot table (a plain callable), which no verify check reads."""

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_over_budget, roots
+from .algebra import BlockOperator, TracialState, refuse_over_budget, roots
 from .errors import AlgebraMismatch, NonStandardTrace
 from .inclusion import InclusionSpec, embed_batch, markov_trace, spectral_d
 
@@ -69,8 +69,10 @@ def conditional_expectation(spec: InclusionSpec, phi: TracialState):
     """Callable E for the phi-preserving expectation onto B, in embedded form,
     on one ``BlockOperator`` or on a list of (K, n_i, n_i) block stacks.
 
-    ``E.slots`` holds the compiled ``SlotTable``; the verify checks read it to
-    work on whole basis stacks.  ``E.phi`` and ``E.spec`` are the arguments.
+    ``E.slots`` holds the compiled ``SlotTable``, which the verify checks read
+    (``uob.verify._slot_table``, which also survives wrappers that copy E's
+    attributes) to work on whole basis stacks.  ``E.phi`` and ``E.spec`` are
+    the arguments.
     """
     sup = spec.super_algebra
     if phi.algebra != sup:
@@ -91,15 +93,6 @@ def conditional_expectation(spec: InclusionSpec, phi: TracialState):
     E.spec = spec
     E.slots = table
     return E
-
-
-def slot_table(E, alg: MultiMatrixAlgebra) -> SlotTable | None:
-    """The compiled table that ``conditional_expectation`` attaches to E, or
-    None; read from E's attributes, so it survives wrappers that copy them."""
-    table = getattr(E, "slots", None)
-    if table is not None and table.spec.super_dims != alg.blocks:
-        raise AlgebraMismatch("expectation and basis live on different algebras")
-    return table
 
 
 def markov_expectation(spec: InclusionSpec):

@@ -1,32 +1,22 @@
 """Independent numerical checks for bases, expectations, and the trace conditions.
 
-Every check of a basis takes an expectation as a plain callable E on block
-stacks: a list with one (K, n_i, n_i) stack per block of the basis's
-algebra, answered with the same shapes (embedded form), so the same code
-verifies both multi-matrix inclusions and concrete basic-construction
-models; ``verify_expectation_axioms`` alone calls E on one block operator at
-a time.  All checks work on the basis's per-block (d, n_i, n_i) stacks;
-unitarity forms its products in chunks of each block's own size.  When E
-carries the compiled slot table of ``markov_expectation``, or is the tower's
-``partial(dual_expectation, bc)`` (read as the compiled Markov E of
-``bc.gns_spec`` that it calls), E itself is applied as matrix products over
-the stacks, and one sweep of the sub blocks gives every reconstruction
-residual, a sampler's test operators included.  Any other E (one without a
-slot table: a plain callable, such as the dual expectation wrapped in a
-lambda) is called once per chunk of operands, and an answer that is not a
-list of stacks of the operands' shapes is an ``AlgebraMismatch``.  One helper,
-``_conjugated``, gives E(W_c* X_t) for every c and every X_t of a group of
-g = max(1, batch_size // d) operators in one call of g d operands (at most
-``CHUNK_ENTRIES`` entries, and never fewer than d operands): orthonormality
-groups the columns X = W_k (d^2 operands in all), reconstruction the test
-operators, and trace preservation calls E once per batch of matrix units.  No
-linearity of E is assumed on that path, the reference the compiled checks are
-tested against.  A compiled E preserves the trace on every off-diagonal matrix
-unit exactly (both traces are 0.0), so trace preservation runs it on the sum
-n_i diagonal units only.  A residual that is NaN or infinite fails.
+Every check of a basis takes a compiled expectation E: one that carries the
+``SlotTable`` of ``conditional_expectation`` (``E.slots``), or the tower's
+``partial(dual_expectation, bc)``, read as the compiled Markov E of
+``bc.gns_spec`` that it calls.  An E without a table (a plain callable) is a
+``NoExpectation``, raised before E is called; a table on another algebra is
+an ``AlgebraMismatch``.  ``verify_expectation_axioms`` alone calls E, on one
+block operator at a time.  All checks work on the basis's per-block
+(d, n_i, n_i) stacks: unitarity forms its products in chunks of each block's
+own size, E is applied as matrix products over the stacks, and one sweep of
+the sub blocks gives every reconstruction residual, a sampler's test
+operators included.  A compiled E preserves the trace on every off-diagonal
+matrix unit exactly (both traces are 0.0), so trace preservation runs it on
+the sum n_i diagonal units only.  A residual that is NaN or infinite fails.
 Every check holds its residual to a pinned constant below; reconstruction
 alone takes a tolerance from its caller (``--tol``,
-``verify_basis(recon_tol=)``).
+``verify_basis(recon_tol=)``).  The per-operand reference that calls E once
+per column or test operator is in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +29,7 @@ import numpy as np
 from .algebra import CHUNK_ENTRIES, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
-from .expectation import markov_expectation, slot_table
+from .expectation import markov_expectation
 from .inclusion import InclusionSpec, _atn, spectral_d
 from .tower import dual_expectation
 
@@ -102,12 +92,21 @@ def _worst(name, residuals, tol, label, seed=None) -> VerificationReport:
 
 
 def _slot_table(E, alg):
-    """The compiled ``SlotTable`` that E applies, or None: ``slot_table`` of E,
-    where ``partial(dual_expectation, bc)`` is read as the compiled Markov E of
-    ``bc.gns_spec`` that it calls (``bc._E``)."""
+    """The compiled ``SlotTable`` that E applies: ``E.slots`` (read from E's
+    attributes, so it survives wrappers that copy them), where
+    ``partial(dual_expectation, bc)`` is read as the compiled Markov E of
+    ``bc.gns_spec`` that it calls (``bc._E``).  No table is a
+    ``NoExpectation`` and a table on another algebra an ``AlgebraMismatch``;
+    E is never called."""
     if isinstance(E, partial) and E.func is dual_expectation and len(E.args) == 1 and not E.keywords:
         E = E.args[0]._E
-    return slot_table(E, alg)
+    table = getattr(E, "slots", None)
+    if table is None:
+        raise NoExpectation("the expectation carries no compiled slot table: use conditional_expectation, "
+                            "markov_expectation or partial(dual_expectation, bc)")
+    if table.spec.super_dims != alg.blocks:
+        raise AlgebraMismatch("expectation and basis live on different algebras")
+    return table
 
 
 def _entry_max(stack: np.ndarray) -> np.ndarray:
@@ -119,16 +118,19 @@ def _weighted_columns(basis: UnitaryBasis, table):
     """Per sub block j: (m_j, copies, L, R) with L @ R the Gram matrix of E.
 
     R stacks the column slices W[:, :, S] of every copy S of block j along
-    rows x, with columns (b, l); L is the conjugate transpose of the same
-    stack weighted by q_ij. So (L @ R)[(a, k), (b, l)] is entry (k, l) of
-    block j of E(W_a* W_b).
+    rows x, with columns (b, l); L is the conjugate transpose of R with each
+    row weighted by the q_ij of its copy. So (L @ R)[(a, k), (b, l)] is entry
+    (k, l) of block j of E(W_a* W_b).
     """
     d, stacks = basis.d, basis.stacks
     for m, copies in zip(table.spec.sub_dims, table.slots):
-        cols = [stacks[i][:, :, start : start + m] for i, start, _ in copies]
-        R = np.concatenate(cols, axis=1).transpose(1, 0, 2).reshape(-1, d * m)
-        L = np.concatenate([q * c for c, (_, _, q) in zip(cols, copies)], axis=1)
-        L = L.conj().transpose(0, 2, 1).reshape(d * m, -1)
+        # two arrays of the basis's size at the peak: each slice is concatenated
+        # as (rows, d, m), so R's reshape is a view, and L is conjugated in place
+        R = np.concatenate([stacks[i][:, :, s : s + m].transpose(1, 0, 2) for i, s, _ in copies])
+        R = R.reshape(-1, d * m)
+        q_rows = np.repeat([q for _, _, q in copies], [stacks[i].shape[-1] for i, _, _ in copies])
+        L = q_rows[:, None] * R
+        L = np.conj(L, out=L).T
         yield m, copies, L, R
 
 
@@ -149,32 +151,6 @@ def verify_unitary(basis: UnitaryBasis) -> VerificationReport:
     return _worst("unitary", resid, UNITARY_TOL, lambda j: f"element {j}")
 
 
-def _adjoints(basis: UnitaryBasis) -> list[np.ndarray]:
-    """Every W_c* of each block, laid out once as the rows of one (d n, n) array:
-    conjugated straight into one C-ordered (d, n, n) stack, then viewed."""
-    adj = (np.conjugate(Ws.swapaxes(-1, -2), order="C") for Ws in basis.stacks)
-    return [H.reshape(-1, H.shape[-1]) for H in adj]
-
-
-def _expected(E, operands) -> list[np.ndarray]:
-    """E of a list of (K, n_i, n_i) block stacks, in one call.  An output that
-    is not a list of stacks of the operands' shapes is refused, so a block of
-    the wrong size never lands (or broadcasts) in a residual."""
-    out = E(operands)
-    shapes = [getattr(o, "shape", None) for o in out] if isinstance(out, (list, tuple)) else None
-    if shapes != [p.shape for p in operands]:
-        raise AlgebraMismatch("expectation output is not a list of stacks of the operands' shapes")
-    return out
-
-
-def _conjugated(E, basis: UnitaryBasis, adj, X) -> list[np.ndarray]:
-    """E(W_c* X_t) for every c and every X_t of a group, in one E call on g d
-    operands: out[i][t d + c] is block i.  With ``adj`` the ``_adjoints`` and
-    X[i] the (g, n, n) stack of block i, all W_c* X_t of a block are one
-    (d n, n) @ (g, n, n) product, run as one (d n, n) @ (n, n) per operator."""
-    return _expected(E, [(H @ x).reshape(-1, *Ws.shape[1:]) for H, Ws, x in zip(adj, basis.stacks, X)])
-
-
 def verify_orthonormality(basis: UnitaryBasis, E) -> VerificationReport:
     """E(W_j* W_k) = delta_jk I for the given expectation, within ``ORTHO_TOL``.
 
@@ -184,23 +160,13 @@ def verify_orthonormality(basis: UnitaryBasis, E) -> VerificationReport:
     0.05 delta on the tower basis of C in M_5 (d = 25)."""
     if not basis.d:
         return _report("orthonormality", np.inf, ORTHO_TOL, "empty basis")
-    d, stacks = basis.d, basis.stacks
-    table = _slot_table(E, basis.algebra)
-    if table is not None:
-        resid = 0.0
-        for m, _, L, R in _weighted_columns(basis, table):
-            G = L @ R
-            G[np.diag_indices(d * m)] -= 1
-            # the m x m pair axes led, so the max runs over whole (d, d) planes
-            pairs = np.abs(G).reshape(d, m, d, m).transpose(1, 3, 0, 2).reshape(m * m, d, d)
-            resid = np.maximum(resid, pairs.max(axis=0))
-    else:
-        adj, resid, g = _adjoints(basis), np.empty((d, d)), max(1, basis.algebra.batch_size // d)
-        for lo in range(0, d, g):  # columns k = lo + t: E(W_j* W_k) for every j, at t d + j
-            out = _conjugated(E, basis, adj, [Ws[lo : lo + g] for Ws in stacks])
-            r = np.array([_entry_max(o) for o in out])  # E's output is read, never written
-            r[:, lo :: d + 1] = [_entry_max(o[lo :: d + 1] - np.eye(o.shape[-1])) for o in out]  # j = k
-            resid[:, lo : lo + g] = r.max(axis=0).reshape(-1, d).T
+    d, resid = basis.d, 0.0
+    for m, _, L, R in _weighted_columns(basis, _slot_table(E, basis.algebra)):
+        G = L @ R
+        G[np.diag_indices(d * m)] -= 1
+        # the m x m pair axes led, so the max runs over whole (d, d) planes
+        pairs = np.abs(G).reshape(d, m, d, m).transpose(1, 3, 0, 2).reshape(m * m, d, d)
+        resid = np.maximum(resid, pairs.max(axis=0))
     return _worst("orthonormality", resid, ORTHO_TOL, lambda t: f"pair {divmod(t, d)}")
 
 
@@ -210,53 +176,35 @@ def verify_reconstruction(
     """X = sum_j W_j E(W_j* X) on all matrix units and random operators.
 
     ``sampler(rng)`` may supply the (label, X) test family instead, for bases
-    of a proper subalgebra of the ambient block algebra.  With a compiled E
-    and no sampler, one ``_compiled_reconstruction`` sweep gives every
-    residual, the random operators drawn in one generator call and streamed
-    in batches of at most ``uob.algebra.CHUNK_ENTRIES`` entries.  Otherwise
-    every test operator's algebra is checked first.  A compiled E then takes
-    the sampled operators through that sweep's batch half (the ambient matrix
-    units may lie outside the algebra the sampler spans), each batch of at
-    most ``batch_size`` operators stacked only when it is checked.  Any other
-    E takes one call per group of them on every W_c* X, and sum_c W_c E(W_c* X)
-    is a batched matmul summed over c in the per-element loop's order (numpy
-    reorders it only on 1 x 1 blocks); one (n, d n) @ (d n, n) product would
-    reorder it on every block, which moved tower residuals by 1.2e-15.
+    of a proper subalgebra of the ambient block algebra.  Without a sampler,
+    one ``_compiled_reconstruction`` sweep gives every residual, the random
+    operators drawn in one generator call and streamed in batches of at most
+    ``uob.algebra.CHUNK_ENTRIES`` entries.  With one, every test operator's
+    algebra is checked first, and the operators then go through that sweep's
+    batch half (the ambient matrix units may lie outside the algebra the
+    sampler spans), each batch of at most ``batch_size`` operators stacked
+    only when it is checked.
     """
     if not basis.d:
         return _report("reconstruction", np.inf, tol, "empty basis", seed=seed)
     alg = basis.algebra
     rng = np.random.default_rng(seed)
     table = _slot_table(E, alg)
-    if table is not None and sampler is None:
+    if sampler is None:
         resid = _compiled_reconstruction(basis, table, alg.random_batches(rng, N_RANDOM, alg.batch_size))
         D = alg.vector_dim  # the matrix units first, then the random draws
         label = lambda k: f"unit {alg.unit_index(k)}" if k < D else f"random {k - D}"
         return _worst("reconstruction", resid, tol, label, seed=seed)
-    if sampler is None:
-        samples = [(f"unit {lbl}", X) for lbl, X in alg.matrix_units()]
-        samples += [(f"random {t}", alg.random(rng)) for t in range(N_RANDOM)]
-    else:
-        samples = list(sampler(rng))
+    samples = list(sampler(rng))
     if not samples:
         return _report("reconstruction", np.inf, tol, "no test operators", seed=seed)
     if any(X.algebra != alg for _, X in samples):
         raise AlgebraMismatch("test operator does not belong to the basis's algebra")
-    if table is not None:
-        size, columns = alg.batch_size, list(_weighted_columns(basis, table))
-    else:
-        size, adj = max(1, alg.batch_size // basis.d), _adjoints(basis)
+    size, columns = alg.batch_size, list(_weighted_columns(basis, table))
     resid = np.empty(len(samples))
     for lo in range(0, len(samples), size):
         ops = [X.data for _, X in samples[lo : lo + size]]
-        X = [b[0][None] if len(ops) == 1 else np.stack(b) for b in zip(*ops)]
-        if table is not None:
-            resid[lo : lo + len(ops)] = _batch_residuals(columns, X)
-        else:
-            blocks = zip(basis.stacks, _conjugated(E, basis, adj, X), X)
-            # o[t] holds E(W_c* X_t) for every c, and sum_c W_c o[t, c] is a batched matmul summed over c
-            r = [_entry_max((Ws @ o.reshape(-1, *Ws.shape)).sum(axis=1) - x) for Ws, o, x in blocks]
-            resid[lo : lo + len(ops)] = np.max(r, axis=0)  # keeps a NaN
+        resid[lo : lo + len(ops)] = _batch_residuals(columns, [np.stack(b) for b in zip(*ops)])
     return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)
 
 
@@ -303,7 +251,8 @@ def _batch_residuals(columns, X) -> np.ndarray:
         Xcols = np.concatenate([X[i][:, :, s : s + m] for i, s, _ in copies], axis=1)
         Xcols = Xcols.transpose(1, 0, 2)
         out = (R @ (L @ Xcols.reshape(-1, len(X[0]) * m))).reshape(Xcols.shape)
-        worst.append(np.abs(out - Xcols).max(axis=0).max(axis=1))
+        out -= Xcols
+        worst.append(np.abs(out).max(axis=0).max(axis=1))
     return np.max(worst, axis=0)  # keeps a NaN
 
 
@@ -355,8 +304,7 @@ def verify_trace_conditions(spec: InclusionSpec, E=None) -> list[VerificationRep
     Checks A^t n = d m in integer arithmetic (sum n_i^2 = d sum m_j^2
     follows from it, as n = A m), and that E preserves the tracial state with
     trace vector n on matrix units within ``TRACE_TOL``, batch by batch: on
-    the sum n_i diagonal units through the slot table of a compiled E,
-    otherwise on all sum n_i^2 units with one E call per batch.
+    the sum n_i diagonal units through the slot table of the compiled E.
     """
     ok = spectral_d(spec) is not None
     reports = [_report("integer_eigenvector", 0.0 if ok else 1.0, 0.5, f"A^t n = {_atn(spec)}")]
@@ -370,10 +318,9 @@ def verify_trace_conditions(spec: InclusionSpec, E=None) -> list[VerificationRep
     # maps an off-diagonal unit to an operator whose diagonal entries are all
     # exactly 0 (a finite q times 0, summed).  Both traces are then exactly
     # 0.0, and so is that unit's residual: the diagonal units alone give the
-    # same maximum, bit for bit.  Any other E is tested on every unit.
-    apply = table.apply if table is not None else lambda X: _expected(E, X)
-    units = alg.unit_batches(alg.batch_size, diagonal=table is not None)
-    resid = np.concatenate([np.abs(phi.batch(apply(X)) - phi.batch(X)) for X in units])
+    # maximum over all units, bit for bit.
+    units = alg.unit_batches(alg.batch_size, diagonal=True)
+    resid = np.concatenate([np.abs(phi.batch(table.apply(X)) - phi.batch(X)) for X in units])
     reports.append(_report("markov_preservation", np.max(resid), TRACE_TOL))
     return reports
 

@@ -15,10 +15,14 @@ projection onto the span of a family, formed from its Gram matrix: onto B's
 embedded matrix units it is the conditional expectation, and onto the tower's
 left multiplications the dual expectation E_1, so it is the reference that
 both compiled forms are tested against; a numerically degenerate family
-raises ``SingularGram``.  ``per_column_orthonormality`` and
-``per_operator_reconstruction`` are verify's former generic path, one E call
-per column of pairs or per test operator, each of d operands: the grouped
-calls must give their reports bit for bit.
+raises ``SingularGram``.  ``per_column_orthonormality``,
+``per_operator_reconstruction`` and ``all_units_markov_preservation`` are the
+per-operand reference for verify's compiled checks: they call any E on block
+stacks (one call per column of pairs, per test operator, or per batch of all
+matrix units) and assume no linearity, so a plain callable, such as a
+composed E1 o E0 or the dual expectation in a lambda, is checked too;
+``reference_basis`` is ``verify_basis`` with those three in place of its
+compiled checks.
 """
 
 import numpy as np
@@ -27,7 +31,18 @@ from uob.algebra import BlockOperator, TracialState, roots
 from uob.errors import AlgebraMismatch, UobError
 from uob.expectation import markov_expectation
 from uob.inclusion import InclusionSpec, embed_batch, spectral_d
-from uob.verify import N_RANDOM, ORTHO_TOL, RECON_TOL, _adjoints, _entry_max, _expected, _report, _worst
+from uob.verify import (
+    N_RANDOM,
+    ORTHO_TOL,
+    RECON_TOL,
+    TRACE_TOL,
+    _cardinality_report,
+    _entry_max,
+    _report,
+    _worst,
+    verify_trace_conditions,
+    verify_unitary,
+)
 
 GRAM_COND_LIMIT = 1e12
 
@@ -226,6 +241,24 @@ def _flatten(X: BlockOperator) -> np.ndarray:
     return np.concatenate([b.ravel() for b in X.data])
 
 
+def _adjoints(basis) -> list[np.ndarray]:
+    """Every W_c* of each block, laid out once as the rows of one (d n, n) array:
+    conjugated straight into one C-ordered (d, n, n) stack, then viewed."""
+    adj = (np.conjugate(Ws.swapaxes(-1, -2), order="C") for Ws in basis.stacks)
+    return [H.reshape(-1, H.shape[-1]) for H in adj]
+
+
+def _expected(E, operands) -> list[np.ndarray]:
+    """E of a list of (K, n_i, n_i) block stacks, in one call.  An output that
+    is not a list of stacks of the operands' shapes is refused, so a block of
+    the wrong size never lands (or broadcasts) in a residual."""
+    out = E(operands)
+    shapes = [getattr(o, "shape", None) for o in out] if isinstance(out, (list, tuple)) else None
+    if shapes != [p.shape for p in operands]:
+        raise AlgebraMismatch("expectation output is not a list of stacks of the operands' shapes")
+    return out
+
+
 def _conjugated_one(E, basis, adj, X) -> list[np.ndarray]:
     """E(W_c* X) for every c of one operator X, in one E call on d operands."""
     return _expected(E, [(H @ x).reshape(Ws.shape) for H, Ws, x in zip(adj, basis.stacks, X)])
@@ -258,3 +291,26 @@ def per_operator_reconstruction(basis, E, tol=RECON_TOL, seed=0, sampler=None):
         blocks = zip(basis.stacks, _conjugated_one(E, basis, adj, X.data), X.data)
         resid[t] = np.max([np.abs((Ws @ o).sum(axis=0) - x).max() for Ws, o, x in blocks])
     return _worst("reconstruction", resid, tol, lambda k: samples[k][0], seed=seed)
+
+
+def all_units_markov_preservation(spec, E):
+    """verify_trace_conditions' Markov preservation on all sum n_i^2 matrix
+    units, one E call per batch of them."""
+    alg = spec.super_algebra
+    phi = TracialState(alg, spec.super_dims)
+    units = alg.unit_batches(alg.batch_size)
+    resid = np.concatenate([np.abs(phi.batch(_expected(E, X)) - phi.batch(X)) for X in units])
+    return _report("markov_preservation", np.max(resid), TRACE_TOL)
+
+
+def reference_basis(basis, E, seed=0, recon_tol=RECON_TOL):
+    """``verify_basis`` with orthonormality, reconstruction and Markov
+    preservation on the per-operand reference: the same reports, in order."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        reports = [
+            verify_unitary(basis),
+            per_column_orthonormality(basis, E),
+            per_operator_reconstruction(basis, E, tol=recon_tol, seed=seed),
+        ]
+    integer = verify_trace_conditions(basis.spec)[0]  # exact, and E plays no part in it
+    return reports + [integer, all_units_markov_preservation(basis.spec, E), _cardinality_report(basis.spec, basis)]

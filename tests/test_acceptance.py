@@ -5,6 +5,7 @@ by the verify suite's named constants, so a red line here means the
 corresponding guarantee of the package is broken.
 """
 
+import functools
 import json
 import math
 import time
@@ -40,7 +41,13 @@ from uob.verify import (
     verify_unitary,
 )
 
-from reference import composed_expectation, random_abelian_specs
+from reference import (
+    composed_expectation,
+    per_column_orthonormality,
+    per_operator_reconstruction,
+    random_abelian_specs,
+    reference_basis,
+)
 
 EXPECTED_D = {
     "c_in_m2": 4,
@@ -64,13 +71,14 @@ def _line(num, label, ok):
 
 
 def _structural_ok(basis, E=None, seed=0):
+    """Unitary, orthonormal and reconstructing: against the compiled Markov E,
+    or, given a plain callable E such as a composed E1 o E0, on the
+    per-operand reference."""
     if E is None:
-        E = markov_expectation(basis.spec)
-    return (
-        verify_unitary(basis).passed
-        and verify_orthonormality(basis, E).passed
-        and verify_reconstruction(basis, E, 1e-8, seed=seed).passed
-    )
+        E, ortho, recon = markov_expectation(basis.spec), verify_orthonormality, verify_reconstruction
+    else:
+        ortho, recon = per_column_orthonormality, per_operator_reconstruction
+    return verify_unitary(basis).passed and ortho(basis, E).passed and recon(basis, E, 1e-8, seed=seed).passed
 
 
 def test_acceptance_1_exact_spectral_decisions():
@@ -141,7 +149,7 @@ def test_acceptance_5_basic_construction():
         d = check_spectral_condition(spec).d
         bc = build_basic_construction(spec)
         b0 = abelian_basis(spec)
-        E1 = lambda X: dual_expectation(bc, X)
+        E1 = functools.partial(dual_expectation, bc)
         # E_1(e_1) = I/d
         resid = (E1(bc.e1_operator()) - (1 / d) * bc.gns_algebra.identity()).norm_inf()
         ok = ok and resid <= 1e-9
@@ -156,6 +164,10 @@ def test_acceptance_5_basic_construction():
         ok = ok and verify_unitary(b1).passed
         ok = ok and verify_orthonormality(b1, E1).passed
         ok = ok and verify_reconstruction(b1, E1, 1e-8, seed=5, sampler=sampler).passed
+        # and on the per-operand reference, which calls the dual expectation itself
+        plain = lambda X: dual_expectation(bc, X)  # noqa: E731
+        ok = ok and per_column_orthonormality(b1, plain).passed
+        ok = ok and per_operator_reconstruction(b1, plain, 1e-8, seed=5, sampler=sampler).passed
         # entropy line: ln d = ln ||A||^2
         report = check_spectral_condition(spec)
         ok = ok and abs(report.entropy_value - math.log(report.norm_sq)) <= 1e-9
@@ -183,10 +195,9 @@ def test_acceptance_6_necessary_conditions_and_defects():
     spec = catalog_spec("m2_in_m2_plus_m4")
     wrong_phi = TracialState(spec.super_algebra, (1, 1))
     E_bad = conditional_expectation(spec, wrong_phi)
-    # rejected on the stacked path and on the per-element path
-    for expectation in (E_bad, lambda X: E_bad(X)):
-        bad_reports = verify_basis(full_matrix_sub_basis(spec), E=expectation)
-        ok = ok and not all_passed(bad_reports)
+    # rejected on the stacked path and on the per-operand reference
+    for certify in (verify_basis, reference_basis):
+        ok = ok and not all_passed(certify(full_matrix_sub_basis(spec), E_bad))
     _line(6, "necessary conditions pass on bases, fail on defects", ok)
 
 

@@ -7,18 +7,19 @@ Those moves must pass every check, with every residual at most 1e-13.  Two
 defects ten times the pinned tolerances must fail: W_0 -> W_0 exp(i delta H),
 with H a seeded Hermitian element of A of norm 1 not in B, keeps W_0 unitary
 and must fail orthonormality; one seeded entry moved by delta must fail
-unitarity.
+unitarity.  A compiled E with one slot weight q_ij scaled by 1 + delta is no
+longer a trace-preserving expectation: each catalog basis must fail
+orthonormality, reconstruction and Markov preservation against it.
 
-The catalog bases, and the benchmark ladder's inclusions under every method
-that builds them, run under their compiled Markov E; C in C^100 runs under a
-plain-lambda Markov E, which takes the generic path.  The benchmark's tower
-bases (A in A_1) run against the dual expectation and the generated-algebra
-sampler, with A_1 in the role of A and left_rep(A) in that of B, on both
-paths: as ``partial(dual_expectation, bc)``, which verify reads as its
-compiled Markov E, and wrapped in a plain lambda, which takes the generic
-path.  A random H of norm 1 spreads over all d directions: on C in M_10 and
-C in C^100 (d = 100) it moves the residual by only 0.06 to 0.13 delta, so
-the ladder, C in C^100 and the tower rotate along one basis direction instead.
+The catalog bases, the benchmark ladder's inclusions under every method that
+builds them, and C in C^100 run under their compiled Markov E.  The
+benchmark's tower bases (A in A_1) run against the dual expectation and the
+generated-algebra sampler, with A_1 in the role of A and left_rep(A) in that
+of B, as ``partial(dual_expectation, bc)``, which verify reads as its
+compiled Markov E.  A random H of norm 1 spreads over all d directions: on
+C in M_10 and C in C^100 (d = 100) it moves the residual by only 0.06 to 0.13
+delta, so the ladder, C in C^100 and the tower rotate along one basis
+direction instead.
 """
 
 import functools
@@ -29,7 +30,7 @@ import pytest
 from uob.bases import METHODS, UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec
 from uob.errors import UobError
-from uob.expectation import markov_expectation
+from uob.expectation import SlotTable, markov_expectation
 from uob.inclusion import InclusionSpec, embed_batch
 from uob.tower import basic_construction_basis, build_basic_construction, dual_expectation, generated_algebra_sampler
 from uob.verify import (
@@ -44,6 +45,8 @@ MOVE_TOL = 1e-13
 # loosened tolerance fails the gauge instead of moving the defects with it
 ROTATION = 1e-8
 ENTRY_MOVE = 1e-8
+# one slot weight q_ij scaled by 1 + 1e-8, ten times ORTHO_TOL, written out too
+SLOT_WEIGHT = 1e-8
 
 # the inclusions whose basic construction the benchmark's tower workload builds
 TOWER = {
@@ -163,11 +166,10 @@ def _assert_directed_defects_fail(name, basis, E, rounds):
 
 
 def _tower(name):
-    """bc, its basis, the dual expectation in both forms and the sampler."""
+    """bc, its basis, the dual expectation and the sampler."""
     bc = build_basic_construction(InclusionSpec.from_matrix(*TOWER[name]))
     b1 = basic_construction_basis(bc, construct(bc.spec, "auto"))
-    forms = (functools.partial(dual_expectation, bc), lambda X: dual_expectation(bc, X))
-    return bc, b1, forms, generated_algebra_sampler(bc)
+    return bc, b1, functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
 
 
 def _tower_unitary(bc, rng):
@@ -226,37 +228,63 @@ def test_ladder_small_defects_fail(name):
 
 def _wide():
     basis = construct(InclusionSpec.from_matrix([[1]] * 100, [1]), "auto")
-    compiled = markov_expectation(basis.spec)
-    return basis, lambda X: compiled(X)  # no slot table: the generic path
+    return basis, markov_expectation(basis.spec)
 
 
-def test_wide_equivalence_moves_pass_on_the_generic_path():
+def test_wide_equivalence_moves_pass():
     _assert_moves_pass("c_in_c100", *_wide(), rounds=2)
 
 
-def test_wide_small_defects_fail_on_the_generic_path():
+def test_wide_small_defects_fail():
     _assert_directed_defects_fail("c_in_c100", *_wide(), rounds=2)
 
 
 @pytest.mark.parametrize("name", TOWER)
-def test_tower_equivalence_moves_pass_on_the_generic_path(name):
-    bc, b1, forms, sampler = _tower(name)
+def test_tower_equivalence_moves_pass(name):
+    bc, b1, E1, sampler = _tower(name)
     rng = np.random.default_rng(4)
     for _ in range(2):
         u = [_tower_unitary(bc, rng)]
         b = [bc.left_reps(_unitaries(bc.spec.super_dims, rng, b1.d))]
         moved = _moved(b1, u, b, rng.permutation(b1.d))
-        for E in forms:
-            for r in _tower_reports(moved, E, sampler, seed=5):
-                assert r.passed and r.residual <= MOVE_TOL, (name, r)
+        for r in _tower_reports(moved, E1, sampler, seed=5):
+            assert r.passed and r.residual <= MOVE_TOL, (name, r)
 
 
 @pytest.mark.parametrize("name", TOWER)
-def test_tower_small_defects_fail_on_the_generic_path(name):
-    bc, b1, forms, _ = _tower(name)
+def test_tower_small_defects_fail(name):
+    bc, b1, E1, _ = _tower(name)
     rng = np.random.default_rng(6)
     for _ in range(2):
         rotated = _rotated(b1, _tower_hermitian(bc, b1, rng), ROTATION)
         assert verify_unitary(rotated).passed, name
-        assert not any(verify_orthonormality(rotated, E).passed for E in forms), name
+        assert not verify_orthonormality(rotated, E1).passed, name
         assert not verify_unitary(_entry_moved(b1, rng, ENTRY_MOVE)).passed, name
+
+
+def _weight_moved(spec, j, c, delta):
+    """The compiled Markov E of ``spec`` with the weight q_ij of copy c of sub
+    block j scaled by 1 + delta, as an E on block stacks that carries its table."""
+    slots = [list(copies) for copies in markov_expectation(spec).slots.slots]
+    i, start, q = slots[j][c]
+    slots[j][c] = (i, start, q * (1 + delta))
+    table = SlotTable(spec, tuple(map(tuple, slots)))
+
+    def E(X):
+        return table.apply(X)
+
+    E.slots = table
+    return E
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_slot_weight_defects_fail(name):
+    # every copy's weight in turn: E(W_j* W_j) moves off I by q_ij delta on that
+    # copy, sum_c W_c E(W_c* X) off X, and phi(E(X)) off phi(X)
+    basis = CATALOG[name]
+    for j, copies in enumerate(markov_expectation(basis.spec).slots.slots):
+        for c in range(len(copies)):
+            E = _weight_moved(basis.spec, j, c, SLOT_WEIGHT)
+            reports = {r.name: r for r in verify_basis(basis, E, seed=2)}
+            for check in ("orthonormality", "reconstruction", "markov_preservation"):
+                assert not reports[check].passed, (name, j, c, reports[check])

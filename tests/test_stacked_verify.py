@@ -1,8 +1,8 @@
 """The compiled E and the stacked verify checks against the per-element reference.
 
-The reference path is the same E wrapped in a plain lambda: it carries no
-slot table, so every check calls it on block stacks, once per column of
-pairs, test operator or batch of matrix units.
+The reference is ``tests/reference.py``'s per-operand checks: they call the
+same E on block stacks, once per column of pairs, test operator or batch of
+matrix units.
 """
 
 import functools
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uob.algebra import CHUNK_ENTRIES, MultiMatrixAlgebra, TracialState
+from uob.algebra import MultiMatrixAlgebra, TracialState
 from uob.bases import UnitaryBasis, construct
 from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
@@ -20,7 +20,6 @@ from uob.expectation import conditional_expectation, markov_expectation
 from uob import verify
 from uob.inclusion import InclusionSpec, embed
 from uob.verify import (
-    N_RANDOM,
     RECON_TOL,
     _compiled_reconstruction,
     _weighted_columns,
@@ -35,9 +34,11 @@ from uob.verify import (
 
 from reference import (
     _GramProjector,
+    all_units_markov_preservation,
     per_column_orthonormality,
     per_operator_reconstruction,
     random_abelian_specs,
+    reference_basis,
 )
 from spec_box import specs
 
@@ -69,7 +70,7 @@ def _unitary_reference(basis):
 
 
 def _tampered(basis):
-    """The negative controls: each must fail on both paths."""
+    """The negative controls: each must fail, compiled and on the reference."""
     els = list(basis.elements)
     alg = els[0].algebra
 
@@ -106,12 +107,11 @@ def test_constructible_set_is_not_empty():
 @pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
 def test_stacked_residuals_match_reference(name, basis):
     E = markov_expectation(basis.spec)
-    G = lambda X: E(X)  # noqa: E731
     assert abs(verify_unitary(basis).residual - _unitary_reference(basis)) <= MATCH_TOL
     pairs = [
-        (verify_orthonormality(basis, E), verify_orthonormality(basis, G)),
-        (verify_reconstruction(basis, E, seed=7), verify_reconstruction(basis, G, seed=7)),
-        (verify_trace_conditions(basis.spec, E)[-1], verify_trace_conditions(basis.spec, G)[-1]),
+        (verify_orthonormality(basis, E), per_column_orthonormality(basis, E)),
+        (verify_reconstruction(basis, E, seed=7), per_operator_reconstruction(basis, E, seed=7)),
+        (verify_trace_conditions(basis.spec, E)[-1], all_units_markov_preservation(basis.spec, E)),
     ]
     for fast, ref in pairs:
         assert fast.name == ref.name and fast.passed and ref.passed
@@ -121,11 +121,10 @@ def test_stacked_residuals_match_reference(name, basis):
 @pytest.mark.parametrize("name,basis", BASES, ids=[n for n, _ in BASES])
 def test_verdicts_agree_on_tampered_copies(name, basis):
     E = markov_expectation(basis.spec)
-    G = lambda X: E(X)  # noqa: E731
     for kind, elements in _tampered(basis).items():
         bad = UnitaryBasis.from_elements(basis.spec, elements, kind)
         fast = verify_basis(bad, E, seed=1)
-        ref = verify_basis(bad, G, seed=1)
+        ref = reference_basis(bad, E, seed=1)
         assert [r.passed for r in fast] == [r.passed for r in ref], (name, kind)
         assert not all(r.passed for r in fast), (name, kind)
 
@@ -173,7 +172,7 @@ CATALOG_BASES = [(name, basis) for name, basis in BASES if not name.startswith("
 @pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
-def test_any_nan_inf_or_moved_entry_fails_on_both_paths(name, basis, data):
+def test_any_nan_inf_or_moved_entry_fails_compiled_and_on_the_reference(name, basis, data):
     # An entry w moves radially, by 1e-6 along w / |w| (or by 1e-6 when w = 0).
     # A move tangent to |w| = 1 is not a defect: on a monomial element such as
     # the identity it is a phase rotation to first order, and the family stays
@@ -186,8 +185,8 @@ def test_any_nan_inf_or_moved_entry_fails_on_both_paths(name, basis, data):
     stacks[i][j, a, b] = step if not np.isfinite(step) else w + step * (w / abs(w) if w else 1)
     bad = UnitaryBasis(basis.spec, tuple(stacks), "tampered")
     E = markov_expectation(basis.spec)
-    for expectation in (E, lambda X: E(X)):
-        assert not all_passed(verify_basis(bad, expectation, seed=3)), (name, step)
+    assert not all_passed(verify_basis(bad, E, seed=3)), (name, step)
+    assert not all_passed(reference_basis(bad, E, seed=3)), (name, step)
 
 
 # the paper's first special case, complex Hadamard matrices, at width: C in C^100
@@ -219,76 +218,8 @@ def test_a_wide_basis_takes_one_unitary_product_per_block(name, monkeypatch):
     assert report.witness == f"element {int(np.argmax(per_element))}"
 
 
-def _stack_lengths(E):
-    """E wrapped without its slot table, so the generic path takes it, and the
-    list of the stack length K of every call."""
-    sizes = []
-
-    def counted(X):
-        sizes.append(len(X[0]))
-        return E(X)
-
-    return counted, sizes
-
-
-def _assert_grouped(sizes, g, d, operators):
-    # every call holds the g d operands of g operators (columns or test
-    # operators), and only the last call may be short
-    assert all(k == g * d for k in sizes[:-1]) and 0 < sizes[-1] <= g * d, (sizes, g, d)
-    assert sum(sizes) == d * operators
-
-
-def _assert_each_operand_reaches_E_once(basis):
-    # E takes stacks: one call per group of g = max(1, batch_size // d) columns k
-    # or test operators (g d operands, at most CHUNK_ENTRIES entries) and one per
-    # unit batch, so the summed lengths are d^2, d (sum n_i^2 + N_RANDOM) and sum n_i^2
-    d, alg = basis.d, basis.algebra
-    g = max(1, alg.batch_size // d)
-    assert g * d * alg.vector_dim <= CHUNK_ENTRIES or g == 1
-    counted, sizes = _stack_lengths(markov_expectation(basis.spec))
-    assert verify_orthonormality(basis, counted).passed
-    _assert_grouped(sizes, g, d, d)
-    sizes.clear()
-    assert verify_reconstruction(basis, counted, seed=2).passed
-    _assert_grouped(sizes, g, d, alg.vector_dim + N_RANDOM)
-    sizes.clear()
-    assert all_passed(verify_trace_conditions(basis.spec, counted))
-    assert sizes == [len(X[0]) for X in alg.unit_batches(alg.batch_size)] and sum(sizes) == alg.vector_dim
-    return g
-
-
-@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
-def test_generic_path_passes_each_operand_to_E_once(name, basis):
-    _assert_each_operand_reaches_E_once(basis)
-
-
-def test_generic_path_on_a_wide_basis_calls_E_once_per_column():
-    # C in C^100 under a plain-lambda Markov E: 100 orthonormality calls of 100
-    # operands each (g = 1: d = 100 operands of 100 entries fill a batch of 40
-    # operators), where one call per operand made 10^4 (3.7 s against 0.15 s)
-    assert _assert_each_operand_reaches_E_once(construct(WIDE["c_in_c100"], "auto")) == 1
-
-
-@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
-def test_grouped_generic_path_gives_the_reports_of_one_call_per_operator(name, basis):
-    # under a plain-lambda E, the basis and its tampered copies (an entry moved
-    # by 1e-6, a NaN, ...) get the verdict, residual bits and witness of one E
-    # call per column or test operator, also where 1 x 1 blocks sum in numpy's
-    # own order; a NaN's witness stays the first NaN
-    compiled = markov_expectation(basis.spec)
-    E = lambda X: compiled(X)  # noqa: E731
-    bits = lambda r: (r.passed, r.residual.hex(), r.witness)  # noqa: E731
-    copies = {"basis": basis} | {
-        kind: UnitaryBasis.from_elements(basis.spec, els, kind) for kind, els in _tampered(basis).items()
-    }
-    for kind, b in copies.items():
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert bits(verify_orthonormality(b, E)) == bits(per_column_orthonormality(b, E)), kind
-            assert bits(verify_reconstruction(b, E, seed=2)) == bits(per_operator_reconstruction(b, E, seed=2)), kind
-
-
 @pytest.mark.parametrize("name", ["c_in_m2", "m2_in_m2_plus_m4"])
-def test_an_output_of_another_algebra_is_an_algebra_mismatch(name):
+def test_an_output_of_another_algebra_is_an_algebra_mismatch_on_the_reference(name):
     # a (1, 1) block must not broadcast into the basis's (n, n) slots, and an
     # answer that is no list of stacks (one operator, a stack too few) is refused
     basis = dict(BASES)[name]
@@ -298,9 +229,9 @@ def test_an_output_of_another_algebra_is_an_algebra_mismatch(name):
         lambda X: other.identity(),
         lambda X: X[:-1],
     ):
-        for check in (verify_orthonormality, verify_reconstruction, verify_trace_conditions):
+        for check in (per_column_orthonormality, per_operator_reconstruction, all_units_markov_preservation):
             with pytest.raises(AlgebraMismatch):
-                check(basis.spec if check is verify_trace_conditions else basis, E)
+                check(basis.spec if check is all_units_markov_preservation else basis, E)
 
 
 def _unit_parity(basis):
@@ -343,7 +274,7 @@ def test_a_compiled_E_moves_the_trace_on_diagonal_units_only(spec, data):
                 Y = E(e)
                 assert checked(Y) - checked(e) == 0.0 and phi(Y) - phi(e) == 0.0
         fast = verify_trace_conditions(spec, E)[-1]
-        ref = verify_trace_conditions(spec, lambda X: E(X))[-1]  # all units
+        ref = all_units_markov_preservation(spec, E)
         assert np.float64(fast.residual).tobytes() == np.float64(ref.residual).tobytes()
         assert fast.passed == ref.passed
 
@@ -477,14 +408,12 @@ def test_moved_units_and_phi_on_the_spec_box(spec, data):
 
 def test_a_sampled_operator_of_another_algebra_is_an_algebra_mismatch():
     # one more block than the basis's algebra: zip would drop it unchecked; every
-    # operator is checked before E is first called, so E never sees the group
+    # operator is checked before any batch is stacked
     basis = construct(catalog_spec("c_in_m1_plus_m2"), "auto")
     other = MultiMatrixAlgebra(basis.algebra.blocks + (1,))
     sampler = lambda rng: [("identity", basis.algebra.identity()), ("other", other.identity())]  # noqa: E731
-    counted, sizes = _stack_lengths(markov_expectation(basis.spec))
     with pytest.raises(AlgebraMismatch):
-        verify_reconstruction(basis, counted, sampler=sampler)
-    assert sizes == []
+        verify_reconstruction(basis, markov_expectation(basis.spec), sampler=sampler)
 
 
 def test_a_compiled_expectation_of_another_spec_is_an_algebra_mismatch():

@@ -24,6 +24,7 @@ from uob.algebra import MultiMatrixAlgebra, roots
 from uob.errors import (
     AlgebraMismatch,
     InvariantViolated,
+    NoExpectation,
     PartitionOfUnityFailed,
     SpectralConditionFailed,
     TooLarge,
@@ -39,7 +40,6 @@ from uob.tower import (
     generated_algebra_sampler,
 )
 from uob.verify import (
-    _slot_table,
     all_passed,
     verify_basis,
     verify_orthonormality,
@@ -53,6 +53,7 @@ from reference import (
     _rows,
     per_column_orthonormality,
     per_operator_reconstruction,
+    reference_basis,
 )
 
 TOWER_SPECS = ["c_in_m2", "c_in_m1_plus_m2", "c2_in_m2", "c2_in_m2_plus_m2", "m2_in_m4"]
@@ -196,11 +197,16 @@ def test_basic_construction_basis_is_verified():
 
             b0 = full_matrix_sub_basis(spec)
         b1 = basic_construction_basis(bc, b0)
-        E1 = lambda X: dual_expectation(bc, X)
+        E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
         assert verify_unitary(b1).passed
-        assert verify_orthonormality(b1, E1).passed
-        sampler = generated_algebra_sampler(bc)
-        assert verify_reconstruction(b1, E1, seed=5, sampler=sampler).passed
+        # compiled, and on the reference, which calls the dual expectation itself
+        plain = lambda X: dual_expectation(bc, X)  # noqa: E731
+        for ortho, recon, E in (
+            (verify_orthonormality, verify_reconstruction, E1),
+            (per_column_orthonormality, per_operator_reconstruction, plain),
+        ):
+            assert ortho(b1, E).passed
+            assert recon(b1, E, seed=5, sampler=sampler).passed
 
 
 def test_basic_model_basis_carries_canonical_spec():
@@ -386,39 +392,10 @@ def _tower_basis(name):
     return bc, basic_construction_basis(bc, construct(spec, "auto"))
 
 
-# reconstruction's call lengths, pinned: c3_in_m3 groups its 19 test operators
-# 16 + 3 (g = 50 // 3), c_in_m5 takes one call of d = 25 per operator (g = 1)
-RECON_CALLS = {"c3_in_m3": [48, 9], "c_in_m5": [25] * 35}
-
-
 @pytest.mark.parametrize("name", ALL_TOWER)
-def test_generic_checks_pass_each_operand_to_the_dual_expectation_once(name):
-    # E1 takes stacks: one call per group of g = max(1, batch_size // d) columns
-    # k of pairs or test operators, g d operands each but the last, so the
-    # summed lengths are d^2 and d (D + 10)
-    bc, b1 = _tower_basis(name)
-    d, g = b1.d, max(1, b1.algebra.batch_size // b1.d)
-    sizes = []
-
-    def E1(X):
-        sizes.append(len(X[0]))
-        return dual_expectation(bc, X)
-
-    def grouped(operators):
-        return all(k == g * d for k in sizes[:-1]) and 0 < sizes[-1] <= g * d and sum(sizes) == d * operators
-
-    assert verify_orthonormality(b1, E1).passed
-    assert grouped(d), sizes
-    sizes.clear()
-    assert verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc)).passed
-    assert grouped(bc.gns_dim + 10), sizes
-    assert sizes == RECON_CALLS.get(name, sizes)
-
-
-@pytest.mark.parametrize("name", ALL_TOWER)
-def test_generic_checks_match_the_per_element_loop(name):
-    # the loop the stacked generic path replaced: one block operator per
-    # product, W_j* W_k and W E(W* X) formed and summed element by element
+def test_the_reference_checks_match_the_per_element_loop(name):
+    # the per-operand reference against one block operator per product,
+    # W_j* W_k and W E(W* X) formed and summed element by element
     bc, b1 = _tower_basis(name)
     E1 = lambda X: dual_expectation(bc, X)  # noqa: E731
     I, zero = bc.gns_algebra.identity(), bc.gns_algebra.zero()
@@ -434,11 +411,11 @@ def test_generic_checks_match_the_per_element_loop(name):
         for W in b1.elements:
             acc = acc + W @ E1(W.adjoint() @ X)
         recon.append((acc - X).norm_inf())
-    fast = verify_orthonormality(b1, E1)
-    assert abs(fast.residual - max(ortho)) <= 1e-15
-    fast = verify_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc))
-    assert abs(fast.residual - max(recon)) <= 1e-15
-    assert fast.witness == samples[int(np.argmax(recon))][0]
+    ref = per_column_orthonormality(b1, E1)
+    assert abs(ref.residual - max(ortho)) <= 1e-15
+    ref = per_operator_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc))
+    assert abs(ref.residual - max(recon)) <= 1e-15
+    assert ref.witness == samples[int(np.argmax(recon))][0]
 
 
 def _bits(report):
@@ -458,59 +435,44 @@ def _bad_copies(basis, rng):
         yield kind, UnitaryBasis(basis.spec, tuple(stacks), kind)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 11])
-@pytest.mark.parametrize("name", ALL_TOWER)
-def test_grouped_generic_checks_give_the_reports_of_one_call_per_operator(name, seed):
-    # g columns or test operators per E1 call give the bits of one call each:
-    # verdict, residual and witness, which for a NaN stays the first NaN
-    bc, b1 = _tower_basis(name)
-    E1, sampler = lambda X: dual_expectation(bc, X), generated_algebra_sampler(bc)  # noqa: E731
-    for kind, b in _bad_copies(b1, np.random.default_rng(seed)):
-        with np.errstate(invalid="ignore"):
-            ortho = verify_orthonormality(b, E1)
-            recon = verify_reconstruction(b, E1, seed=seed, sampler=sampler)
-            assert _bits(ortho) == _bits(per_column_orthonormality(b, E1)), (kind, ortho)
-            assert _bits(recon) == _bits(per_operator_reconstruction(b, E1, seed=seed, sampler=sampler)), kind
-        if kind != "moved":  # E1 reads only its diagonal copies, so a moved entry may pass either check
-            assert ortho.passed == recon.passed == (kind == "basis"), (kind, ortho, recon)
-            assert np.isnan(ortho.residual) == np.isnan(recon.residual) == (kind == "nan"), (kind, ortho, recon)
-
-
 # the benchmark's tower inclusions with B = C: their twisted bases carry the
 # transposed spec, whose compiled Markov E is the dual expectation
 B_IS_C = [name for name, (_, m) in BENCH_TOWER.items() if m == [1]]
 
 
 @pytest.mark.parametrize("name", B_IS_C)
-def test_the_tower_basis_verifies_alike_on_the_generic_and_the_stacked_path(name):
+def test_the_tower_basis_verifies_alike_compiled_and_on_the_reference(name):
+    # the compiled Markov E of the transposed spec against the reference run
+    # on the dual expectation itself, which verify refuses: it has no slot table
     bc, b1 = _tower_basis(name)
     assert b1.spec == ALL_TOWER[name].transpose()
     W = b1.stacks[0].copy()
     W[-1, 0, 0] += 1e-6
     generic = lambda X: dual_expectation(bc, X)  # noqa: E731
     compiled = markov_expectation(b1.spec)
-    assert _slot_table(generic, b1.algebra) is None and _slot_table(compiled, b1.algebra) is not None
+    with pytest.raises(NoExpectation):
+        verify_basis(b1, generic)
     for b in (b1, UnitaryBasis(b1.spec, (W,), "perturbed")):
-        g, c = verify_basis(b, generic, seed=3), verify_basis(b, compiled, seed=3)
+        g, c = reference_basis(b, generic, seed=3), verify_basis(b, compiled, seed=3)
         assert [r.name for r in g] == [r.name for r in c]
         assert [r.passed for r in g] == [r.passed for r in c], (name, b.provenance)
         assert g[1].name == "orthonormality" and abs(g[1].residual - c[1].residual) <= 1e-15, (g[1], c[1])
         assert all_passed(g) == (b is b1)
 
 
-def _generic_path_taken(*args):
-    raise AssertionError("the generic path called E")
+def _never_called(*args):
+    raise AssertionError("called")
 
 
 @pytest.mark.parametrize("name", ALL_TOWER)
 def test_the_partial_dual_expectation_never_calls_E_in_verify(name, monkeypatch):
     # partial(dual_expectation, bc) is read as the compiled Markov E of
     # bc.gns_spec: orthonormality, reconstruction with the sampler and, where
-    # the basis has a spec (B = C), the whole certificate run on its slot table
+    # the basis has a spec (B = C), the whole certificate run on its slot table,
+    # with that E replaced by one that keeps the table and fails when called
     bc, b1 = _tower_basis(name)
     E1 = functools.partial(dual_expectation, bc)
-    monkeypatch.setattr(verify, "_conjugated", _generic_path_taken)
-    monkeypatch.setattr(verify, "_expected", _generic_path_taken)
+    monkeypatch.setitem(vars(bc), "_E", functools.wraps(markov_expectation(bc.gns_spec))(_never_called))
     sampler = generated_algebra_sampler(bc)
     reports = [verify_orthonormality(b1, E1), verify_reconstruction(b1, E1, seed=5, sampler=sampler)]
     if b1.spec is not None:
@@ -522,26 +484,28 @@ def test_the_partial_dual_expectation_never_calls_E_in_verify(name, monkeypatch)
 @pytest.mark.parametrize("name", ALL_TOWER)
 def test_the_partial_dual_expectation_gives_the_reports_of_its_compiled_E(name, seed):
     # bit for bit the reports of markov_expectation(bc.gns_spec), and the
-    # generic path's verdicts with residuals within 2e-15 of its own, on the
+    # reference's verdicts with residuals within 2e-15 of its own, on the
     # basis, a copy with one entry moved by 1e-6 and a copy with NaN entries
     bc, b1 = _tower_basis(name)
     sampler = generated_algebra_sampler(bc)
-    forms = {
-        "partial": functools.partial(dual_expectation, bc),
-        "compiled": markov_expectation(bc.gns_spec),
-        "generic": lambda X: dual_expectation(bc, X),
-    }
+    partial, compiled = functools.partial(dual_expectation, bc), markov_expectation(bc.gns_spec)
+    plain = lambda X: dual_expectation(bc, X)  # noqa: E731
     for kind, b in _bad_copies(b1, np.random.default_rng(seed)):
         with np.errstate(invalid="ignore"):
             got = {
-                form: [verify_orthonormality(b, E), verify_reconstruction(b, E, seed=seed, sampler=sampler)]
-                for form, E in forms.items()
+                E: [verify_orthonormality(b, E), verify_reconstruction(b, E, seed=seed, sampler=sampler)]
+                for E in (partial, compiled)
             }
-        assert list(map(_bits, got["partial"])) == list(map(_bits, got["compiled"])), kind
-        for fast, ref in zip(got["partial"], got["generic"]):
-            assert fast.passed == ref.passed, (kind, fast, ref)
-            assert np.isnan(fast.residual) == np.isnan(ref.residual), (kind, fast, ref)
-            assert np.isnan(ref.residual) or abs(fast.residual - ref.residual) <= 2e-15, (kind, fast, ref)
+            ref = [per_column_orthonormality(b, plain), per_operator_reconstruction(b, plain, seed=seed, sampler=sampler)]
+        assert list(map(_bits, got[partial])) == list(map(_bits, got[compiled])), kind
+        for fast, want in zip(got[partial], ref):
+            assert fast.passed == want.passed, (kind, fast, want)
+            assert np.isnan(fast.residual) == np.isnan(want.residual), (kind, fast, want)
+            assert np.isnan(want.residual) or abs(fast.residual - want.residual) <= 2e-15, (kind, fast, want)
+        ortho, recon = got[partial]
+        if kind != "moved":  # E1 reads only its diagonal copies, so a moved entry may pass either check
+            assert ortho.passed == recon.passed == (kind == "basis"), (kind, ortho, recon)
+            assert np.isnan(ortho.residual) == np.isnan(recon.residual) == (kind == "nan"), (kind, ortho, recon)
 
 
 @pytest.mark.parametrize("extra_block", [False, True])
@@ -553,7 +517,7 @@ def test_a_sampled_operator_of_another_algebra_is_refused_before_the_compiled_sw
     other = MultiMatrixAlgebra((D, 1) if extra_block else (D - 1,))
     sampler = generated_algebra_sampler(bc)
     with_other = lambda rng: [*sampler(rng), ("other", other.identity())]  # noqa: E731
-    monkeypatch.setattr(verify, "_weighted_columns", _generic_path_taken)
+    monkeypatch.setattr(verify, "_weighted_columns", _never_called)
     with pytest.raises(AlgebraMismatch):
         verify_reconstruction(b1, functools.partial(dual_expectation, bc), sampler=with_other)
 
@@ -643,7 +607,7 @@ def test_sampler_matches_the_per_operand_loop(name, seed, count):
 
 
 @pytest.mark.parametrize("entry", [(0, 0, 0), (5, 2, 11), (12, 12, 0)])
-def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
+def test_a_nan_in_a_tower_basis_fails_compiled_and_on_the_reference(entry):
     # one NaN entry (element, row, column) of the twisted basis: it fills a row
     # of W* W and W* X, and with it a diagonal copy that E_1 reads, so both
     # checks report NaN
@@ -651,12 +615,16 @@ def test_a_nan_in_a_tower_basis_fails_the_generic_checks(entry):
     W = b1.stacks[0].copy()
     W[entry] = np.nan
     bad = UnitaryBasis(b1.spec, (W,), b1.provenance)
-    E1 = lambda X: dual_expectation(bc, X)  # noqa: E731
-    assert _slot_table(E1, bad.algebra) is None  # the generic path
-    ortho = verify_orthonormality(bad, E1)
-    recon = verify_reconstruction(bad, E1, seed=5, sampler=generated_algebra_sampler(bc))
-    for report in (ortho, recon):
-        assert not report.passed and np.isnan(report.residual), report
+    sampler = generated_algebra_sampler(bc)
+    plain = lambda X: dual_expectation(bc, X)  # noqa: E731
+    for ortho, recon, E1 in (
+        (verify_orthonormality, verify_reconstruction, functools.partial(dual_expectation, bc)),
+        (per_column_orthonormality, per_operator_reconstruction, plain),
+    ):
+        with np.errstate(invalid="ignore"):
+            reports = [ortho(bad, E1), recon(bad, E1, seed=5, sampler=sampler)]
+        for report in reports:
+            assert not report.passed and np.isnan(report.residual), report
 
 
 def _on_copies(bc):
@@ -717,41 +685,36 @@ def _catalog_sampler(alg):
     return sampler
 
 
-def _generic_cases(compiled=False):
+def _bad_entry_cases():
     """(name, basis, E, sampler, (k, entry)s): the tower's C in M_5 basis (one
     block) against its dual expectation, and a multi-block catalog basis under a
-    Markov E; each k a left or matrix unit and a random operator.  Both E are
-    wrapped in a plain lambda, or with ``compiled`` are the partial and the
-    compiled E themselves, named "compiled ..."."""
+    Markov E; each k a left or matrix unit and a random operator."""
     bc, b1 = _tower_basis("c_in_m5")
-    E1 = functools.partial(dual_expectation, bc) if compiled else lambda X: dual_expectation(bc, X)
-    prefix = "compiled " if compiled else ""
-    yield prefix + "c_in_m5", b1, E1, generated_algebra_sampler(bc), [
+    yield "c_in_m5", b1, functools.partial(dual_expectation, bc), generated_algebra_sampler(bc), [
         (7, (0, 3, 11)),
         (30, (0, 24, 0)),
     ]
     spec = catalog_spec("m2_in_m2_plus_m4")
     b = construct(spec, "auto")
-    E = markov_expectation(spec)
-    yield prefix + "m2_in_m2_plus_m4", b, E if compiled else lambda X: E(X), _catalog_sampler(b.algebra), [
+    yield "m2_in_m2_plus_m4", b, markov_expectation(spec), _catalog_sampler(b.algebra), [
         (2, (0, 1, 0)),
         (21, (1, 2, 3)),
     ]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("case", [*_generic_cases(), *_generic_cases(compiled=True)], ids=lambda c: c[0])
-def test_a_bad_entry_in_one_test_operator_fails_with_its_label(case, bad):
-    # each W_c* X of a block is one product over the whole adjoint stack, and
-    # each batch of X one product over the weighted columns; a NaN or Inf in one
-    # X must still fail the check on either path, with that X as the witness
+@pytest.mark.parametrize("case", list(_bad_entry_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("check", [verify_reconstruction, per_operator_reconstruction], ids=["compiled", "reference"])
+def test_a_bad_entry_in_one_test_operator_fails_with_its_label(check, case, bad):
+    # each batch of X is one product over the weighted columns, and on the
+    # reference each W_c* X one product over the whole adjoint stack; a NaN or
+    # Inf in one X must still fail the check, with that X as the witness
     name, basis, E, sampler, spots = case
-    assert (_slot_table(E, basis.algebra) is None) == (not name.startswith("compiled"))
     labels = [label for label, _ in sampler(np.random.default_rng(5))]
-    assert verify_reconstruction(basis, E, seed=5, sampler=sampler).passed
+    assert check(basis, E, seed=5, sampler=sampler).passed
     for k, entry in spots:
         with np.errstate(invalid="ignore", over="ignore"):
-            report = verify_reconstruction(basis, E, seed=5, sampler=_tamper_one(sampler, k, entry, bad))
+            report = check(basis, E, seed=5, sampler=_tamper_one(sampler, k, entry, bad))
         assert not report.passed and not np.isfinite(report.residual), (name, k, report)
         assert report.witness == labels[k], (name, k, report)
 
@@ -886,27 +849,15 @@ def test_chunked_products_keep_the_peak_of_the_per_element_loops():
     assert _traced_peak(batched) <= 1.1 * _traced_peak(per_element)
 
 
-def test_the_generic_checks_keep_the_peak_of_one_call_per_operand():
-    # c_in_m5's tower basis (d = D = 25): one E call per column or test operator
-    # holds the operand stack, E's answer and the d products on the projector's
-    # support, where one call per operand held the operand stack and the answers
-    # copied out; the bounds are 1.05 times the peaks of that form (1030.0 and
-    # 1389.5 kB over start)
-    bc, b1 = _tower_basis("c_in_m5")
-    E1, sampler = lambda X: dual_expectation(bc, X), generated_algebra_sampler(bc)  # noqa: E731
-    ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
-    recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
-    ortho(), recon()  # warm the caches outside the traced runs
-    assert _traced_peak(ortho) <= 1.05 * 1_029_976
-    assert _traced_peak(recon) <= 1.05 * 1_389_486
-
-
-def test_the_compiled_tower_checks_keep_the_peak_of_the_generic_ones():
-    # the partial on c_in_m5 (d = D = 25) keeps the generic path's bounds above.
-    # With the family built beforehand, the peak is the weighted columns' own
-    # (four arrays of the basis's size) plus one batch: each batch of sampled
-    # operators is stacked only when it is checked, where stacking all 35 of
-    # them first read 1,095,856 B
+def test_the_compiled_tower_checks_keep_their_peaks():
+    # the partial on c_in_m5 (d = D = 25), within 1.05 times the peaks of the
+    # former one E call per column or test operator (1,029,976 and 1,389,486 B
+    # over start).  With the family built beforehand, the peak is the weighted
+    # columns' own (R and L, two arrays of the basis's size, L formed from R)
+    # plus one batch's products, within one more basis size and a chunk: each
+    # batch of sampled operators is stacked only when it is checked, where
+    # stacking all 35 of them first read 1,095,856 B, and L formed from its own
+    # column stack held four arrays of the basis's size
     bc, b1 = _tower_basis("c_in_m5")
     E1, sampler = functools.partial(dual_expectation, bc), generated_algebra_sampler(bc)
     family = sampler(np.random.default_rng(5))
@@ -916,22 +867,7 @@ def test_the_compiled_tower_checks_keep_the_peak_of_the_generic_ones():
     ortho(), recon()  # warm the caches outside the traced runs
     assert _traced_peak(ortho) <= 1.05 * 1_029_976
     assert _traced_peak(recon) <= 1.05 * 1_389_486
-    assert _traced_peak(prebuilt) <= 4 * b1.stacks[0].nbytes + algebra.CHUNK_ENTRIES * np.dtype(complex).itemsize
-
-
-def test_grouped_generic_checks_peak_within_three_chunks_of_one_call_per_operand():
-    # c3_in_m3's tower basis (d = 3, D = 9, g = 16): a group's operand stack,
-    # E's answer and the products each hold at most CHUNK_ENTRIES entries; the
-    # bounds are the peaks of one call per column or test operator (17.7 and
-    # 90.9 kB over start) plus three complex stacks of CHUNK_ENTRIES entries
-    bc, b1 = _tower_basis("c3_in_m3")
-    E1, sampler = lambda X: dual_expectation(bc, X), generated_algebra_sampler(bc)  # noqa: E731
-    ortho = lambda: verify_orthonormality(b1, E1)  # noqa: E731
-    recon = lambda: verify_reconstruction(b1, E1, seed=5, sampler=sampler)  # noqa: E731
-    ortho(), recon()  # warm the caches outside the traced runs
-    chunks = 3 * algebra.CHUNK_ENTRIES * np.dtype(complex).itemsize
-    assert _traced_peak(ortho) <= 17_696 + chunks
-    assert _traced_peak(recon) <= 90_908 + chunks
+    assert _traced_peak(prebuilt) <= 3 * b1.stacks[0].nbytes + algebra.CHUNK_ENTRIES * np.dtype(complex).itemsize
 
 
 def test_the_projector_reads_its_family_once_without_a_second_copy():

@@ -27,6 +27,13 @@ from uob.verify import (
     verify_unitary,
 )
 
+from reference import (
+    all_units_markov_preservation,
+    per_column_orthonormality,
+    per_operator_reconstruction,
+    reference_basis,
+)
+
 
 def test_good_bases_pass_everything():
     for b in (abelian_basis(catalog_spec("c_in_m1_plus_m2")), weyl_basis(catalog_spec("c2_in_m4"))):
@@ -99,11 +106,11 @@ def test_defect_wrong_trace():
     spec = catalog_spec("m2_in_m2_plus_m4")
     wrong = TracialState(spec.super_algebra, (1, 1))  # Markov vector would be (2, 4)
     E_bad = conditional_expectation(spec, wrong)
-    # the compiled E takes the stacked check, a plain callable the per-element one
-    for expectation in (E_bad, lambda X: E_bad(X)):
-        reports = verify_trace_conditions(spec, expectation)
-        failed = {r.name for r in reports if not r.passed}
-        assert "markov_preservation" in failed
+    # the stacked check on the diagonal units, and the reference on all units
+    reports = verify_trace_conditions(spec, E_bad)
+    failed = {r.name for r in reports if not r.passed}
+    assert "markov_preservation" in failed
+    assert not all_units_markov_preservation(spec, E_bad).passed
     good = verify_trace_conditions(spec)
     assert all_passed(good)
 
@@ -163,8 +170,8 @@ def _nan_basis():
 def test_nan_basis_fails_on_both_paths():
     b = _nan_basis()
     E = markov_expectation(b.spec)
-    for expectation in (E, lambda X: E(X)):
-        reports = {r.name: r for r in verify_basis(b, expectation)}
+    for certify in (verify_basis, reference_basis):
+        reports = {r.name: r for r in certify(b, E)}
         for name in ("unitary", "orthonormality", "reconstruction"):
             assert not reports[name].passed, name
             assert np.isnan(reports[name].residual), name
@@ -181,15 +188,16 @@ def test_non_finite_residual_fails_the_report():
     assert report.witness == "element 1"
 
 
-def test_generic_loop_keeps_a_nan_behind_finite_residuals():
+def test_orthonormality_keeps_a_nan_behind_finite_residuals():
     # a NaN pair after finite pairs must still decide the verdict
     b = abelian_basis(catalog_spec("c_in_m3"))
     last = b.elements[-1]
     bad = last.algebra.operator([np.where(np.eye(3) > 0, np.nan, blk) for blk in last.data])
     nan_last = UnitaryBasis.from_elements(b.spec, b.elements[:-1] + (bad,), "nan")
     E = markov_expectation(b.spec)
-    report = verify_orthonormality(nan_last, lambda X: E(X))
-    assert not report.passed and report.witness == f"pair (0, {b.d - 1})"
+    for check in (verify_orthonormality, per_column_orthonormality):
+        report = check(nan_last, E)
+        assert not report.passed and report.witness == f"pair (0, {b.d - 1})", check
 
 
 def test_empty_basis_fails_without_crashing():
@@ -206,9 +214,9 @@ def test_empty_basis_fails_without_crashing():
 def test_an_empty_test_family_fails_reconstruction():
     # a sampler that draws nothing tests nothing: it must fail, not crash
     b = abelian_basis(catalog_spec("c_in_m2"))
-    compiled = markov_expectation(b.spec)
-    for E in (compiled, lambda X: compiled(X)):
-        r = verify_reconstruction(b, E, seed=4, sampler=lambda rng: [])
+    E = markov_expectation(b.spec)
+    for check in (verify_reconstruction, per_operator_reconstruction):
+        r = check(b, E, seed=4, sampler=lambda rng: [])
         assert not r.passed and r.residual == np.inf
         assert (r.witness, r.seed) == ("no test operators", 4)
 
@@ -230,6 +238,30 @@ def test_spec_less_basis_without_expectation_is_a_uob_error():
     bare = UnitaryBasis(None, b.stacks, "bare")
     with pytest.raises(NoExpectation):
         verify_basis(bare)
+
+
+def test_an_expectation_without_a_slot_table_is_refused_before_it_is_called():
+    # every check of a basis reads E's compiled slot table: a plain callable
+    # has none, so it is a NoExpectation, and E is never called
+    b = abelian_basis(catalog_spec("c_in_m1_plus_m2"))
+    compiled, calls = markov_expectation(b.spec), []
+
+    def plain(X):
+        calls.append(1)
+        return compiled(X)
+
+    sampler = lambda rng: [("identity", b.algebra.identity())]  # noqa: E731
+    checks = {
+        "orthonormality": lambda: verify_orthonormality(b, plain),
+        "reconstruction": lambda: verify_reconstruction(b, plain),
+        "reconstruction(sampler=)": lambda: verify_reconstruction(b, plain, sampler=sampler),
+        "trace conditions": lambda: verify_trace_conditions(b.spec, plain),
+        "verify_basis": lambda: verify_basis(b, plain),
+    }
+    for name, check in checks.items():
+        with pytest.raises(NoExpectation, match="slot table"):
+            check()
+        assert calls == [], name
 
 
 def _spec_less_cases():

@@ -9,7 +9,8 @@ with H a seeded Hermitian element of A of norm 1 not in B, keeps W_0 unitary
 and must fail orthonormality; one seeded entry moved by delta must fail
 unitarity.  A compiled E with one slot weight q_ij scaled by 1 + delta is no
 longer a trace-preserving expectation: each catalog basis must fail
-orthonormality, reconstruction and Markov preservation against it.
+orthonormality, reconstruction and Markov preservation against it, and each
+tower basis orthonormality and the sampled reconstruction.
 
 The catalog bases, the benchmark ladder's inclusions under every method that
 builds them, and C in C^100 run under their compiled Markov E.  The
@@ -288,3 +289,16 @@ def test_catalog_slot_weight_defects_fail(name):
             reports = {r.name: r for r in verify_basis(basis, E, seed=2)}
             for check in ("orthonormality", "reconstruction", "markov_preservation"):
                 assert not reports[check].passed, (name, j, c, reports[check])
+
+
+@pytest.mark.parametrize("name", TOWER)
+def test_tower_slot_weight_defects_fail(name, monkeypatch):
+    # the partial is read as bc._E's table: with one weight of the compiled
+    # Markov E of bc.gns_spec scaled, every copy in turn, orthonormality and
+    # the sampled reconstruction fail
+    bc, b1, E1, sampler = _tower(name)
+    for j, copies in enumerate(markov_expectation(bc.gns_spec).slots.slots):
+        for c in range(len(copies)):
+            monkeypatch.setitem(vars(bc), "_E", _weight_moved(bc.gns_spec, j, c, SLOT_WEIGHT))
+            assert not verify_orthonormality(b1, E1).passed, (name, j, c)
+            assert not verify_reconstruction(b1, E1, seed=5, sampler=sampler).passed, (name, j, c)

@@ -20,6 +20,7 @@ from uob.expectation import conditional_expectation, markov_expectation
 from uob import verify
 from uob.inclusion import InclusionSpec, embed
 from uob.verify import (
+    N_RANDOM,
     RECON_TOL,
     _compiled_reconstruction,
     _weighted_columns,
@@ -216,6 +217,72 @@ def test_a_wide_basis_takes_one_unitary_product_per_block(name, monkeypatch):
     per_element = [_unitary_reference(one(j)) for j in range(basis.d)]
     assert report.residual == _unitary_reference(basis) == max(per_element)
     assert report.witness == f"element {int(np.argmax(per_element))}"
+
+
+def _never_called(*args):
+    raise AssertionError("E was called")
+
+
+NEVER_CALLED = [*CATALOG_BASES, ("c_in_c100", construct(WIDE["c_in_c100"], "auto"))]
+
+
+@pytest.mark.parametrize("name,basis", NEVER_CALLED, ids=[n for n, _ in NEVER_CALLED])
+def test_the_compiled_checks_read_the_table_and_never_call_E(name, basis):
+    # every check of verify_basis, and reconstruction with a sampler, works on
+    # E's slot table alone: an E that keeps the compiled Markov E's table and
+    # fails when called passes them all
+    E = functools.wraps(markov_expectation(basis.spec))(_never_called)
+    assert all_passed(verify_basis(basis, E, seed=2))
+    sampler = lambda rng: [("identity", basis.algebra.identity()), ("random", basis.algebra.random(rng))]  # noqa: E731
+    assert verify_reconstruction(basis, E, seed=2, sampler=sampler).passed
+
+
+@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
+def test_the_compiled_checks_give_the_reports_of_the_reference(name, basis):
+    # the basis and its tampered copies: the reference's verdict, a NaN where it
+    # has one, its residual within 2e-15 and, where the check fails, its
+    # witness; a passing check's witness is the largest of rounding-level
+    # residuals, which the two sum in other orders
+    E = markov_expectation(basis.spec)
+    copies = {"basis": basis} | {
+        kind: UnitaryBasis.from_elements(basis.spec, els, kind) for kind, els in _tampered(basis).items()
+    }
+    failed = 0
+    for kind, b in copies.items():
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = [
+                (verify_orthonormality(b, E), per_column_orthonormality(b, E)),
+                (verify_reconstruction(b, E, seed=2), per_operator_reconstruction(b, E, seed=2)),
+            ]
+        for fast, ref in pairs:
+            assert fast.passed == ref.passed, (kind, fast, ref)
+            assert np.isnan(fast.residual) == np.isnan(ref.residual), (kind, fast, ref)
+            assert np.isnan(ref.residual) or abs(fast.residual - ref.residual) <= 2e-15, (kind, fast, ref)
+            assert fast.passed or fast.witness == ref.witness, (kind, fast, ref)
+            failed += not fast.passed
+    assert failed, name
+
+
+@pytest.mark.parametrize("name,basis", CATALOG_BASES, ids=[n for n, _ in CATALOG_BASES])
+def test_the_reference_passes_each_operand_to_E_once(name, basis):
+    # the reference assumes no linearity of E: one call per column of pairs and
+    # per test operator, each on the d operands W_c* X, and one per batch of
+    # the matrix units, so every operand reaches E exactly once
+    compiled, sizes = markov_expectation(basis.spec), []
+
+    def E(X):
+        sizes.append(len(X[0]))
+        return compiled(X)
+
+    d, alg = basis.d, basis.algebra
+    assert per_column_orthonormality(basis, E).passed
+    assert sizes == [d] * d
+    sizes.clear()
+    assert per_operator_reconstruction(basis, E, seed=2).passed
+    assert sizes == [d] * (alg.vector_dim + N_RANDOM)
+    sizes.clear()
+    assert all_units_markov_preservation(basis.spec, E).passed
+    assert sizes == [len(X[0]) for X in alg.unit_batches(alg.batch_size)] and sum(sizes) == alg.vector_dim
 
 
 @pytest.mark.parametrize("name", ["c_in_m2", "m2_in_m2_plus_m4"])

@@ -418,6 +418,24 @@ def test_the_reference_checks_match_the_per_element_loop(name):
     assert ref.witness == samples[int(np.argmax(recon))][0]
 
 
+
+@pytest.mark.parametrize("name", ALL_TOWER)
+def test_the_reference_passes_each_operand_to_the_dual_expectation_once(name):
+    # one E1 call per column of pairs and per test operator, each on the d
+    # operands W_c* X, so the summed lengths are d^2 and d (D + 10)
+    bc, b1 = _tower_basis(name)
+    d, sizes = b1.d, []
+
+    def E1(X):
+        sizes.append(len(X[0]))
+        return dual_expectation(bc, X)
+
+    assert per_column_orthonormality(b1, E1).passed
+    assert sizes == [d] * d
+    sizes.clear()
+    assert per_operator_reconstruction(b1, E1, seed=5, sampler=generated_algebra_sampler(bc)).passed
+    assert sizes == [d] * (bc.gns_dim + 10)
+
 def _bits(report):
     return report.passed, report.residual.hex(), report.witness
 

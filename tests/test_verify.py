@@ -8,7 +8,7 @@ import pytest
 from uob.algebra import TracialState
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_spec
-from uob.errors import NoExpectation
+from uob.errors import AlgebraMismatch, NoExpectation
 from uob.expectation import SlotTable, conditional_expectation, markov_expectation
 from uob.inclusion import InclusionSpec
 from uob.tower import basic_construction_basis, build_basic_construction, dual_expectation
@@ -240,6 +240,20 @@ def test_spec_less_basis_without_expectation_is_a_uob_error():
         verify_basis(bare)
 
 
+def _identity_sampler(b):
+    return lambda rng: [("identity", b.algebra.identity())]
+
+
+# every check of a basis, as (basis, E) -> reports
+BASIS_CHECKS = {
+    "orthonormality": lambda b, E: verify_orthonormality(b, E),
+    "reconstruction": lambda b, E: verify_reconstruction(b, E),
+    "reconstruction(sampler=)": lambda b, E: verify_reconstruction(b, E, sampler=_identity_sampler(b)),
+    "trace conditions": lambda b, E: verify_trace_conditions(b.spec, E),
+    "verify_basis": lambda b, E: verify_basis(b, E),
+}
+
+
 def test_an_expectation_without_a_slot_table_is_refused_before_it_is_called():
     # every check of a basis reads E's compiled slot table: a plain callable
     # has none, so it is a NoExpectation, and E is never called
@@ -250,18 +264,48 @@ def test_an_expectation_without_a_slot_table_is_refused_before_it_is_called():
         calls.append(1)
         return compiled(X)
 
-    sampler = lambda rng: [("identity", b.algebra.identity())]  # noqa: E731
-    checks = {
-        "orthonormality": lambda: verify_orthonormality(b, plain),
-        "reconstruction": lambda: verify_reconstruction(b, plain),
-        "reconstruction(sampler=)": lambda: verify_reconstruction(b, plain, sampler=sampler),
-        "trace conditions": lambda: verify_trace_conditions(b.spec, plain),
-        "verify_basis": lambda: verify_basis(b, plain),
-    }
-    for name, check in checks.items():
+    for name, check in BASIS_CHECKS.items():
         with pytest.raises(NoExpectation, match="slot table"):
-            check()
+            check(b, plain)
         assert calls == [], name
+
+
+def _counted(calls, E):
+    def counted(X):
+        calls.append(1)
+        return E(X)
+
+    return counted
+
+
+def _partial_of_compiled(spec, calls):
+    # a partial carries none of the compiled E's attributes, so no table
+    return functools.partial(_counted(calls, markov_expectation(spec)))
+
+
+def _other_algebra(spec, calls):
+    # a wrapper that copies the table of the compiled E of another spec
+    E = markov_expectation(catalog_spec("c_in_m3"))
+    return functools.wraps(E)(_counted(calls, E))
+
+
+REFUSED = {
+    "partial of the compiled E": (NoExpectation, _partial_of_compiled),
+    "table of another algebra": (AlgebraMismatch, _other_algebra),
+}
+
+
+@pytest.mark.parametrize("check", BASIS_CHECKS)
+@pytest.mark.parametrize("form", REFUSED)
+def test_each_check_refuses_an_expectation_without_the_basis_table(form, check):
+    # the table is resolved before anything else: the check raises, and E is
+    # never called
+    b = abelian_basis(catalog_spec("c_in_m1_plus_m2"))
+    error, make = REFUSED[form]
+    calls = []
+    with pytest.raises(error):
+        BASIS_CHECKS[check](b, make(b.spec, calls))
+    assert calls == []
 
 
 def _spec_less_cases():

@@ -30,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import BlockOperator, TracialState, refuse_over_budget, roots
-from .errors import AlgebraMismatch, NonStandardTrace
-from .inclusion import InclusionSpec, embed_batch, markov_trace, spectral_d
+from .errors import AlgebraMismatch, DisconnectedDiagram, NonStandardTrace
+from .inclusion import InclusionSpec, embed_batch, markov_trace
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,8 @@ def conditional_expectation(spec: InclusionSpec, phi: TracialState):
 
 
 def markov_expectation(spec: InclusionSpec):
-    """``conditional_expectation`` for the Markov trace.
-
-    Uses the exact dimension-vector trace when the spectral condition holds
-    (works on disconnected direct sums too); otherwise falls back to the
-    numerically computed Markov trace.
-    """
-    if spectral_d(spec) is not None:
-        phi = TracialState(spec.super_algebra, spec.super_dims)
-    else:
-        phi = markov_trace(spec)
-    return conditional_expectation(spec, phi)
+    """``conditional_expectation`` for ``markov_trace(spec)``, or its DisconnectedDiagram."""
+    return conditional_expectation(spec, markov_trace(spec))
 
 
 @dataclass(frozen=True)
@@ -177,7 +168,9 @@ class MixedUnitaryDecomposition:
 
 
 def mixed_unitary_channel(spec: InclusionSpec) -> MixedUnitaryDecomposition:
-    """Mixed-unitary form of E for the standard trace (all Markov weights equal)."""
+    """Mixed-unitary form of E for the standard trace: connected, all Markov weights equal."""
+    if not spec.is_connected():
+        raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
     p = markov_trace(spec).trace_vector
     if any(abs(v - p[0]) > 1e-12 for v in p):
         raise NonStandardTrace("mixed-unitary form requires equal trace weights")

@@ -169,60 +169,64 @@ def spectral_d(spec: InclusionSpec) -> int | None:
 
 
 def check_spectral_condition(spec: InclusionSpec) -> SpectralReport:
-    """The spectral report: d from ``spectral_d``, cross-checked against ||A||^2.
-
-    A^t A m = d m, A A^t n = d n and sum n_i^2 = d sum m_j^2 need no check:
-    they follow exactly from n = A m, which is how every spec derives n, and
-    A^t n = d m.  ``spectral_d`` and ``is_connected`` run once each.
-    """
+    """d from ``spectral_d``, cross-checked against ||A||^2 from one thin SVD that
+    also gives the Perron vector for ``markov_trace(spec)`` (None where that is a
+    DisconnectedDiagram).  A^t A m = d m, A A^t n = d n and sum n_i^2 = d sum m_j^2
+    follow exactly from n = A m and A^t n = d m; ``spectral_d`` and ``is_connected``
+    run once each."""
     d = spectral_d(spec)
+    connected = spec.is_connected()
     with np.errstate(over="ignore"):
-        norm_sq = float(np.linalg.norm(_float_matrix(spec), ord=2) ** 2)
+        sigma, u = _svd(spec, d is None and connected)
+        norm_sq = float(sigma**2)
     if not norm_sq < math.inf or (d is not None and d > sys.float_info.max):
         raise TooLarge("||A||^2 is past the range of a float")
     if d is not None and abs(norm_sq - d) > SPECTRAL_TOL:
         raise InvariantViolated(f"numerical ||A||^2 = {norm_sq} disagrees with d = {d}")
-    connected = spec.is_connected()
-    # n is the trace vector wherever d exists; elsewhere the Perron vector,
-    # which is strictly positive on a connected diagram only
-    trace = _markov_trace(spec, d) if d is not None or connected else None
     entropy = math.log(d) if d is not None else None
-    return SpectralReport(d is not None, d, trace, entropy, norm_sq, connected)
+    return SpectralReport(d is not None, d, _markov_trace(spec, d, connected, u), entropy, norm_sq, connected)
 
 
 def markov_trace(spec: InclusionSpec) -> TracialState:
-    """The tracial state whose trace vector is the Perron eigenvector of A A^t.
-
-    Disconnected diagrams are rejected because uniqueness fails.
-    """
-    if not spec.is_connected():
+    """The Markov trace, the one that E, the spectral report and the trace
+    check read: n wherever A^t n = d m, on any diagram; otherwise the Perron
+    eigenvector of A A^t, unique on a connected diagram only, so a
+    disconnected diagram without d is a DisconnectedDiagram."""
+    d = spectral_d(spec)
+    trace = _markov_trace(spec, d, d is not None or spec.is_connected())
+    if trace is None:
         raise DisconnectedDiagram("Markov trace is not unique on a disconnected diagram")
-    return _markov_trace(spec, spectral_d(spec))
+    return trace
 
 
-def _markov_trace(spec: InclusionSpec, d: int | None) -> TracialState:
-    """The Markov trace, given d = ``spectral_d(spec)``.
-
-    When d exists the vector is returned exactly as the dimension vector n;
-    otherwise it is computed numerically, as the first left singular vector
-    of A: a thin SVD, so no s x s matrix is formed.
-    """
+def _markov_trace(spec: InclusionSpec, d: int | None, connected: bool, u=None) -> TracialState | None:
+    """``markov_trace`` given d and connectivity, or None.  The Perron vector
+    is A's first left singular vector u, from a thin SVD here unless given, so
+    no s x s matrix is formed; it is strictly positive on a connected diagram,
+    so a component at or below 1e-12 is float resolution failing."""
     if d is not None:
         return TracialState(spec.super_algebra, spec.super_dims)
-    v = np.linalg.svd(_float_matrix(spec), full_matrices=False)[0][:, 0]
+    if not connected:
+        return None
+    v = _svd(spec, True)[1] if u is None else u
     v = v * np.sign(v[np.argmax(np.abs(v))])
     if np.any(v <= 1e-12):
-        raise DisconnectedDiagram("Perron eigenvector is not strictly positive")
+        raise InvariantViolated("Perron eigenvector of a connected diagram is not strictly positive in floats")
     v = v / v.min()
     return TracialState(spec.super_algebra, tuple(float(x) for x in v))
 
 
-def _float_matrix(spec: InclusionSpec) -> np.ndarray:
-    """The inclusion matrix as floats; an entry past their range is TooLarge."""
+def _svd(spec: InclusionSpec, vectors: bool):
+    """sigma_1 of A and, if ``vectors``, A's first left singular vector (else
+    None), from one thin SVD; an entry past a float's range is TooLarge."""
     try:
-        return np.array(spec.inclusion_matrix, dtype=float)
+        A = np.array(spec.inclusion_matrix, dtype=float)
     except OverflowError:
         raise TooLarge("an inclusion matrix entry is past the range of a float") from None
+    if not vectors:
+        return np.linalg.svd(A, compute_uv=False)[0], None
+    U, S, _ = np.linalg.svd(A, full_matrices=False)
+    return S[0], U[:, 0]
 
 
 def embed_batch(spec: InclusionSpec, blocks) -> list[np.ndarray]:

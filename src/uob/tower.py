@@ -21,7 +21,7 @@ from .algebra import BlockOperator, MultiMatrixAlgebra, TracialState, refuse_ove
 from .bases import UnitaryBasis, twisted_stack
 from .errors import AlgebraMismatch, InvariantViolated, SpectralConditionFailed
 from .expectation import markov_expectation
-from .inclusion import InclusionSpec, embed, embed_batch, spectral_d
+from .inclusion import InclusionSpec, embed, embed_batch, markov_trace, spectral_d
 
 JONES_TOL = 1e-9
 
@@ -38,7 +38,7 @@ class BasicConstruction:
 
     @cached_property
     def tau(self) -> TracialState:
-        return TracialState(self.spec.super_algebra, self.spec.super_dims)
+        return markov_trace(self.spec)
 
     @cached_property
     def gns_dim(self) -> int:

@@ -29,8 +29,8 @@ import numpy as np
 from .algebra import CHUNK_ENTRIES, TracialState
 from .bases import UnitaryBasis
 from .errors import AlgebraMismatch, NoExpectation
-from .expectation import markov_expectation
-from .inclusion import InclusionSpec, _atn, spectral_d
+from .expectation import conditional_expectation, markov_expectation
+from .inclusion import InclusionSpec, _atn, markov_trace, spectral_d
 from .tower import dual_expectation
 
 UNITARY_TOL = 1e-9
@@ -302,18 +302,15 @@ def verify_trace_conditions(spec: InclusionSpec, E=None) -> list[VerificationRep
     """The exact integer condition plus trace preservation of E.
 
     Checks A^t n = d m in integer arithmetic (sum n_i^2 = d sum m_j^2
-    follows from it, as n = A m), and that E preserves the tracial state with
-    trace vector n on matrix units within ``TRACE_TOL``, batch by batch: on
-    the sum n_i diagonal units through the slot table of the compiled E.
+    follows from it, as n = A m), and that E (by default the Markov E) preserves
+    ``markov_trace(spec)`` on matrix units within ``TRACE_TOL``, batch by batch:
+    on the sum n_i diagonal units through the slot table of the compiled E.
     """
     ok = spectral_d(spec) is not None
     reports = [_report("integer_eigenvector", 0.0 if ok else 1.0, 0.5, f"A^t n = {_atn(spec)}")]
 
-    if E is None:
-        E = markov_expectation(spec)
-    alg = spec.super_algebra
-    phi = TracialState(alg, spec.super_dims)
-    table = _slot_table(E, alg)
+    alg, phi = spec.super_algebra, markov_trace(spec)
+    table = _slot_table(conditional_expectation(spec, phi) if E is None else E, alg)
     # SlotTable.apply copies square slots X_i[S, S] onto square slots, so it
     # maps an off-diagonal unit to an operator whose diagonal entries are all
     # exactly 0 (a finite q times 0, summed).  Both traces are then exactly

@@ -30,7 +30,7 @@ import numpy as np
 from uob.algebra import BlockOperator, TracialState, roots
 from uob.errors import AlgebraMismatch, UobError
 from uob.expectation import markov_expectation
-from uob.inclusion import InclusionSpec, embed_batch, spectral_d
+from uob.inclusion import InclusionSpec, embed_batch, markov_trace, spectral_d
 from uob.verify import (
     N_RANDOM,
     ORTHO_TOL,
@@ -296,8 +296,7 @@ def per_operator_reconstruction(basis, E, tol=RECON_TOL, seed=0, sampler=None):
 def all_units_markov_preservation(spec, E):
     """verify_trace_conditions' Markov preservation on all sum n_i^2 matrix
     units, one E call per batch of them."""
-    alg = spec.super_algebra
-    phi = TracialState(alg, spec.super_dims)
+    alg, phi = spec.super_algebra, markov_trace(spec)
     units = alg.unit_batches(alg.batch_size)
     resid = np.concatenate([np.abs(phi.batch(_expected(E, X)) - phi.batch(X)) for X in units])
     return _report("markov_preservation", np.max(resid), TRACE_TOL)

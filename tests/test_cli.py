@@ -15,7 +15,7 @@ from uob.catalog import catalog_spec
 from uob.cli import build_parser, main
 from uob.expectation import MixedUnitaryDecomposition
 from uob.inclusion import InclusionSpec
-from uob.io import load_basis, save_spec
+from uob.io import load_basis, save_spec, spec_to_dict
 
 
 def test_check_passing_spec(capsys):
@@ -387,6 +387,28 @@ def test_channel(capsys):
     assert main(["channel", "m2_in_m2_plus_m4"]) == 1
 
 
+def test_channel_on_a_disconnected_diagram_with_d_exits_1_with_one_line(tmp_path, capsys):
+    # d = 1 and n = (1, 1) is constant, but the diagram is disconnected: the
+    # Markov trace is not unique, so the channel is refused
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec([[1, 0], [0, 1]], [1, 1]))
+    assert main(["channel", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Markov trace is not unique" in err
+
+
+@pytest.mark.parametrize("command", ["check", "entropy"])
+def test_a_connected_spec_past_float_resolution_exits_1_with_one_line(tmp_path, capsys, command):
+    # connected, but its Perron vector's second entry is about 2^-60 of the first
+    path = tmp_path / "s.json"
+    save_spec(path, InclusionSpec([[2**60, 3], [1, 1]], [1, 1]))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not strictly positive" in err
+
+
 @pytest.mark.parametrize(
     "A, m",
     [
@@ -488,6 +510,18 @@ def test_verify_entry_past_the_float_range_exits_1_with_one_line(tmp_path, capsy
     assert main(["verify", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err
+
+
+def test_verify_checks_the_perron_trace_where_d_does_not_exist(tmp_path, capsys):
+    # connected, no d: the identity alone fails the integer condition, and the
+    # Markov E preserves the Perron trace, not the one with trace vector n = (5, 4, 2)
+    spec = InclusionSpec([[1, 2], [2, 1], [0, 1]], [1, 2])
+    blocks = [np.eye(n).reshape(-1, 1) * [1.0, 0.0] for n in spec.super_dims]
+    path = _write_basis_doc(tmp_path / "id.json", [[b.tolist() for b in blocks]], spec=spec_to_dict(spec))
+    assert main(["verify", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[FAIL] integer_eigenvector") for line in lines)
+    assert any(line.startswith("[PASS] markov_preservation") for line in lines)
 
 
 def test_verify_empty_basis_exits_1(tmp_path, capsys):

@@ -10,7 +10,8 @@ from hypothesis import example, given
 from uob.bases import construct
 from uob import inclusion
 from uob.catalog import catalog_names, catalog_spec
-from uob.errors import DimensionMismatch, DisconnectedDiagram, EmptyColumn
+from uob.errors import DimensionMismatch, DisconnectedDiagram, EmptyColumn, InvariantViolated
+from uob.expectation import markov_expectation
 from uob.inclusion import (
     InclusionSpec,
     check_spectral_condition,
@@ -230,10 +231,53 @@ def test_a_failing_connected_check_decides_d_and_connectivity_once(monkeypatch, 
 
 
 def test_markov_trace_rejects_disconnected():
-    spec = InclusionSpec.from_matrix([[1, 0], [0, 1]], [1, 2])
-    assert not spec.is_connected()
+    # disconnected and without d: no unique Markov trace
+    spec = InclusionSpec.from_matrix([[1, 0], [0, 2]], [1, 1])
+    assert not spec.is_connected() and spectral_d(spec) is None
     with pytest.raises(DisconnectedDiagram):
         markov_trace(spec)
+
+
+def test_markov_trace_is_n_on_a_disconnected_diagram_with_d():
+    # d = 1: n is the trace that E, the report and the trace check all read
+    spec = InclusionSpec.from_matrix([[1, 0], [0, 1]], [1, 2])
+    assert not spec.is_connected() and spectral_d(spec) == 1
+    assert markov_trace(spec).trace_vector == (1, 2)
+    assert markov_expectation(spec).phi.trace_vector == (1, 2)
+    assert check_spectral_condition(spec).to_dict()["markov_trace_vector"] == [1, 2]
+
+
+def test_a_connected_diagram_past_float_resolution_is_an_invariant_violation():
+    # connected, so Perron-Frobenius makes the vector strictly positive; in
+    # floats its second entry (about 2^-60 of the first) is lost
+    spec = InclusionSpec([[2**60, 3], [1, 1]], [1, 1])
+    assert spec.is_connected() and spectral_d(spec) is None
+    for call in (check_spectral_condition, markov_trace):
+        with pytest.raises(InvariantViolated, match="not strictly positive"):
+            call(spec)
+
+
+@pytest.mark.parametrize(
+    "A, m",
+    [([[1, 2], [2, 1], [0, 1]], [1, 2]), ([[2]], [1]), ([[1, 0], [0, 2]], [1, 1]), ([[1, 1]] * 2000, [1, 2])],
+    ids=["connected_without_d", "with_d", "disconnected_without_d", "tall"],
+)
+def test_the_spectral_check_takes_one_svd_and_no_norm(monkeypatch, A, m):
+    calls = {"svd": 0, "norm": 0}
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", norm))
+    report = check_spectral_condition(InclusionSpec(A, m))
+    assert calls == {"svd": 1, "norm": 0}
+    assert (report.markov_trace is None) == (not report.holds and not report.connected)
 
 
 @given(specs())

@@ -18,7 +18,7 @@ from uob.catalog import catalog_names, catalog_spec
 from uob.errors import AlgebraMismatch, DisconnectedDiagram, UobError
 from uob.expectation import conditional_expectation, markov_expectation
 from uob import verify
-from uob.inclusion import InclusionSpec, embed
+from uob.inclusion import InclusionSpec, embed, markov_trace
 from uob.verify import (
     N_RANDOM,
     RECON_TOL,
@@ -330,10 +330,12 @@ def test_a_compiled_E_moves_the_trace_on_diagonal_units_only(spec, data):
     weights = st.floats(0.01, 100, allow_nan=False, allow_infinity=False)
     phis = [TracialState(alg, data.draw(st.lists(weights, min_size=spec.s, max_size=spec.s)))]
     try:
-        phis.append(markov_expectation(spec).phi)
-    except DisconnectedDiagram:  # no unique Markov trace
-        pass
-    checked = TracialState(alg, spec.super_dims)  # the trace the check preserves
+        checked = markov_trace(spec)  # the trace the check preserves
+    except DisconnectedDiagram:  # no unique Markov trace: the check refuses the spec
+        with pytest.raises(DisconnectedDiagram):
+            verify_trace_conditions(spec, conditional_expectation(spec, phis[0]))
+        return
+    phis.append(markov_expectation(spec).phi)
     for phi in phis:
         E = conditional_expectation(spec, phi)
         for (_, a, b), e in alg.matrix_units():

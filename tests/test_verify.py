@@ -8,7 +8,7 @@ import pytest
 from uob.algebra import TracialState
 from uob.bases import UnitaryBasis, abelian_basis, weyl_basis
 from uob.catalog import catalog_spec
-from uob.errors import AlgebraMismatch, NoExpectation
+from uob.errors import AlgebraMismatch, DisconnectedDiagram, NoExpectation
 from uob.expectation import SlotTable, conditional_expectation, markov_expectation
 from uob.inclusion import InclusionSpec
 from uob.tower import basic_construction_basis, build_basic_construction, dual_expectation
@@ -120,6 +120,32 @@ def test_defect_nonunitary_element():
     scaled = tuple(W if j else 0.5 * W for j, W in enumerate(b.elements))
     bad = UnitaryBasis.from_elements(b.spec, scaled, "defect")
     assert not verify_unitary(bad).passed
+
+
+# connected and without d: its Markov trace is the Perron vector of A A^t, not n
+NO_D = InclusionSpec([[1, 2], [2, 1], [0, 1]], [1, 2])
+
+
+def test_markov_preservation_checks_the_perron_trace_where_d_does_not_exist():
+    reports = {r.name: r for r in verify_trace_conditions(NO_D, markov_expectation(NO_D))}
+    assert not reports["integer_eigenvector"].passed
+    assert reports["markov_preservation"].passed
+    assert verify_trace_conditions(NO_D)[-1].passed  # E = None: the same Markov E
+
+
+def test_markov_preservation_fails_for_the_expectation_preserving_n_where_d_does_not_exist():
+    n_trace = TracialState(NO_D.super_algebra, NO_D.super_dims)
+    report = verify_trace_conditions(NO_D, conditional_expectation(NO_D, n_trace))[-1]
+    assert report.name == "markov_preservation" and not report.passed
+
+
+def test_trace_check_refuses_a_disconnected_spec_without_d():
+    # no unique Markov trace to check, whatever E is given
+    spec = InclusionSpec([[1, 0], [0, 2]], [1, 1])
+    E = conditional_expectation(spec, TracialState(spec.super_algebra, (1, 1)))
+    for args in ((spec,), (spec, E)):
+        with pytest.raises(DisconnectedDiagram):
+            verify_trace_conditions(*args)
 
 
 def test_spectral_failure_is_reported():
